@@ -147,15 +147,17 @@ def make_custom(
     support_lower: float,
     support_upper: float,
     name: str = "custom",
+    cdf: Callable | None = None,
 ) -> Distribution:
     """Build a distribution from its quantile function and density.
 
-    The CDF is recovered by bisection on u (64 halvings, resolution < 1e-12):
-    the quantile is the primitive the solvers need most, so it is the input.
+    Without an exact cdf, the CDF is recovered by bisection on u (64 halvings,
+    resolution < 1e-12): the quantile is the primitive the solvers need most,
+    so it is the input. The hazard uses whichever CDF results.
     """
     qfn = quantile
 
-    def _cdf(x: np.ndarray) -> np.ndarray:
+    def _bisect_cdf(x: np.ndarray) -> np.ndarray:
         lo = np.zeros_like(x)
         hi = np.ones_like(x)
         for _ in range(64):
@@ -168,6 +170,8 @@ def make_custom(
         if math.isfinite(support_upper):
             u[x >= support_upper] = 1.0
         return u
+
+    _cdf = _bisect_cdf if cdf is None else (lambda x: np.asarray(cdf(x), dtype=float))
 
     def _cdf_any(x):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -196,7 +200,8 @@ def make_custom(
 
 
 def from_quantile_grid(grid: Sequence[Sequence[float]]) -> Distribution:
-    """Piecewise-linear quantile function from [[u, x], ...] pairs."""
+    """Piecewise-linear quantile function from [[u, x], ...] pairs; its CDF is
+    the exact inverse interpolation."""
     pts = sorted((float(u), float(x)) for u, x in grid)
     us = np.array([p[0] for p in pts])
     xs = np.array([p[1] for p in pts])
@@ -219,6 +224,7 @@ def from_quantile_grid(grid: Sequence[Sequence[float]]) -> Distribution:
         support_lower=float(xs[0]),
         support_upper=float(xs[-1]),
         name="custom",
+        cdf=lambda x: np.interp(x, xs, us),
     )
 
 

@@ -7,11 +7,11 @@ arithmetic happens on u = F(x) and values appear only through quantile().
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .distributions import Distribution
@@ -22,8 +22,6 @@ from .errors import (
     NotViableError,
     NumericFailureError,
 )
-
-_QUAD_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -168,22 +166,29 @@ def solve_multiprize(
     )
 
 
-def _asym_low_profit(l: float, h: float, n: int, c: float, w: float) -> float:
-    """Zero-profit residual of a low-threshold player, quantile space."""
-    scale = (1.0 - l) ** (n - 2) * (1.0 - h)
-    val, _ = quad(
-        lambda u: (u - l) ** (n - 2) * (u - h), h, 1.0, epsabs=_QUAD_TOL, epsrel=0.0
+def _shifted_power_integral(b: float, d: float, m: int, j: int) -> float:
+    """Integral of (b + s)^m s^j over s in [0, d], by binomial expansion.
+
+    For b, d >= 0 every term is nonnegative, so nothing cancels as d -> 0."""
+    return sum(
+        math.comb(m, i) * b ** (m - i) * d ** (i + j + 1) / (i + j + 1) for i in range(m + 1)
     )
-    return -c + w * val / scale
+
+
+def _asym_low_profit(l: float, h: float, n: int, c: float, w: float) -> float:
+    """Zero-profit residual of a low-threshold player, quantile space:
+    -c + w * integral_h^1 (u-l)^(n-2) (u-h) du / ((1-l)^(n-2) (1-h))."""
+    a, b, d = 1.0 - l, h - l, 1.0 - h
+    val = _shifted_power_integral(b, d, n - 2, 1)
+    return -c + w * val / (a ** (n - 2) * d)
 
 
 def _asym_high_indiff(l: float, h: float, n: int, c: float, w: float) -> float:
     """High player indifferent between stopping at the threshold and continuing."""
-    v_high = w * ((h - l) / (1.0 - l)) ** (n - 1)
-    val, _ = quad(
-        lambda u: ((u - l) / (1.0 - l)) ** (n - 1), h, 1.0, epsabs=_QUAD_TOL, epsrel=0.0
-    )
-    return v_high * (1.0 - h) + c - w * val
+    a, b, d = 1.0 - l, h - l, 1.0 - h
+    v_high = w * (b / a) ** (n - 1)
+    val = _shifted_power_integral(b, d, n - 1, 0) / a ** (n - 1)
+    return v_high * d + c - w * val
 
 
 def solve_asymmetric(params: ContestParams, d: Distribution) -> AsymmetricEquilibrium:

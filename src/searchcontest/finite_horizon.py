@@ -13,6 +13,7 @@ every equation O(1)-scaled.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -24,6 +25,7 @@ from .errors import InvalidParameterError, NumericFailureError
 _BR_TOL = 1e-12
 _BR_MAX_ITER = 10_000
 _DAMPING = 0.5
+_LOG_MAX = math.log(sys.float_info.max)  # largest exponent math.exp can return
 
 
 @dataclass(frozen=True)
@@ -256,8 +258,10 @@ def _scaled_residuals(a: np.ndarray, n: int, r: float) -> np.ndarray:
         if hj <= 0.0 or hj1 <= 0.0 or h_last <= 0.0:
             out[j] = 1e3  # outside the solvable region; push back
             continue
-        ratio = math.exp(p * (math.log(hj) - math.log(hj1)))
-        tail = math.exp(p * (math.log(h_last) - math.log(hj1)))
+        # math.exp raises past the float edge; clamping there leaves every
+        # value it can return unchanged
+        ratio = math.exp(min(p * (math.log(hj) - math.log(hj1)), _LOG_MAX))
+        tail = math.exp(min(p * (math.log(h_last) - math.log(hj1)), _LOG_MAX))
         out[j] = ratio - a[j + 1] - tail + h.integral_power_scaled(p, a[j + 1], hj1)
     out[k - 2] = h_last ** p + r - h.integral_power(p)
     return out
@@ -280,9 +284,11 @@ def _newton_polish(
             ap, am = a.copy(), a.copy()
             ap[i] = min(a[i] + eps, 1.0 - 1e-12)
             am[i] = max(a[i] - eps, 1e-12)
-            jac[:, i] = (_scaled_residuals(ap, n, r) - _scaled_residuals(am, n, r)) / (
-                ap[i] - am[i]
-            )
+            # a residual saturated at the float edge gives an infinite column
+            with np.errstate(over="ignore", invalid="ignore"):
+                jac[:, i] = (_scaled_residuals(ap, n, r) - _scaled_residuals(am, n, r)) / (
+                    ap[i] - am[i]
+                )
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:

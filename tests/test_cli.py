@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, manifest/result layout, CSV sidecars."""
 import json
 import math
+import warnings
 
 import pytest
 
@@ -116,6 +117,18 @@ def test_invalid_parameters_exit_one(capsys):
     code, _, err = _run(capsys, ["solve", "symmetric", "--n", "1", "--cost", "0.1"])
     assert code == 1
     assert "error" in err
+
+
+def test_solve_finite_overflow_cell_exits_two(capsys):
+    # a k-draw cell whose scaled ratios leave the float range fails cleanly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = _run(
+            capsys, ["solve", "finite", "--n", "15", "--k", "4", "--cost-ratio", "0.06539"]
+        )
+    assert code == 2
+    assert "no k=4 equilibrium" in err
+    assert "Traceback" not in err
 
 
 def test_solve_finite_reports_nonexistence_with_exit_two(capsys):

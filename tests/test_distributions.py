@@ -146,6 +146,15 @@ def test_from_quantile_grid_interpolates():
     assert d.density(3.0) == pytest.approx(1.0 / 6.0)
 
 
+def test_from_quantile_grid_cdf_is_exact_inverse():
+    d = from_quantile_grid([[0.0, 0.0], [0.2, 0.5], [0.5, 1.0], [0.8, 2.5], [1.0, 3.0]])
+    us = np.linspace(0.0, 1.0, 1001)
+    assert np.max(np.abs(d.cdf(d.quantile(us)) - us)) <= 1e-15
+    assert d.cdf(-1.0) == 0.0 and d.cdf(4.0) == 1.0
+    # hazard on the last segment: f = 0.2 / 0.5, tail = 1 - F(2.75) = 0.1
+    assert d.hazard(2.75) == pytest.approx(4.0, rel=1e-14)
+
+
 def test_from_quantile_grid_validation():
     with pytest.raises(InvalidParameterError):
         from_quantile_grid([[0.1, 0.0], [1.0, 1.0]])

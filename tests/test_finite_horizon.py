@@ -1,6 +1,7 @@
 """Finite-horizon equilibria: closed form, backward induction, sweeps."""
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from searchcontest import (
     FiniteHorizonParams,
     InvalidParameterError,
     OpponentFinalCdf,
+    SearchContestError,
     solve_k_draw,
     solve_two_draw,
     threshold_profile,
@@ -241,6 +243,15 @@ def test_params_validation():
         FiniteHorizonParams(2, -0.1, 2)
     with pytest.raises(InvalidParameterError):
         FiniteHorizonParams(2, 0.1, 1)
+
+
+def test_k_draw_overflow_cell_fails_cleanly():
+    # the scaled ratios of this cell exceed the float range on the way;
+    # the solver must end in its own error, with no float warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SearchContestError):
+            solve_k_draw(FiniteHorizonParams(15, 0.06539, 4))
 
 
 @settings(max_examples=25)

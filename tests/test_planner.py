@@ -1,6 +1,7 @@
 """Welfare optimum, efficient prize, prize classification, hazard ordering."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,12 +15,14 @@ from searchcontest import (
     UNDERSEARCH,
     classify_prize,
     efficient_prize_integral,
+    from_quantile_grid,
     hazard_order_check,
     make_pareto,
     planner_welfare,
     solve_planner,
     solve_symmetric,
 )
+from searchcontest import planner
 
 # interior of 0..1: integral of (1-t^2)^(n-1) dt drives the pareto(2,1) optimum
 _PARETO_FACTOR = {2: 2.0 / 3.0, 3: 8.0 / 15.0, 5: 128.0 / 315.0}
@@ -28,6 +31,10 @@ _PARETO_FACTOR = {2: 2.0 / 3.0, 3: 8.0 / 15.0, 5: 128.0 / 315.0}
 def _uniform_oracle(n, c):
     s = c * n * (n + 1)
     return (1.0 - math.sqrt(s), math.sqrt(n * c / (n + 1))) if s < 1.0 else None
+
+
+# kinked piecewise-linear quantile function: fixed nodes cannot certify every sign
+_GRID3 = [[0.0, 0.0], [0.5, 1.0], [1.0, 3.0]]
 
 
 def test_welfare_uniform_values(uniform):
@@ -211,3 +218,38 @@ def test_solution_identities_uniform(n, cost, uniform):
     oracle = _uniform_oracle(n, cost)
     if oracle is not None:
         assert sol.threshold == pytest.approx(oracle[0], rel=1e-7, abs=1e-9)
+
+
+@pytest.mark.parametrize("family,n,cost", [
+    ("uniform", 3, 0.1), ("exponential", 3, 0.1), ("pareto", 3, 0.1), ("grid", 2, 0.3),
+])
+def test_bracket_pass_signs_match_adaptive(family, n, cost, request, monkeypatch):
+    d = from_quantile_grid(_GRID3) if family == "grid" else request.getfixturevalue(family)
+    calls = []
+    adaptive = planner._foc_residual
+
+    def counted(q, *args):
+        calls.append(q)
+        return adaptive(q, *args)
+
+    monkeypatch.setattr(planner, "_foc_residual", counted)
+    qs = np.linspace(0.0, 1.0 - 1e-9, planner._GRID)
+    fast = planner._bracket_residuals(qs, n, cost, d)
+    if family == "grid":
+        assert calls  # the kinks force the adaptive fallback somewhere
+    for q in calls:  # an uncertified point carries the adaptive value itself
+        assert fast[np.searchsorted(qs, q)] == adaptive(q, n, cost, d)
+    for i in range(0, planner._GRID, 15):
+        assert np.sign(fast[i]) == np.sign(adaptive(qs[i], n, cost, d)), qs[i]
+
+
+def test_quantile_grid_planner():
+    # reference values from bracketing with adaptive quadrature at every grid point
+    d = from_quantile_grid(_GRID3)
+    sol = solve_planner(2, 0.1, d)
+    assert sol.interior
+    assert sol.threshold == pytest.approx(1.4508066615170332, rel=1e-10)
+    assert sol.welfare == pytest.approx(1.9672044410113552, rel=1e-10)
+    assert sol.efficient_prize == pytest.approx(0.5163977794943223, rel=1e-10)
+    assert sol.acceptance_prob == pytest.approx(0.3872983346207417, rel=1e-10)
+    assert abs(sol.foc_residual) < 1e-12
