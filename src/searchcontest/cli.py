@@ -536,6 +536,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except _SOLVER_ERRORS as ex:
         print(f"searchcontest: error: {ex}", file=sys.stderr)
+        if isinstance(ex, NumericFailureError):
+            print(to_json(ex.diagnostics, indent=None), file=sys.stderr)
         return 2
 
 

@@ -59,9 +59,6 @@ class TruncatedDistribution(Distribution):
     base: Distribution = None
     lower: float = float("nan")
 
-    def cdf_trunc(self, x):
-        return self.cdf(x)
-
 
 def make_uniform(lo: float, hi: float) -> Distribution:
     if not lo < hi:

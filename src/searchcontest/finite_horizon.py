@@ -85,26 +85,14 @@ class OpponentFinalCdf:
     def inverse(self, y):
         return np.interp(y, self._ys, self._xs)
 
-    def integral_power(self, p: float, lo: float = 0.0, hi: float = 1.0) -> float:
-        """Exact integral of h(u)^p over [lo, hi]."""
-        if hi <= lo:
+    def integral_power(
+        self, p: float, lo: float = 0.0, hi: float = 1.0, ref: float = 1.0
+    ) -> float:
+        """Exact integral of (h(u)/ref)^p over [lo, hi]; a ref near h keeps
+        the powers in range when h is tiny."""
+        if hi <= lo or ref <= 0.0:
             return 0.0
         cuts = np.unique(np.clip(np.concatenate((self._xs, [lo, hi])), lo, hi))
-        total = 0.0
-        for x0, x1 in zip(cuts[:-1], cuts[1:]):
-            y0 = float(self(x0))
-            y1 = float(self(x1))
-            if y1 == y0:
-                total += y0**p * (x1 - x0)
-            else:
-                total += (y1 ** (p + 1) - y0 ** (p + 1)) / (y1 - y0) * (x1 - x0) / (p + 1)
-        return total
-
-    def integral_power_scaled(self, p: float, hi: float, ref: float) -> float:
-        """Integral of (h(u)/ref)^p over [0, hi]; stable when h is tiny."""
-        if hi <= 0.0 or ref <= 0.0:
-            return 0.0
-        cuts = np.unique(np.clip(np.concatenate((self._xs, [0.0, hi])), 0.0, hi))
         total = 0.0
         for x0, x1 in zip(cuts[:-1], cuts[1:]):
             y0 = float(self(x0)) / ref
@@ -262,7 +250,7 @@ def _scaled_residuals(a: np.ndarray, n: int, r: float) -> np.ndarray:
         # value it can return unchanged
         ratio = math.exp(min(p * (math.log(hj) - math.log(hj1)), _LOG_MAX))
         tail = math.exp(min(p * (math.log(h_last) - math.log(hj1)), _LOG_MAX))
-        out[j] = ratio - a[j + 1] - tail + h.integral_power_scaled(p, a[j + 1], hj1)
+        out[j] = ratio - a[j + 1] - tail + h.integral_power(p, 0.0, a[j + 1], hj1)
     out[k - 2] = h_last ** p + r - h.integral_power(p)
     return out
 
@@ -312,16 +300,17 @@ def solve_k_draw(
 ) -> FiniteHorizonEquilibrium:
     """Symmetric k-draw equilibrium by backward induction.
 
-    Stage 1 iterates damped sequential best response from the two-draw root;
-    stage 2 retries from a 5-point grid; stage 3 runs damped Newton on the
-    cancellation-free system (needed near the participation frontier, where
-    best response is unstable and the raw residuals are below float noise).
-    For k=2 the result matches solve_two_draw's closed-form root, and the
-    same stability rule decides existence. For k>=3 any interior root found
-    is reported as an equilibrium.
+    Stage 1 iterates damped sequential best response from `init`, if given,
+    then from the two-draw root. When neither converges, stage 2 runs damped
+    Newton on the cancellation-free system from those starts and a fixed list
+    of others (needed near the participation frontier, where best response is
+    unstable and the raw residuals are below float noise). Whichever stage
+    finds the root, a final Newton polish tightens it. For k=2 the result
+    matches solve_two_draw's closed-form root, and the same stability rule
+    decides existence. For k>=3 any interior root found is reported as an
+    equilibrium.
     """
     n, r, k = params.n_players, params.cost_ratio, params.n_draws
-    p = n - 1
 
     # h(u) <= u pointwise (convex, pinned at 0 and 1), so the forced-draw
     # value is at most 1/N - c/W: beyond that frontier nothing can exist
@@ -352,24 +341,9 @@ def solve_k_draw(
             break
 
     if solution is None:
-        # stage 2: spread-out restarts
-        found = []
-        for s in (0.15, 0.35, 0.55, 0.75, 0.9):
-            a_fix, iters, resid = _run_best_response(np.full(k - 1, s), n, r)
-            attempts.append({"method": "multistart", "start": s, "iterations": iters, "residual": resid})
-            if a_fix is not None:
-                found.append(a_fix)
-        if found:
-            solution = found[0]
-            spread = max(
-                float(np.max(np.abs(x - y))) for x in found for y in found
-            )
-            attempts.append({"multistart_spread": spread})
-
-    if solution is None:
-        # stage 3: Newton on the well-conditioned system
+        # stage 2: Newton on the well-conditioned system
         newton_inits = list(inits) + [
-            np.full(k - 1, x) for x in (seed, 0.9 * seed, min(0.95, 1.2 * seed))
+            np.full(k - 1, x) for x in (0.9 * seed, min(0.95, 1.2 * seed))
         ]
         if r > 0:
             frontier = max(1e-6, min(1.0 / (n * r) - 1.0, 1 - 1e-6))
@@ -377,7 +351,7 @@ def solve_k_draw(
             newton_inits.append(np.full(k - 1, 0.5 * (frontier + seed)))
         newton_inits += [np.full(k - 1, x) for x in (0.1, 0.3, 0.5, 0.7, 0.9)]
         for a0 in newton_inits:
-            a_fix, iters, resid = _newton_polish(np.asarray(a0, dtype=float), n, r)
+            a_fix, iters, resid = _newton_polish(a0, n, r)
             attempts.append({"method": "newton", "iterations": iters, "residual": resid})
             if a_fix is not None:
                 solution = a_fix

@@ -260,6 +260,26 @@ def _mean_se(s1: np.ndarray, s2: np.ndarray, n: int) -> tuple[np.ndarray, np.nda
     return mean, np.sqrt(var / n)
 
 
+def _map_chunks(work, reps: int, n_threads: int) -> list:
+    """work(chunk, size) for every chunk of reps, results in chunk order."""
+    sizes = [min(_CHUNK, reps - start) for start in range(0, reps, _CHUNK)]
+    if n_threads > 1 and len(sizes) > 1:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            return list(pool.map(work, range(len(sizes)), sizes))
+    return [work(c, size) for c, size in enumerate(sizes)]
+
+
+def _sum_chunks(work, reps: int, n_threads: int) -> dict:
+    """Key-wise sum of the dicts work(chunk, size) returns, in chunk order so
+    float sums do not depend on the thread count."""
+    partials = _map_chunks(work, reps, n_threads)
+    acc = {k: 0.0 if np.isscalar(v) else np.zeros_like(v) for k, v in partials[0].items()}
+    for p in partials:
+        for k, v in p.items():
+            acc[k] = acc[k] + v
+    return acc
+
+
 def _resolve_contest(
     params: Union[ContestParams, FiniteHorizonParams],
     prizes: PrizeSchedule | None,
@@ -300,22 +320,11 @@ def simulate_contest(
     cap = config.max_draws_cap or _default_cap(quantiles, kinds)
 
     reps = config.replications
-    n_chunks = (reps + _CHUNK - 1) // _CHUNK
-    sizes = [min(_CHUNK, reps - c * _CHUNK) for c in range(n_chunks)]
 
-    def work(c: int) -> dict:
-        return _simulate_chunk(c, sizes[c], config.seed, quantiles, kinds, cap, cost, prize_arr)
+    def work(c: int, size: int) -> dict:
+        return _simulate_chunk(c, size, config.seed, quantiles, kinds, cap, cost, prize_arr)
 
-    if config.n_threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
-            partials = list(pool.map(work, range(n_chunks)))
-    else:
-        partials = [work(c) for c in range(n_chunks)]
-
-    acc = {k: 0.0 if np.isscalar(v) else np.zeros_like(v) for k, v in partials[0].items()}
-    for p in partials:  # fixed chunk order keeps float sums deterministic
-        for k, v in p.items():
-            acc[k] = acc[k] + v
+    acc = _sum_chunks(work, reps, config.n_threads)
 
     mean_pay, se_pay = _mean_se(acc["payoff1"], acc["payoff2"], reps)
     mean_cost, se_cost = _mean_se(acc["cost1"], acc["cost2"], reps)
@@ -344,32 +353,36 @@ def simulate_contest(
 
 def _inverse_play(
     v: np.ndarray, qs: np.ndarray, infinite: bool, cap: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Accepted quantile and draw count from pre-drawn uniforms.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Accepted quantile, draw count and forced-stop flag from pre-drawn
+    uniforms.
 
     Infinite horizon uses two uniforms per replication: one through the
     geometric draw-count inverse CDF, one for the accepted value above the
-    threshold. Finite horizon reads the uniforms as the draws themselves.
-    Sharing v across strategies yields common-random-number comparisons.
+    threshold. A replication that reaches the cap keeps its last draw, which
+    lies below the threshold. Finite horizon reads the uniforms as the draws
+    themselves. Sharing v across strategies yields common-random-number
+    comparisons.
     """
     size = v.shape[0]
     if infinite:
         q = qs[0]
         if q <= 0.0:
             draws = np.ones(size, dtype=np.int64)
-            final = v[:, 1].copy()
-        else:
-            draws = np.maximum(1, np.ceil(np.log1p(-v[:, 0]) / math.log(q))).astype(np.int64)
-            np.minimum(draws, cap, out=draws)
-            final = q + v[:, 1] * (1.0 - q)
-        return final, draws
+            return v[:, 1].copy(), draws, np.zeros(size, dtype=bool)
+        draws = np.maximum(1, np.ceil(np.log1p(-v[:, 0]) / math.log(q))).astype(np.int64)
+        forced = draws > cap
+        np.minimum(draws, cap, out=draws)
+        final = q + v[:, 1] * (1.0 - q)
+        final[forced] = v[forced, 1] * q
+        return final, draws, forced
     k = qs.size + 1
     acc = v[:, : k - 1] >= qs[None, :]
     any_acc = acc.any(axis=1)
     first = np.where(any_acc, acc.argmax(axis=1), k - 1)
     draws = first.astype(np.int64) + 1
     final = v[np.arange(size), first]
-    return final, draws
+    return final, draws, np.zeros(size, dtype=bool)
 
 
 def deviation_scan(
@@ -404,51 +417,34 @@ def deviation_scan(
     v_cols = max([2] + [q.size + 1 for q, inf in zip(self_q, self_kind) if not inf])
 
     reps = config.replications
-    n_chunks = (reps + _CHUNK - 1) // _CHUNK
-    sizes = [min(_CHUNK, reps - c * _CHUNK) for c in range(n_chunks)]
-    n_cand = len(candidates)
 
-    def work(c: int) -> dict:
-        size = sizes[c]
+    def work(c: int, size: int) -> dict:
         opp_final = np.empty((n - 1, size))
         opp_cost_total = np.zeros(size)
         for slot, j in enumerate(opp_idx):
             rng = _stream(config.seed, _TAG_OPP, j, c)
             cols = 2 if opp_kind[slot] else opp_q[slot].size + 1
-            f, dr = _inverse_play(rng.random((size, cols)), opp_q[slot], opp_kind[slot], cap)
+            f, dr, _ = _inverse_play(rng.random((size, cols)), opp_q[slot], opp_kind[slot], cap)
             opp_final[slot] = f
             opp_cost_total += cost * dr
         v_self = _stream(config.seed, _TAG_SELF, player_index, c).random((size, v_cols))
 
         payoffs = []
         for qs, infinite in zip(self_q, self_kind):
-            f, dr = _inverse_play(v_self, qs, infinite, cap)
+            f, dr, _ = _inverse_play(v_self, qs, infinite, cap)
             rank = (opp_final > f[None, :]).sum(axis=0)  # exact ties have measure zero
             payoffs.append(prize_arr[rank] - cost * dr)
         base = payoffs[0]
-        out = {
+        return {
             "eq1": base.sum(),
             "eq2": (base**2).sum(),
             "gain1": np.array([(p - base).sum() for p in payoffs[1:]]),
             "gain2": np.array([((p - base) ** 2).sum() for p in payoffs[1:]]),
         }
-        return out
 
-    if config.n_threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
-            partials = list(pool.map(work, range(n_chunks)))
-    else:
-        partials = [work(c) for c in range(n_chunks)]
-    eq1 = sum(p["eq1"] for p in partials)
-    eq2 = sum(p["eq2"] for p in partials)
-    g1 = np.zeros(n_cand)
-    g2 = np.zeros(n_cand)
-    for p in partials:
-        g1 += p["gain1"]
-        g2 += p["gain2"]
-
-    eq_mean, eq_se = _mean_se(np.array([eq1]), np.array([eq2]), reps)
-    gain_mean, gain_se = _mean_se(g1, g2, reps)
+    acc = _sum_chunks(work, reps, config.n_threads)
+    eq_mean, eq_se = _mean_se(np.array([acc["eq1"]]), np.array([acc["eq2"]]), reps)
+    gain_mean, gain_se = _mean_se(acc["gain1"], acc["gain2"], reps)
     rows = tuple(
         DeviationRow(
             strategy=s,
@@ -530,19 +526,16 @@ def recall_irrelevance_check(
     two samples must agree; a two-sample KS test at the 1 percent level makes
     that a falsifiable check of the simulator."""
     q = 1.0 - solve_symmetric(params, d).acceptance_prob
-    cap = config.max_draws_cap or max(1, math.ceil(40.0 / max(1.0 - q, 1e-12)))
+    if q >= 1.0:
+        raise InvalidParameterError("equilibrium acceptance probability is below float resolution")
+    cap = config.max_draws_cap or _default_cap([np.array([q])], [True])
     reps = config.replications
-    n_chunks = (reps + _CHUNK - 1) // _CHUNK
-    sizes = [min(_CHUNK, reps - c * _CHUNK) for c in range(n_chunks)]
 
-    def no_recall(c: int) -> np.ndarray:
+    def work(c: int, size: int) -> tuple[np.ndarray, np.ndarray]:
         rng = _stream(config.seed, _TAG_RECALL, 0, c)
-        final, _, _ = _play_rounds(rng, sizes[c], np.array([q]), True, cap)
-        return final
+        no_recall, _, _ = _play_rounds(rng, size, np.array([q]), True, cap)
 
-    def with_recall(c: int) -> np.ndarray:
         rng = _stream(config.seed, _TAG_RECALL, 1, c)
-        size = sizes[c]
         best = np.zeros(size)
         alive = np.ones(size, dtype=bool)
         final = np.zeros(size)
@@ -554,10 +547,10 @@ def recall_irrelevance_check(
             alive &= ~stop
             if not alive.any():
                 break
-        return np.where(alive, best, final)
+        return no_recall, np.where(alive, best, final)
 
-    a = np.concatenate([no_recall(c) for c in range(n_chunks)])
-    b = np.concatenate([with_recall(c) for c in range(n_chunks)])
+    # no name keeps the chunk pieces alive through the KS copies below
+    a, b = (np.concatenate(side) for side in zip(*_map_chunks(work, reps, config.n_threads)))
     a_sorted, b_sorted = np.sort(a), np.sort(b)
     pooled = np.concatenate([a_sorted, b_sorted])
     cdf_a = np.searchsorted(a_sorted, pooled, side="right") / a.size

@@ -2,6 +2,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +130,9 @@ def test_solve_finite_overflow_cell_exits_two(capsys):
     assert code == 2
     assert "no k=4 equilibrium" in err
     assert "Traceback" not in err
+    # the failure's diagnostics follow the message as one JSON line
+    diagnostics = json.loads(err.splitlines()[-1])
+    assert diagnostics["attempts"][0]["method"] == "best_response"
 
 
 def test_solve_finite_reports_nonexistence_with_exit_two(capsys):
@@ -199,6 +203,23 @@ def test_table_finite_k2_with_sidecars(capsys, tmp_path):
     by_ratio = {p["cost_ratio"]: p for p in diags["profiles"]}
     assert by_ratio[0.1]["peak_n"] == 5
     assert by_ratio[0.1]["frontier_n"] == 7
+
+
+def test_reproduced_tables_match_golden(capsys, tmp_path):
+    # the same commands as scripts/reproduce_tables.py; the golden copies are
+    # the benchmark's, which compares the same bytes
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+    for argv in (["table", "finite_k2"], ["table", "finite_k3"],
+                 ["table", "welfare_examples", "--n", "2", "--cost", "0.1"]):
+        code, _, _ = _run(capsys, argv + ["--out", str(tmp_path / f"{argv[1]}.csv")])
+        assert code == 0
+    names = sorted(p.name for p in golden.iterdir())
+    assert names == [
+        "finite_k2.csv", "finite_k2.csv.diagnostics.json",
+        "finite_k3.csv", "finite_k3.csv.diagnostics.json", "welfare_examples.csv",
+    ]
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 def test_table_to_stdout(capsys):

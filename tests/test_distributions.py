@@ -168,7 +168,6 @@ def test_truncate_below_uniform():
     assert d.cdf(0.4) == pytest.approx(0.0)
     assert d.cdf(0.7) == pytest.approx(0.5)
     assert d.quantile(0.5) == pytest.approx(0.7)
-    assert d.cdf_trunc(0.7) == pytest.approx(0.5)
     # hazard above the cut is the base hazard
     base = make_uniform(0.0, 1.0)
     assert float(d.hazard(0.8)) == pytest.approx(float(base.hazard(0.8)), rel=1e-12)

@@ -271,3 +271,21 @@ def test_k_draw_invariants_random(n, r, k):
         assert all(0.0 <= q < 1.0 for q in qs)
         if r == 0.0:
             assert all(q > 0.0 for q in qs)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 15),
+    frac=st.floats(0.0, 1.0, exclude_max=True),
+    k=st.integers(3, 6),
+)
+def test_k_draw_total_on_box(n, frac, k):
+    # every cell with 0 <= c/W < 1/N either solves or ends in the package's
+    # own error, with no float warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sol = solve_k_draw(FiniteHorizonParams(n, frac / n, k))
+        except SearchContestError:
+            return
+    assert len(sol.round_quantiles) == (k - 1 if sol.exists else 0)

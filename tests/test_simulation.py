@@ -96,6 +96,15 @@ def test_deviation_scan_identical_across_thread_counts(uniform):
     assert to_json(reports[0]) == to_json(reports[1])
 
 
+def test_recall_check_identical_across_thread_counts(uniform):
+    params = ContestParams(n_players=2, cost=0.1, prize=1.0)
+    reports = [
+        recall_irrelevance_check(params, uniform, SimulationConfig(140_000, SEED, n_threads=k))
+        for k in (1, 4)
+    ]
+    assert to_json(reports[0]) == to_json(reports[1])
+
+
 def test_seed_changes_output(uniform):
     params = ContestParams(n_players=2, cost=0.1, prize=1.0)
     profile = _symmetric_profile(params, uniform)
@@ -233,6 +242,19 @@ def test_forced_stops_are_counted(uniform):
     assert rep.se_draws == (0.0, 0.0)
 
 
+def test_capped_deviation_keeps_a_draw_below_threshold(uniform):
+    # with one draw allowed every threshold strategy keeps its first draw,
+    # so no deviation can gain
+    params = ContestParams(n_players=2, cost=0.01, prize=1.0)
+    profile = StrategyProfile((InfiniteThresholdStrategy(0.9),) * 2)
+    report = deviation_scan(
+        profile, 0, [InfiniteThresholdStrategy(0.95)], params, uniform,
+        SimulationConfig(100_000, SEED, max_draws_cap=1),
+    )
+    assert not report.any_flagged
+    assert abs(report.rows[0].mean_gain) <= 3 * report.rows[0].se_gain
+
+
 def test_always_accept_uses_one_draw(uniform):
     params = ContestParams(n_players=2, cost=0.01, prize=1.0)
     profile = StrategyProfile((InfiniteThresholdStrategy(0.0),) * 2)
@@ -248,6 +270,13 @@ def test_recall_makes_no_difference(uniform, exponential):
         assert report.passed
         assert report.ks_statistic < report.critical_value
         assert report.replications == 40_000
+
+
+def test_recall_check_rejects_unresolvable_threshold(uniform):
+    # acceptance 2e-18 rounds the threshold quantile to 1: no draw can stop
+    params = ContestParams(n_players=2, cost=1e-18, prize=1.0)
+    with pytest.raises(InvalidParameterError):
+        recall_irrelevance_check(params, uniform, SimulationConfig(10, SEED))
 
 
 def test_designer_dissipation_simulation(uniform):
