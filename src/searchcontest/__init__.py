@@ -90,79 +90,3 @@ from .simulation import (
     simulate_contest,
     simulate_designer_dissipation,
 )
-
-__all__ = [
-    "__version__",
-    "Distribution",
-    "TruncatedDistribution",
-    "distribution_from_spec",
-    "from_quantile_grid",
-    "make_custom",
-    "make_exponential",
-    "make_pareto",
-    "make_uniform",
-    "truncate_below",
-    "AsymmetricEquilibrium",
-    "ComparativeRow",
-    "ContestParams",
-    "MultiPrizeEquilibrium",
-    "PrizeSchedule",
-    "SymmetricEquilibrium",
-    "comparative_statics",
-    "solve_asymmetric",
-    "solve_multiprize",
-    "solve_symmetric",
-    "SearchContestError",
-    "InvalidParameterError",
-    "NotViableError",
-    "NoSearchIncentiveError",
-    "NoAsymmetricEquilibriumError",
-    "DegenerateTruncationError",
-    "DivergentObjectiveError",
-    "NumericFailureError",
-    "FiniteHorizonEquilibrium",
-    "FiniteHorizonParams",
-    "OpponentFinalCdf",
-    "ProfileRow",
-    "ThresholdProfile",
-    "solve_k_draw",
-    "solve_two_draw",
-    "threshold_profile",
-    "DesignerEquilibrium",
-    "DesignerParams",
-    "FocReport",
-    "LargeMarketRow",
-    "large_market_limit",
-    "solve_designer",
-    "verify_designer_foc",
-    "PlannerSolution",
-    "PrizeClassification",
-    "HazardOrderReport",
-    "OVERSEARCH",
-    "EFFICIENT",
-    "UNDERSEARCH",
-    "classify_prize",
-    "efficient_prize_integral",
-    "hazard_order_check",
-    "planner_welfare",
-    "solve_planner",
-    "canonical",
-    "to_json",
-    "write_csv",
-    "write_json",
-    "DeviationRow",
-    "DeviationScanReport",
-    "DistributionFreeReport",
-    "DistributionRow",
-    "FiniteThresholdStrategy",
-    "InfiniteThresholdStrategy",
-    "RecallReport",
-    "SimulationConfig",
-    "SimulationReport",
-    "StrategyProfile",
-    "deviation_scan",
-    "distribution_free_check",
-    "recall_irrelevance_check",
-    "simulate_contest",
-    "simulate_designer_dissipation",
-]

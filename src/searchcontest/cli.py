@@ -31,15 +31,7 @@ from .equilibrium import (
     solve_multiprize,
     solve_symmetric,
 )
-from .errors import (
-    DegenerateTruncationError,
-    DivergentObjectiveError,
-    InvalidParameterError,
-    NoAsymmetricEquilibriumError,
-    NoSearchIncentiveError,
-    NotViableError,
-    NumericFailureError,
-)
+from .errors import InvalidParameterError, NumericFailureError, SearchContestError
 from .finite_horizon import FiniteHorizonParams, solve_k_draw, solve_two_draw, threshold_profile
 from .hierarchy import DesignerParams, solve_designer, verify_designer_foc
 from .planner import classify_prize, efficient_prize_integral, solve_planner
@@ -52,15 +44,6 @@ from .simulation import (
     distribution_free_check,
     recall_irrelevance_check,
     simulate_contest,
-)
-
-_SOLVER_ERRORS = (
-    NotViableError,
-    NoSearchIncentiveError,
-    NoAsymmetricEquilibriumError,
-    DegenerateTruncationError,
-    DivergentObjectiveError,
-    NumericFailureError,
 )
 
 
@@ -78,13 +61,28 @@ def _default_seed() -> int:
         return 12345
 
 
-def _parse_dist(args: argparse.Namespace) -> Distribution:
-    if getattr(args, "dist_file", None):
-        return distribution_from_spec(json.loads(Path(args.dist_file).read_text()))
-    text = getattr(args, "dist", None) or "uniform:0,1"
+def _floats(text: str) -> list[float]:
+    """argparse type of the comma lists: a malformed number is a usage error."""
+    try:
+        return [float(x) for x in text.split(",")] if text else []
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated numbers: {text!r}") from None
+
+
+def _dist_spec(text: str) -> dict:
+    """argparse type of --dist, family:params."""
     family, _, rest = text.partition(":")
-    params = [float(x) for x in rest.split(",")] if rest else []
-    return distribution_from_spec({"family": family.strip(), "params": params})
+    return {"family": family.strip(), "params": _floats(rest)}
+
+
+def _parse_dist(args: argparse.Namespace) -> Distribution:
+    if args.dist_file:
+        try:
+            spec = json.loads(Path(args.dist_file).read_text())
+        except (OSError, ValueError) as ex:  # JSON and decoding errors are ValueErrors
+            raise InvalidParameterError(f"cannot read --dist-file: {ex}") from None
+        return distribution_from_spec(spec)
+    return distribution_from_spec(args.dist or {"family": "uniform", "params": [0.0, 1.0]})
 
 
 def _manifest(args: argparse.Namespace, command: str, parameters: dict,
@@ -107,7 +105,7 @@ def _emit(args: argparse.Namespace, command: str, parameters: dict,
         print(f"# {line}")
     text = to_json(payload)
     print(text)
-    if getattr(args, "output", None):
+    if args.output:
         Path(args.output).write_text(text + "\n")
     return 0
 
@@ -132,16 +130,31 @@ def _fmt3(x: float | None) -> str:
     return "" if x is None else f"{x:.3f}"
 
 
+def _contest(args) -> tuple[ContestParams, dict]:
+    """The contest of --n/--cost/--prize and its manifest parameters."""
+    return (ContestParams(args.n, args.cost, args.prize),
+            {"n_players": args.n, "cost": args.cost, "prize": args.prize})
+
+
+def _designer(args) -> tuple[DesignerParams, dict]:
+    return (DesignerParams(args.designers, args.team_size, args.cost, args.meta_prize),
+            {"n_designers": args.designers, "team_size": args.team_size,
+             "cost": args.cost, "meta_prize": args.meta_prize})
+
+
+def _sim_config(args) -> SimulationConfig:
+    return SimulationConfig(args.reps, args.seed, n_threads=args.threads)
+
+
 # ---------------------------------------------------------------- solve
 
 
 def _cmd_solve_symmetric(args) -> int:
     d = _parse_dist(args)
-    params = ContestParams(args.n, args.cost, args.prize)
+    params, fields = _contest(args)
     eq = solve_symmetric(params, d)
     return _emit(
-        args, "solve symmetric",
-        {"n_players": args.n, "cost": args.cost, "prize": args.prize}, d, eq,
+        args, "solve symmetric", fields, d, eq,
         [f"threshold: {eq.threshold:.6g}",
          f"acceptance_prob: {eq.acceptance_prob:.6g}",
          f"dissipation_ratio: {eq.dissipation_ratio:.6g}"],
@@ -150,7 +163,7 @@ def _cmd_solve_symmetric(args) -> int:
 
 def _cmd_solve_multiprize(args) -> int:
     d = _parse_dist(args)
-    prizes = PrizeSchedule(tuple(float(x) for x in args.prizes.split(",")))
+    prizes = PrizeSchedule(tuple(args.prizes))
     eq = solve_multiprize(args.n, args.cost, prizes, d)
     return _emit(
         args, "solve multiprize",
@@ -163,11 +176,10 @@ def _cmd_solve_multiprize(args) -> int:
 
 def _cmd_solve_asymmetric(args) -> int:
     d = _parse_dist(args)
-    params = ContestParams(args.n, args.cost, args.prize)
+    params, fields = _contest(args)
     eq = solve_asymmetric(params, d)
     return _emit(
-        args, "solve asymmetric",
-        {"n_players": args.n, "cost": args.cost, "prize": args.prize}, d, eq,
+        args, "solve asymmetric", fields, d, eq,
         [f"low_threshold: {eq.low_threshold:.6g}",
          f"high_threshold: {eq.high_threshold:.6g}",
          f"high_player_value: {eq.high_player_value:.6g}"],
@@ -176,33 +188,28 @@ def _cmd_solve_asymmetric(args) -> int:
 
 def _cmd_solve_finite(args) -> int:
     params = FiniteHorizonParams(args.n, args.cost_ratio, args.k)
-    init = [float(x) for x in args.init.split(",")] if args.init else None
-    sol = solve_two_draw(args.n, args.cost_ratio) if args.k == 2 else solve_k_draw(params, init)
+    sol = (solve_two_draw(args.n, args.cost_ratio) if args.k == 2
+           else solve_k_draw(params, args.init or None))
     d = _parse_dist(args) if (args.dist or args.dist_file) else None
     result = {"round_quantiles": list(sol.round_quantiles), "exists": sol.exists}
     if d is not None and sol.exists:
         result["round_thresholds"] = [float(d.quantile(q)) for q in sol.round_quantiles]
     if not sol.exists:
         print("# no symmetric equilibrium at these parameters", file=sys.stderr)
-        _emit(args, "solve finite",
-              {"n_players": args.n, "cost_ratio": args.cost_ratio, "n_draws": args.k},
-              d, result, ["exists: false"])
-        return 2
-    return _emit(
-        args, "solve finite",
-        {"n_players": args.n, "cost_ratio": args.cost_ratio, "n_draws": args.k}, d, result,
-        ["round_quantiles: " + ",".join(f"{q:.6g}" for q in sol.round_quantiles)],
-    )
+    summary = (["round_quantiles: " + ",".join(f"{q:.6g}" for q in sol.round_quantiles)]
+               if sol.exists else ["exists: false"])
+    _emit(args, "solve finite",
+          {"n_players": args.n, "cost_ratio": args.cost_ratio, "n_draws": args.k},
+          d, result, summary)
+    return 0 if sol.exists else 2
 
 
 def _cmd_solve_designer(args) -> int:
     d = _parse_dist(args)
-    params = DesignerParams(args.designers, args.team_size, args.cost, args.meta_prize)
+    params, fields = _designer(args)
     eq = solve_designer(params, d)
     return _emit(
-        args, "solve designer",
-        {"n_designers": args.designers, "team_size": args.team_size,
-         "cost": args.cost, "meta_prize": args.meta_prize}, d, eq,
+        args, "solve designer", fields, d, eq,
         [f"threshold: {eq.threshold:.6g}",
          f"internal_prize: {eq.internal_prize:.6g}",
          f"dissipation_ratio: {eq.dissipation_ratio:.6g}"],
@@ -229,7 +236,7 @@ def _cmd_solve_planner(args) -> int:
 
 
 def _finite_table(args, k: int) -> int:
-    ratios = [float(x) for x in args.cost_ratios.split(",")]
+    ratios = args.cost_ratios
     n_range = range(args.n_min, args.n_max + 1)
     header = (["cost_ratio", "n_players", "exists"]
               + [f"a{j}" for j in range(1, k)]
@@ -299,18 +306,15 @@ def _verdict(args, command: str, parameters: dict, dist, result, passed: bool,
 
 def _cmd_verify_dissipation(args) -> int:
     d = _parse_dist(args)
-    params = ContestParams(args.n, args.cost, args.prize)
+    params, fields = _contest(args)
     eq = solve_symmetric(params, d)
     profile = StrategyProfile((InfiniteThresholdStrategy(eq.threshold),) * args.n)
-    rep = simulate_contest(profile, params, d,
-                           SimulationConfig(args.reps, args.seed, n_threads=args.threads))
+    rep = simulate_contest(profile, params, d, _sim_config(args))
     gap = abs(rep.dissipation_ratio - 1.0)
     payoff_ok = all(abs(m) <= 3.0 * s for m, s in zip(rep.mean_payoff, rep.se_payoff))
     passed = gap <= 3.0 * rep.se_dissipation and payoff_ok
     return _verdict(
-        args, "verify dissipation",
-        {"n_players": args.n, "cost": args.cost, "prize": args.prize,
-         "replications": args.reps}, d, rep, passed,
+        args, "verify dissipation", {**fields, "replications": args.reps}, d, rep, passed,
         [f"dissipation: {rep.dissipation_ratio:.6f} (se {rep.se_dissipation:.2g})",
          f"payoffs_within_3se: {payoff_ok}"],
     )
@@ -321,21 +325,17 @@ def _cmd_verify_distribution_free(args) -> int:
              (("uniform", [0.0, 1.0]), ("exponential", [1.0]), ("pareto", [2.0, 1.0]))]
     if args.dist:
         dists.append(_parse_dist(args))
-    params = ContestParams(args.n, args.cost, args.prize)
-    rep = distribution_free_check(params, dists,
-                                  SimulationConfig(args.reps, args.seed, n_threads=args.threads))
+    params, fields = _contest(args)
+    rep = distribution_free_check(params, dists, _sim_config(args))
     return _verdict(
-        args, "verify distribution_free",
-        {"n_players": args.n, "cost": args.cost, "prize": args.prize,
-         "replications": args.reps}, None, rep, rep.passed,
-        [f"max_pairwise_sigma: {rep.max_pairwise_sigma:.3f}"],
+        args, "verify distribution_free", {**fields, "replications": args.reps}, None, rep,
+        rep.passed, [f"max_pairwise_sigma: {rep.max_pairwise_sigma:.3f}"],
     )
 
 
 def _cmd_verify_best_response(args) -> int:
     d = _parse_dist(args)
-    params = ContestParams(args.n, args.cost, args.prize)
-    cfg = SimulationConfig(args.reps, args.seed, n_threads=args.threads)
+    params, fields = _contest(args)
     qs = np.linspace(0.02, 0.98, args.grid)
     candidates = [InfiniteThresholdStrategy(float(d.quantile(q))) for q in qs]
     if args.profile == "asymmetric":
@@ -348,12 +348,12 @@ def _cmd_verify_best_response(args) -> int:
         strategies = (InfiniteThresholdStrategy(eq.threshold),) * args.n
         players = [0]
     profile = StrategyProfile(strategies)
+    cfg = _sim_config(args)
     scans = [deviation_scan(profile, i, candidates, params, d, cfg) for i in players]
     passed = not any(s.any_flagged for s in scans)
     return _verdict(
         args, "verify best_response",
-        {"n_players": args.n, "cost": args.cost, "prize": args.prize,
-         "profile": args.profile, "grid": args.grid, "replications": args.reps},
+        {**fields, "profile": args.profile, "grid": args.grid, "replications": args.reps},
         d, {"scans": [canonical(s) for s in scans]}, passed,
         [f"profitable_deviation_found: {not passed}"],
     )
@@ -361,13 +361,10 @@ def _cmd_verify_best_response(args) -> int:
 
 def _cmd_verify_designer_foc(args) -> int:
     d = _parse_dist(args)
-    params = DesignerParams(args.designers, args.team_size, args.cost, args.meta_prize)
+    params, fields = _designer(args)
     rep = verify_designer_foc(params, d, step=args.step)
     return _verdict(
-        args, "verify designer_foc",
-        {"n_designers": args.designers, "team_size": args.team_size,
-         "cost": args.cost, "meta_prize": args.meta_prize, "step": args.step},
-        d, rep, rep.passed,
+        args, "verify designer_foc", {**fields, "step": args.step}, d, rep, rep.passed,
         [f"fd_vs_closed_rel_error: {rep.relative_error:.3g}",
          f"win_prob_at_equilibrium: {rep.prob_at_equilibrium:.9f}"],
     )
@@ -375,29 +372,48 @@ def _cmd_verify_designer_foc(args) -> int:
 
 def _cmd_verify_recall(args) -> int:
     d = _parse_dist(args)
-    params = ContestParams(args.n, args.cost, args.prize)
-    rep = recall_irrelevance_check(params, d,
-                                   SimulationConfig(args.reps, args.seed, n_threads=args.threads))
+    params, fields = _contest(args)
+    rep = recall_irrelevance_check(params, d, _sim_config(args))
     return _verdict(
-        args, "verify recall",
-        {"n_players": args.n, "cost": args.cost, "prize": args.prize,
-         "replications": args.reps}, d, rep, rep.passed,
+        args, "verify recall", {**fields, "replications": args.reps}, d, rep, rep.passed,
         [f"ks_statistic: {rep.ks_statistic:.5f} (critical {rep.critical_value:.5f})"],
     )
 
 
 # ---------------------------------------------------------------- wiring
 
+_REQUIRED = ...  # default of a flag that must be given
+_PRIZE = ("--prize", float, 1.0)
+_DIST_FLAGS = [
+    ("--dist", _dist_spec, None, "family:params, e.g. uniform:0,1 exponential:1 pareto:2,1"),
+    ("--dist-file", None, None, "path to a JSON distribution spec"),
+]
 
-def _add_dist_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dist", help="family:params, e.g. uniform:0,1 exponential:1 pareto:2,1")
-    p.add_argument("--dist-file", help="path to a JSON distribution spec")
+
+def _n_cost(n=_REQUIRED, cost=_REQUIRED) -> list:
+    return [("--n", int, n), ("--cost", float, cost)]
 
 
-def _add_sim_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--reps", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--threads", type=int, default=1)
+def _designer_flags(designers=_REQUIRED, team_size=_REQUIRED, cost=_REQUIRED) -> list:
+    return [("--designers", int, designers), ("--team-size", int, team_size),
+            ("--cost", float, cost), ("--meta-prize", float, 1.0)]
+
+
+def _add_flags(p: argparse.ArgumentParser, rows) -> None:
+    """Add (flag, type or tuple of choices, default[, help]) rows in order."""
+    for flag, kind, default, *help_ in rows:
+        typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        required = default is _REQUIRED
+        p.add_argument(flag, required=required, default=None if required else default,
+                       help=help_[0] if help_ else None, **typed)
+
+
+def _leaf(sub, name: str, func, rows: list, sim: Sequence = ()) -> None:
+    """A solve or verify subcommand: its rows, the distribution flags, the
+    simulation rows if any, then --output."""
+    p = sub.add_parser(name)
+    _add_flags(p, rows + _DIST_FLAGS + list(sim) + [("--output", None, None)])
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,124 +421,41 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Equilibria, optima and simulations of search contests.")
     parser.add_argument("--version", action="version", version=f"searchcontest {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    seed = ("--seed", int, _default_seed())
+    sim = [("--reps", int, 200_000), seed, ("--threads", int, 1)]
 
     solve = sub.add_parser("solve", help="compute one equilibrium or optimum")
     ssub = solve.add_subparsers(dest="what", required=True, parser_class=_Parser)
-
-    p = ssub.add_parser("symmetric")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cost", type=float, required=True)
-    p.add_argument("--prize", type=float, default=1.0)
-    _add_dist_flags(p)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_solve_symmetric)
-
-    p = ssub.add_parser("multiprize")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cost", type=float, required=True)
-    p.add_argument("--prizes", required=True, help="comma-separated, non-increasing")
-    _add_dist_flags(p)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_solve_multiprize)
-
-    p = ssub.add_parser("asymmetric")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cost", type=float, required=True)
-    p.add_argument("--prize", type=float, default=1.0)
-    _add_dist_flags(p)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_solve_asymmetric)
-
-    p = ssub.add_parser("finite")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--cost-ratio", type=float, required=True)
-    p.add_argument("--init", help="comma-separated starting quantiles")
-    _add_dist_flags(p)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_solve_finite)
-
-    p = ssub.add_parser("designer")
-    p.add_argument("--designers", type=int, required=True)
-    p.add_argument("--team-size", type=int, required=True)
-    p.add_argument("--cost", type=float, required=True)
-    p.add_argument("--meta-prize", type=float, default=1.0)
-    _add_dist_flags(p)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_solve_designer)
-
-    p = ssub.add_parser("planner")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cost", type=float, required=True)
-    p.add_argument("--classify", type=float, help="also classify this prize")
-    _add_dist_flags(p)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_solve_planner)
+    _leaf(ssub, "symmetric", _cmd_solve_symmetric, _n_cost() + [_PRIZE])
+    _leaf(ssub, "multiprize", _cmd_solve_multiprize, _n_cost() + [
+        ("--prizes", _floats, _REQUIRED, "comma-separated, non-increasing")])
+    _leaf(ssub, "asymmetric", _cmd_solve_asymmetric, _n_cost() + [_PRIZE])
+    _leaf(ssub, "finite", _cmd_solve_finite, [
+        ("--n", int, _REQUIRED), ("--k", int, _REQUIRED), ("--cost-ratio", float, _REQUIRED),
+        ("--init", _floats, None, "comma-separated starting quantiles")])
+    _leaf(ssub, "designer", _cmd_solve_designer, _designer_flags())
+    _leaf(ssub, "planner", _cmd_solve_planner, _n_cost() + [
+        ("--classify", float, None, "also classify this prize")])
 
     table = sub.add_parser("table", help="write CSV sweeps")
     table.add_argument("kind", choices=["finite_k2", "finite_k3", "profile", "welfare_examples"])
-    table.add_argument("--cost-ratios", default="0.0,0.05,0.10")
-    table.add_argument("--cost-ratio", type=float, default=0.1)
-    table.add_argument("--k", type=int, default=3)
-    table.add_argument("--n-min", type=int, default=2)
-    table.add_argument("--n-max", type=int, default=9)
-    table.add_argument("--n", type=int, default=2)
-    table.add_argument("--cost", type=float, default=0.1)
-    table.add_argument("--out", help="CSV path; stdout when omitted")
+    _add_flags(table, [
+        ("--cost-ratios", _floats, "0.0,0.05,0.10"), ("--cost-ratio", float, 0.1),
+        ("--k", int, 3), ("--n-min", int, 2), ("--n-max", int, 9), ("--n", int, 2),
+        ("--cost", float, 0.1), ("--out", None, None, "CSV path; stdout when omitted")])
     table.set_defaults(func=_cmd_table)
 
     verify = sub.add_parser("verify", help="simulation-based consistency checks")
     vsub = verify.add_subparsers(dest="what", required=True, parser_class=_Parser)
-
-    p = vsub.add_parser("dissipation")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--cost", type=float, default=0.1)
-    p.add_argument("--prize", type=float, default=1.0)
-    _add_dist_flags(p)
-    _add_sim_flags(p)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_verify_dissipation)
-
-    p = vsub.add_parser("distribution_free")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--cost", type=float, default=0.05)
-    p.add_argument("--prize", type=float, default=1.0)
-    _add_dist_flags(p)
-    _add_sim_flags(p)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_verify_distribution_free)
-
-    p = vsub.add_parser("best_response")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--cost", type=float, default=0.1)
-    p.add_argument("--prize", type=float, default=1.0)
-    p.add_argument("--profile", choices=["symmetric", "asymmetric"], default="symmetric")
-    p.add_argument("--grid", type=int, default=25)
-    _add_dist_flags(p)
-    _add_sim_flags(p)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_verify_best_response)
-
-    p = vsub.add_parser("designer_foc")
-    p.add_argument("--designers", type=int, default=2)
-    p.add_argument("--team-size", type=int, default=2)
-    p.add_argument("--cost", type=float, default=0.05)
-    p.add_argument("--meta-prize", type=float, default=1.0)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=_default_seed())
-    _add_dist_flags(p)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_verify_designer_foc)
-
-    p = vsub.add_parser("recall")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--cost", type=float, default=0.1)
-    p.add_argument("--prize", type=float, default=1.0)
-    _add_dist_flags(p)
-    _add_sim_flags(p)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_verify_recall)
-
+    _leaf(vsub, "dissipation", _cmd_verify_dissipation, _n_cost(3, 0.1) + [_PRIZE], sim)
+    _leaf(vsub, "distribution_free", _cmd_verify_distribution_free,
+          _n_cost(2, 0.05) + [_PRIZE], sim)
+    _leaf(vsub, "best_response", _cmd_verify_best_response, _n_cost(3, 0.1) + [
+        _PRIZE, ("--profile", ("symmetric", "asymmetric"), "symmetric"), ("--grid", int, 25)],
+        sim)
+    _leaf(vsub, "designer_foc", _cmd_verify_designer_foc,
+          _designer_flags(2, 2, 0.05) + [("--step", float, 1e-5), seed])
+    _leaf(vsub, "recall", _cmd_verify_recall, _n_cost(3, 0.1) + [_PRIZE], sim)
     return parser
 
 
@@ -531,14 +464,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidParameterError as ex:
-        print(f"searchcontest: error: {ex}", file=sys.stderr)
-        return 1
-    except _SOLVER_ERRORS as ex:
+    except SearchContestError as ex:
         print(f"searchcontest: error: {ex}", file=sys.stderr)
         if isinstance(ex, NumericFailureError):
             print(to_json(ex.diagnostics, indent=None), file=sys.stderr)
-        return 2
+        return 1 if isinstance(ex, InvalidParameterError) else 2
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateTruncationError, InvalidParameterError
+from .errors import DegenerateTruncationError, InvalidParameterError, require_positive
 
 
 def _vectorized(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
@@ -61,8 +61,8 @@ class TruncatedDistribution(Distribution):
 
 
 def make_uniform(lo: float, hi: float) -> Distribution:
-    if not lo < hi:
-        raise InvalidParameterError(f"uniform needs lo < hi, got [{lo}, {hi}]")
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise InvalidParameterError(f"uniform needs finite lo < hi, got [{lo}, {hi}]")
     width = hi - lo
 
     cdf = _vectorized(lambda x: np.clip((x - lo) / width, 0.0, 1.0))
@@ -89,8 +89,7 @@ def make_uniform(lo: float, hi: float) -> Distribution:
 
 
 def make_exponential(rate: float) -> Distribution:
-    if rate <= 0:
-        raise InvalidParameterError(f"exponential rate must be positive, got {rate}")
+    require_positive("exponential rate", rate)
 
     cdf = _vectorized(lambda x: np.where(x > 0, -np.expm1(-rate * np.maximum(x, 0.0)), 0.0))
     density = _vectorized(lambda x: np.where(x >= 0, rate * np.exp(-rate * np.maximum(x, 0.0)), 0.0))
@@ -110,10 +109,8 @@ def make_exponential(rate: float) -> Distribution:
 
 
 def make_pareto(shape: float, scale: float) -> Distribution:
-    if shape <= 0 or scale <= 0:
-        raise InvalidParameterError(
-            f"pareto needs positive shape and scale, got ({shape}, {scale})"
-        )
+    require_positive("pareto shape", shape)
+    require_positive("pareto scale", scale)
 
     cdf = _vectorized(
         lambda x: np.where(x > scale, 1.0 - (scale / np.maximum(x, scale)) ** shape, 0.0)
@@ -199,13 +196,19 @@ def make_custom(
 def from_quantile_grid(grid: Sequence[Sequence[float]]) -> Distribution:
     """Piecewise-linear quantile function from [[u, x], ...] pairs; its CDF is
     the exact inverse interpolation."""
-    pts = sorted((float(u), float(x)) for u, x in grid)
+    try:
+        pts = sorted((float(u), float(x)) for u, x in grid)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(
+            f"quantile grid needs [u, x] number pairs, got {grid!r}"
+        ) from None
     us = np.array([p[0] for p in pts])
     xs = np.array([p[1] for p in pts])
     if len(pts) < 2 or us[0] != 0.0 or us[-1] != 1.0:
         raise InvalidParameterError("quantile grid must span u=0..1 with >= 2 points")
-    if np.any(np.diff(us) <= 0) or np.any(np.diff(xs) <= 0):
-        raise InvalidParameterError("quantile grid must be strictly increasing in u and x")
+    # written so that NaN fails: NaN compares false
+    if not (np.all(np.diff(us) > 0) and np.all(np.diff(xs) > 0) and np.isfinite(xs).all()):
+        raise InvalidParameterError("quantile grid must be finite, strictly increasing in u and x")
 
     slopes = np.diff(us) / np.diff(xs)  # du/dx per segment
 
@@ -261,25 +264,27 @@ _FAMILIES = {
 
 def distribution_from_spec(spec: dict) -> Distribution:
     """Parse `{"family": ..., "params": {...}}` or a custom quantile grid."""
+    if not isinstance(spec, dict):
+        raise InvalidParameterError(f"distribution spec must be an object, got {spec!r}")
     family = spec.get("family")
     if family == "custom":
         grid = spec.get("quantile_grid")
         if not grid:
             raise InvalidParameterError("custom spec needs a quantile_grid")
         return from_quantile_grid(grid)
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise InvalidParameterError(f"unknown distribution family: {family!r}")
     maker, keys = _FAMILIES[family]
     params = spec.get("params", {})
-    if isinstance(params, dict):
-        try:
-            args = [float(params[k]) for k in keys]
-        except KeyError as missing:
-            raise InvalidParameterError(
-                f"{family} spec needs params {keys}, missing {missing}"
-            ) from None
-    else:
-        args = [float(v) for v in params]
-        if len(args) != len(keys):
-            raise InvalidParameterError(f"{family} takes {len(keys)} params, got {len(args)}")
+    try:
+        values = [params[k] for k in keys] if isinstance(params, dict) else list(params)
+        args = [float(v) for v in values]
+    except KeyError as missing:
+        raise InvalidParameterError(
+            f"{family} spec needs params {keys}, missing {missing}"
+        ) from None
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{family} params must be numbers, got {params!r}") from None
+    if len(args) != len(keys):
+        raise InvalidParameterError(f"{family} takes {len(keys)} params, got {len(args)}")
     return maker(*args)

@@ -21,6 +21,8 @@ from .errors import (
     NoSearchIncentiveError,
     NotViableError,
     NumericFailureError,
+    require_int,
+    require_positive,
 )
 
 
@@ -33,12 +35,9 @@ class ContestParams:
     prize: float
 
     def __post_init__(self):
-        if int(self.n_players) != self.n_players or self.n_players < 2:
-            raise InvalidParameterError(f"n_players must be an integer >= 2, got {self.n_players}")
-        if self.cost <= 0:
-            raise InvalidParameterError(f"cost must be positive, got {self.cost}")
-        if self.prize <= 0:
-            raise InvalidParameterError(f"prize must be positive, got {self.prize}")
+        require_int("n_players", self.n_players, 2)
+        require_positive("cost", self.cost)
+        require_positive("prize", self.prize)
 
     @property
     def viable(self) -> bool:
@@ -74,8 +73,8 @@ class PrizeSchedule:
         object.__setattr__(self, "prizes", p)
         if not p:
             raise InvalidParameterError("prize schedule cannot be empty")
-        if any(v < 0 for v in p):
-            raise InvalidParameterError("prizes must be nonnegative")
+        for v in p:
+            require_positive("prize", v, zero_ok=True)
         if any(a < b for a, b in zip(p, p[1:])):
             raise InvalidParameterError("prizes must be sorted non-increasing")
 
@@ -147,8 +146,7 @@ def solve_multiprize(
         raise InvalidParameterError(
             f"schedule has {len(prizes.prizes)} prizes for {n_players} players"
         )
-    if cost <= 0:
-        raise InvalidParameterError(f"cost must be positive, got {cost}")
+    require_positive("cost", cost)
     spread = prizes.mean - prizes.last
     if spread <= 0:
         raise NoSearchIncentiveError("all prizes equal: searching is pure waste")

@@ -1,6 +1,8 @@
 """Exception hierarchy shared by all solvers."""
 from __future__ import annotations
 
+import math
+
 
 class SearchContestError(Exception):
     """Base class for all package errors."""
@@ -36,3 +38,25 @@ class NumericFailureError(SearchContestError):
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
+
+
+def require_int(name: str, value, lo: int) -> None:
+    """Raise InvalidParameterError unless value is an integer >= lo."""
+    try:
+        ok = int(value) == value and value >= lo
+    except (TypeError, ValueError, OverflowError):  # int(nan), int(inf), int("x")
+        ok = False
+    if not ok:
+        raise InvalidParameterError(f"{name} must be an integer >= {lo}, got {value}")
+
+
+def require_positive(name: str, value, zero_ok: bool = False) -> None:
+    """Raise InvalidParameterError unless value is finite and > 0 (>= 0 with
+    zero_ok). NaN fails both comparisons, so it is rejected."""
+    try:
+        ok = math.isfinite(value) and (value > 0 or (zero_ok and value == 0))
+    except TypeError:
+        ok = False
+    if not ok:
+        kind = "nonnegative" if zero_ok else "positive"
+        raise InvalidParameterError(f"{name} must be finite and {kind}, got {value}")

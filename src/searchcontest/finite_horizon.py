@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import InvalidParameterError, NumericFailureError
+from .errors import InvalidParameterError, NumericFailureError, require_int, require_positive
 
 _BR_TOL = 1e-12
 _BR_MAX_ITER = 10_000
@@ -35,12 +35,9 @@ class FiniteHorizonParams:
     n_draws: int  # k
 
     def __post_init__(self):
-        if int(self.n_players) != self.n_players or self.n_players < 2:
-            raise InvalidParameterError(f"n_players must be an integer >= 2, got {self.n_players}")
-        if self.cost_ratio < 0:
-            raise InvalidParameterError(f"cost_ratio must be nonnegative, got {self.cost_ratio}")
-        if int(self.n_draws) != self.n_draws or self.n_draws < 2:
-            raise InvalidParameterError(f"n_draws must be an integer >= 2, got {self.n_draws}")
+        require_int("n_players", self.n_players, 2)
+        require_positive("cost_ratio", self.cost_ratio, zero_ok=True)
+        require_int("n_draws", self.n_draws, 2)
 
 
 @dataclass(frozen=True)
@@ -311,6 +308,14 @@ def solve_k_draw(
     equilibrium.
     """
     n, r, k = params.n_players, params.cost_ratio, params.n_draws
+    if init is not None:
+        try:
+            init = np.asarray(init, dtype=float)
+            ok = init.shape == (k - 1,) and bool(np.all((init >= 0) & (init < 1)))
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise InvalidParameterError(f"init must hold k-1 = {k - 1} quantiles in [0, 1)")
 
     # h(u) <= u pointwise (convex, pinned at 0 and 1), so the forced-draw
     # value is at most 1/N - c/W: beyond that frontier nothing can exist
@@ -328,7 +333,7 @@ def solve_k_draw(
 
     inits: list[np.ndarray] = []
     if init is not None:
-        inits.append(np.clip(np.asarray(init, dtype=float), 1e-9, 1 - 1e-9))
+        inits.append(np.clip(init, 1e-9, 1 - 1e-9))
     inits.append(np.full(k - 1, seed))
 
     attempts = []

@@ -16,7 +16,7 @@ from typing import Sequence
 from scipy.integrate import quad
 
 from .distributions import Distribution
-from .errors import InvalidParameterError, NotViableError
+from .errors import InvalidParameterError, NotViableError, require_int, require_positive
 
 _QUAD_TOL = 1e-11
 
@@ -29,14 +29,10 @@ class DesignerParams:
     meta_prize: float
 
     def __post_init__(self):
-        if int(self.n_designers) != self.n_designers or self.n_designers < 2:
-            raise InvalidParameterError(f"n_designers must be an integer >= 2, got {self.n_designers}")
-        if int(self.team_size) != self.team_size or self.team_size < 1:
-            raise InvalidParameterError(f"team_size must be an integer >= 1, got {self.team_size}")
-        if self.cost <= 0:
-            raise InvalidParameterError(f"cost must be positive, got {self.cost}")
-        if self.meta_prize <= 0:
-            raise InvalidParameterError(f"meta_prize must be positive, got {self.meta_prize}")
+        require_int("n_designers", self.n_designers, 2)
+        require_int("team_size", self.team_size, 1)
+        require_positive("cost", self.cost)
+        require_positive("meta_prize", self.meta_prize)
 
     @property
     def acceptance_prob(self) -> float:
@@ -182,14 +178,14 @@ def large_market_limit(
 ) -> list[LargeMarketRow]:
     """Acceptance probability against M with the per-designer prize held fixed;
     converges to the individual-competition value N c / omega."""
-    if per_designer_prize <= 0 or cost <= 0:
-        raise InvalidParameterError("cost and per_designer_prize must be positive")
+    require_int("team_size", team_size, 1)
+    require_positive("cost", cost)
+    require_positive("per_designer_prize", per_designer_prize)
     n = team_size
     limit = n * cost / per_designer_prize
     rows = []
     for m in m_range:
-        if m < 2:
-            raise InvalidParameterError("m_range must contain only M >= 2")
+        require_int("M in m_range", m, 2)
         accept = cost * (n * m - 1) / (per_designer_prize * (m - 1))
         rows.append(LargeMarketRow(m, accept, abs(accept - limit)))
     return rows

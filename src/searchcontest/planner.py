@@ -20,7 +20,7 @@ from scipy.optimize import brentq
 
 from .distributions import Distribution
 from .equilibrium import solve_symmetric, ContestParams
-from .errors import DivergentObjectiveError, InvalidParameterError
+from .errors import DivergentObjectiveError, InvalidParameterError, require_int, require_positive
 
 _QUAD_TOL = 1e-11
 _GRID = 256
@@ -86,10 +86,8 @@ def _inverse_density(v: float, d: Distribution) -> float:
 
 
 def _check_args(n_players: int, cost: float) -> None:
-    if int(n_players) != n_players or n_players < 1:
-        raise InvalidParameterError(f"n_players must be an integer >= 1, got {n_players}")
-    if cost <= 0:
-        raise InvalidParameterError(f"cost must be positive, got {cost}")
+    require_int("n_players", n_players, 1)
+    require_positive("cost", cost)
 
 
 def _check_tail(d: Distribution) -> None:

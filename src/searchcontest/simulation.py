@@ -20,7 +20,7 @@ import numpy as np
 
 from .distributions import Distribution
 from .equilibrium import ContestParams, PrizeSchedule, solve_symmetric
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, require_int
 from .finite_horizon import FiniteHorizonParams
 from .hierarchy import DesignerParams, solve_designer
 
@@ -32,6 +32,9 @@ _TAG_SELF = 2
 _TAG_OPP = 3
 _TAG_DIST = 4
 _TAG_RECALL = 5
+# round-by-round play draws a block per round; past this default cap it would
+# run for hours, so tiny acceptance probabilities are refused instead
+_MAX_ROUNDS = 100_000
 
 
 @dataclass(frozen=True)
@@ -74,12 +77,11 @@ class SimulationConfig:
     n_threads: int = 1
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise InvalidParameterError("replications must be >= 1")
-        if self.max_draws_cap is not None and self.max_draws_cap < 1:
-            raise InvalidParameterError("max_draws_cap must be >= 1")
-        if self.n_threads < 1:
-            raise InvalidParameterError("n_threads must be >= 1")
+        require_int("replications", self.replications, 1)
+        require_int("seed", self.seed, 0)
+        if self.max_draws_cap is not None:
+            require_int("max_draws_cap", self.max_draws_cap, 1)
+        require_int("n_threads", self.n_threads, 1)
 
 
 @dataclass(frozen=True)
@@ -173,6 +175,20 @@ def _default_cap(quantiles: list[np.ndarray], kinds: list[bool]) -> int:
             cap = max(cap, math.ceil(40.0 / (1.0 - qs[0])))
         else:
             cap = max(cap, qs.size + 1)
+    return cap
+
+
+def _round_cap(config: SimulationConfig, quantiles: list[np.ndarray], kinds: list[bool]) -> int:
+    """The cap for round-by-round play: the configured one, else the default
+    when it stays within _MAX_ROUNDS."""
+    if config.max_draws_cap:
+        return config.max_draws_cap
+    cap = _default_cap(quantiles, kinds)
+    if cap > _MAX_ROUNDS:
+        raise InvalidParameterError(
+            f"default max_draws_cap {cap} exceeds {_MAX_ROUNDS} rounds: the acceptance "
+            "probability is too small to simulate round by round"
+        )
     return cap
 
 
@@ -317,7 +333,7 @@ def simulate_contest(
     cost, prize_arr = _resolve_contest(params, prizes, n)
     quantiles = [_threshold_quantiles(s, d) for s in profile.strategies]
     kinds = [isinstance(s, InfiniteThresholdStrategy) for s in profile.strategies]
-    cap = config.max_draws_cap or _default_cap(quantiles, kinds)
+    cap = _round_cap(config, quantiles, kinds)
 
     reps = config.replications
 
@@ -528,7 +544,7 @@ def recall_irrelevance_check(
     q = 1.0 - solve_symmetric(params, d).acceptance_prob
     if q >= 1.0:
         raise InvalidParameterError("equilibrium acceptance probability is below float resolution")
-    cap = config.max_draws_cap or _default_cap([np.array([q])], [True])
+    cap = _round_cap(config, [np.array([q])], [True])
     reps = config.replications
 
     def work(c: int, size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -120,6 +120,48 @@ def test_invalid_parameters_exit_one(capsys):
     assert "error" in err
 
 
+_SYM = ["solve", "symmetric", "--n", "3", "--cost", "0.1"]
+_FINITE = ["solve", "finite", "--n", "3", "--k", "3"]
+_BAD_SPECS = {
+    "spec-list": '[1, 2]',
+    "spec-letters": '{"family": "uniform", "params": ["a", "b"]}',
+    "spec-letter-key": '{"family": "uniform", "params": {"lo": "x", "hi": 1}}',
+    "spec-null": '{"family": "exponential", "params": [null]}',
+    "spec-short-row": '{"family": "custom", "quantile_grid": [[0], [1, 2]]}',
+    "spec-string-grid": '{"family": "custom", "quantile_grid": "abc"}',
+}
+
+
+@pytest.mark.parametrize("argv, spec", [
+    pytest.param(_SYM + ["--dist", "uniform:a,b"], None, id="dist-letters"),
+    pytest.param(["solve", "multiprize", "--n", "2", "--cost", "0.1", "--prizes", "1,x"], None,
+                 id="prizes-letter"),
+    pytest.param(_FINITE + ["--cost-ratio", "0.05", "--init", "0.5,x"], None, id="init-letter"),
+    pytest.param(["table", "finite_k2", "--cost-ratios", "a"], None, id="cost-ratios-letter"),
+    pytest.param(_SYM, "missing", id="dist-file-missing"),
+    pytest.param(["solve", "symmetric", "--n", "3", "--cost", "nan"], None, id="cost-nan"),
+    pytest.param(_FINITE + ["--cost-ratio", "nan"], None, id="cost-ratio-nan"),
+    pytest.param(_FINITE + ["--cost-ratio", "0.05", "--init", "0.5"], None, id="init-short"),
+    pytest.param(["verify", "dissipation", "--n", "2", "--cost", "1e-14"], None,
+                 id="tiny-acceptance"),
+] + [pytest.param(_SYM, text, id=name) for name, text in _BAD_SPECS.items()])
+def test_bad_input_exits_without_traceback(capsys, tmp_path, argv, spec):
+    # spec: the text of a --dist-file, or "missing" for a file that is not there
+    if spec is not None:
+        path = tmp_path / "spec.json"
+        if spec != "missing":
+            path.write_text(spec)
+        argv = argv + ["--dist-file", str(path)]
+    try:
+        code = main(argv)
+    except SystemExit as ex:  # argparse usage errors
+        code = ex.code
+    out, err = capsys.readouterr()
+    assert code in (1, 2)
+    assert "error" in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_solve_finite_overflow_cell_exits_two(capsys):
     # a k-draw cell whose scaled ratios leave the float range fails cleanly
     with warnings.catch_warnings():

@@ -211,6 +211,19 @@ def test_spec_custom_grid():
     assert d.quantile(0.5) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("spec", [
+    [1, 2],
+    {"family": "uniform", "params": ["a", "b"]},
+    {"family": "uniform", "params": {"lo": "x", "hi": 1}},
+    {"family": "exponential", "params": [None]},
+    {"family": "custom", "quantile_grid": [[0], [1, 2]]},
+    {"family": "custom", "quantile_grid": "abc"},
+])
+def test_malformed_spec_is_parameter_error(spec):
+    with pytest.raises(InvalidParameterError):
+        distribution_from_spec(spec)
+
+
 def test_spec_errors():
     with pytest.raises(InvalidParameterError):
         distribution_from_spec({"family": "cauchy", "params": []})

@@ -1,0 +1,83 @@
+"""Input boundary: every parameter record rejects NaN, infinities and non-integers
+with InvalidParameterError, never a bare Python error or a NaN result."""
+import math
+
+import pytest
+
+from searchcontest import (
+    ContestParams,
+    DesignerParams,
+    FiniteHorizonParams,
+    InvalidParameterError,
+    PrizeSchedule,
+    SimulationConfig,
+    large_market_limit,
+    make_exponential,
+    make_pareto,
+    make_uniform,
+    solve_multiprize,
+    solve_planner,
+)
+from searchcontest.errors import require_int, require_positive
+
+NAN, INF = math.nan, math.inf
+UNIFORM = make_uniform(0.0, 1.0)
+
+BAD_CALLS = {
+    "contest_cost_nan": lambda: ContestParams(3, NAN, 1.0),
+    "contest_prize_nan": lambda: ContestParams(3, 0.1, NAN),
+    "contest_prize_inf": lambda: ContestParams(3, 0.1, INF),
+    "contest_n_inf": lambda: ContestParams(INF, 0.1, 1.0),
+    "contest_n_nan": lambda: ContestParams(NAN, 0.1, 1.0),
+    "finite_ratio_nan": lambda: FiniteHorizonParams(3, NAN, 3),
+    "finite_ratio_inf": lambda: FiniteHorizonParams(3, INF, 3),
+    "finite_k_inf": lambda: FiniteHorizonParams(3, 0.05, INF),
+    "designer_cost_nan": lambda: DesignerParams(2, 2, NAN, 1.0),
+    "designer_prize_nan": lambda: DesignerParams(2, 2, 0.05, NAN),
+    "designer_m_nan": lambda: DesignerParams(NAN, 2, 0.05, 1.0),
+    "config_reps_nan": lambda: SimulationConfig(NAN, 1),
+    "config_seed_negative": lambda: SimulationConfig(10, -1),
+    "config_cap_inf": lambda: SimulationConfig(10, 1, max_draws_cap=INF),
+    "config_threads_nan": lambda: SimulationConfig(10, 1, n_threads=NAN),
+    "planner_cost_nan": lambda: solve_planner(2, NAN, UNIFORM),
+    "planner_n_inf": lambda: solve_planner(INF, 0.1, UNIFORM),
+    "multiprize_cost_nan": lambda: solve_multiprize(2, NAN, PrizeSchedule((1.0, 0.0)), UNIFORM),
+    "prize_schedule_nan": lambda: PrizeSchedule((1.0, NAN)),
+    "large_market_cost_nan": lambda: large_market_limit(2, NAN, 1.0, [2, 3]),
+    "large_market_m_nan": lambda: large_market_limit(2, 0.1, 1.0, [NAN]),
+    "exponential_nan": lambda: make_exponential(NAN),
+    "pareto_shape_nan": lambda: make_pareto(NAN, 1.0),
+    "pareto_scale_inf": lambda: make_pareto(2.0, INF),
+    "uniform_unbounded": lambda: make_uniform(0.0, INF),
+}
+
+
+@pytest.mark.parametrize("call", list(BAD_CALLS.values()), ids=list(BAD_CALLS))
+def test_bad_parameter_is_invalid_parameter_error(call):
+    with pytest.raises(InvalidParameterError):
+        call()
+
+
+@pytest.mark.parametrize("value, ok", [
+    (3, True), (3.0, True), (2, True), (1, False), (2.5, False),
+    (NAN, False), (INF, False), ("3", False), (None, False),
+])
+def test_require_int(value, ok):
+    if ok:
+        require_int("n", value, 2)
+    else:
+        with pytest.raises(InvalidParameterError, match="n must be an integer >= 2"):
+            require_int("n", value, 2)
+
+
+@pytest.mark.parametrize("value, zero_ok, ok", [
+    (0.1, False, True), (0.0, False, False), (0.0, True, True), (-1.0, True, False),
+    (NAN, False, False), (NAN, True, False), (INF, False, False), (INF, True, False),
+    ("x", False, False),
+])
+def test_require_positive(value, zero_ok, ok):
+    if ok:
+        require_positive("c", value, zero_ok=zero_ok)
+    else:
+        with pytest.raises(InvalidParameterError, match="c must be finite"):
+            require_positive("c", value, zero_ok=zero_ok)

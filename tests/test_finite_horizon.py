@@ -214,6 +214,18 @@ def test_k_draw_respects_init_hint():
     assert sol.round_quantiles[0] == pytest.approx(HARD_CELLS[(0.10, 8)][0], abs=1e-9)
 
 
+@pytest.mark.parametrize("init", [
+    [0.5],  # one quantile for a k=3 cell
+    [0.7, 0.6, 0.5],  # three
+    [0.7, float("nan")],
+    [0.7, 1.0],
+    [-0.1, 0.5],
+])
+def test_k_draw_rejects_init_of_wrong_shape(init):
+    with pytest.raises(InvalidParameterError):
+        solve_k_draw(FiniteHorizonParams(3, 0.05, 3), init=init)
+
+
 def test_profile_peaks_and_frontier():
     p2 = threshold_profile(2, 0.10, range(2, 10))
     assert p2.peak_n == 5

@@ -305,3 +305,17 @@ def test_asymmetric_profile_payoffs(uniform):
     expected = (0.0, 0.0, eq.high_player_value)
     for mean, se, want in zip(rep.mean_payoff, rep.se_payoff, expected):
         assert abs(mean - want) <= 3 * se
+
+
+def test_tiny_acceptance_refuses_default_cap(uniform):
+    # acceptance 2e-14 asks for a default cap of 2e15 rounds
+    params = ContestParams(n_players=2, cost=1e-14, prize=1.0)
+    config = SimulationConfig(10, SEED)
+    with pytest.raises(InvalidParameterError, match="max_draws_cap"):
+        simulate_contest(_symmetric_profile(params, uniform), params, uniform, config)
+    with pytest.raises(InvalidParameterError, match="max_draws_cap"):
+        recall_irrelevance_check(params, uniform, config)
+    # a cap the caller sets is still honoured
+    capped = SimulationConfig(10, SEED, max_draws_cap=5)
+    rep = simulate_contest(_symmetric_profile(params, uniform), params, uniform, capped)
+    assert rep.max_draws_cap == 5
