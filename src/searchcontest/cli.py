@@ -101,12 +101,15 @@ def _emit(args: argparse.Namespace, command: str, parameters: dict,
           dist: Distribution | None, result, summary: Sequence[str]) -> int:
     payload = {"manifest": _manifest(args, command, parameters, dist),
                "result": canonical(result)}
+    text = to_json(payload)
+    if args.output:  # written first, so a path that cannot be written leaves stdout empty
+        try:
+            Path(args.output).write_text(text + "\n")
+        except OSError as ex:
+            raise InvalidParameterError(f"cannot write --output: {ex}") from None
     for line in summary:
         print(f"# {line}")
-    text = to_json(payload)
     print(text)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
     return 0
 
 
@@ -115,11 +118,14 @@ def _write_table(args: argparse.Namespace, command: str, parameters: dict,
     text = csv_text(header, rows)
     if args.out:
         out = Path(args.out)
-        out.write_text(text)
-        write_json(out.with_suffix(out.suffix + ".manifest.json"),
-                   _manifest(args, command, parameters, None))
-        if diagnostics is not None:
-            write_json(out.with_suffix(out.suffix + ".diagnostics.json"), diagnostics)
+        try:
+            out.write_text(text)
+            write_json(out.with_suffix(out.suffix + ".manifest.json"),
+                       _manifest(args, command, parameters, None))
+            if diagnostics is not None:
+                write_json(out.with_suffix(out.suffix + ".diagnostics.json"), diagnostics)
+        except OSError as ex:
+            raise InvalidParameterError(f"cannot write --out: {ex}") from None
         print(f"# wrote {out}")
     else:
         sys.stdout.write(text)
@@ -188,6 +194,8 @@ def _cmd_solve_asymmetric(args) -> int:
 
 def _cmd_solve_finite(args) -> int:
     params = FiniteHorizonParams(args.n, args.cost_ratio, args.k)
+    if args.k == 2 and args.init:
+        raise InvalidParameterError("--init needs k >= 3; k=2 has a closed form")
     sol = (solve_two_draw(args.n, args.cost_ratio) if args.k == 2
            else solve_k_draw(params, args.init or None))
     d = _parse_dist(args) if (args.dist or args.dist_file) else None
@@ -323,7 +331,7 @@ def _cmd_verify_dissipation(args) -> int:
 def _cmd_verify_distribution_free(args) -> int:
     dists = [distribution_from_spec({"family": f, "params": p}) for f, p in
              (("uniform", [0.0, 1.0]), ("exponential", [1.0]), ("pareto", [2.0, 1.0]))]
-    if args.dist:
+    if args.dist or args.dist_file:
         dists.append(_parse_dist(args))
     params, fields = _contest(args)
     rep = distribution_free_check(params, dists, _sim_config(args))

@@ -64,23 +64,35 @@ class OpponentFinalCdf:
         if any(v < 0 or v >= 1 for v in a):
             raise InvalidParameterError(f"round quantiles must lie in [0, 1), got {a}")
         self.round_quantiles = a
-        reach = np.cumprod(np.concatenate(([1.0], a)))  # prob of surviving to round j
-        nodes = np.unique(np.concatenate(([0.0, 1.0], a)))
-        slopes_at = lambda u: reach[-1] + sum(
-            reach[j] for j, aj in enumerate(a) if aj <= u
-        )
+        reach = [1.0]  # prob of surviving to round j
+        for v in a:
+            reach.append(reach[-1] * v)
+        nodes = sorted({0.0, 1.0, *a})
         ys = [0.0]
         for x0, x1 in zip(nodes[:-1], nodes[1:]):
-            ys.append(ys[-1] + slopes_at(x0) * (x1 - x0))
-        self._xs = nodes
+            # an explicit left-to-right sum: builtin sum() of floats is
+            # compensated on Python >= 3.12 and would change the bits
+            slope = 0.0
+            for j, aj in enumerate(a):
+                if aj <= x0:
+                    slope += reach[j]
+            ys.append(ys[-1] + (reach[-1] + slope) * (x1 - x0))
+        ys[-1] = 1.0  # exact by construction; pin against rounding
+        self._at = dict(zip(nodes, ys))  # h at its nodes, for scalar reads
+        self._xs = np.array(nodes)
         self._ys = np.array(ys)
-        self._ys[-1] = 1.0  # exact by construction; pin against rounding
 
     def __call__(self, u):
         return np.interp(u, self._xs, self._ys)
 
     def inverse(self, y):
         return np.interp(y, self._ys, self._xs)
+
+    def _value(self, u: float) -> float:
+        """h(u) as a float: a table read at a node, where np.interp returns
+        the node's value exactly, and np.interp elsewhere."""
+        y = self._at.get(u)
+        return float(np.interp(u, self._xs, self._ys)) if y is None else y
 
     def integral_power(
         self, p: float, lo: float = 0.0, hi: float = 1.0, ref: float = 1.0
@@ -89,15 +101,17 @@ class OpponentFinalCdf:
         the powers in range when h is tiny."""
         if hi <= lo or ref <= 0.0:
             return 0.0
-        cuts = np.unique(np.clip(np.concatenate((self._xs, [lo, hi])), lo, hi))
+        lo, hi = float(lo), float(hi)
+        cuts = sorted({min(max(x, lo), hi) for x in self._at} | {lo, hi})
         total = 0.0
+        y0 = self._value(cuts[0]) / ref
         for x0, x1 in zip(cuts[:-1], cuts[1:]):
-            y0 = float(self(x0)) / ref
-            y1 = float(self(x1)) / ref
+            y1 = self._value(x1) / ref
             if y1 == y0:
                 total += y0**p * (x1 - x0)
             else:
                 total += (y1 ** (p + 1) - y0 ** (p + 1)) / (y1 - y0) * (x1 - x0) / (p + 1)
+            y0 = y1
         return total
 
 
@@ -149,11 +163,13 @@ def solve_two_draw(n_players: int, cost_ratio: float) -> FiniteHorizonEquilibriu
 
     grid = np.linspace(1e-9, 1.0 - 1e-9, 4001)
     vals = _two_draw_residual(grid, n, r)
+    v0, v1 = vals[:-1], vals[1:]
     roots = []
-    for x0, x1, v0, v1 in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if v0 == 0.0:
+    for i in np.flatnonzero((v0 == 0.0) | (v0 * v1 < 0)):
+        x0, x1 = grid[i], grid[i + 1]
+        if v0[i] == 0.0:
             roots.append(float(x0))
-        elif v0 * v1 < 0:
+        else:
             roots.append(float(brentq(_two_draw_residual, x0, x1, args=(n, r), xtol=1e-15)))
 
     stable = [(a, f) for a in roots for ok, f in [_two_draw_stable(a, n, r)] if ok]
@@ -236,10 +252,10 @@ def _scaled_residuals(a: np.ndarray, n: int, r: float) -> np.ndarray:
     p = n - 1
     h = OpponentFinalCdf(a)
     out = np.zeros(k - 1)
-    h_last = float(h(a[k - 2]))
+    h_last = h._value(a[k - 2])
     for j in range(k - 2):
-        hj = float(h(a[j]))
-        hj1 = float(h(a[j + 1]))
+        hj = h._value(a[j])
+        hj1 = h._value(a[j + 1])
         if hj <= 0.0 or hj1 <= 0.0 or h_last <= 0.0:
             out[j] = 1e3  # outside the solvable region; push back
             continue

@@ -144,6 +144,9 @@ _BAD_SPECS = {
     pytest.param(_FINITE + ["--cost-ratio", "0.05", "--init", "0.5"], None, id="init-short"),
     pytest.param(["verify", "dissipation", "--n", "2", "--cost", "1e-14"], None,
                  id="tiny-acceptance"),
+    pytest.param(_SYM + ["--output", "/no/such/dir/x.json"], None, id="output-unwritable"),
+    pytest.param(["table", "finite_k2", "--out", "/no/such/dir/t.csv"], None,
+                 id="out-unwritable"),
 ] + [pytest.param(_SYM, text, id=name) for name, text in _BAD_SPECS.items()])
 def test_bad_input_exits_without_traceback(capsys, tmp_path, argv, spec):
     # spec: the text of a --dist-file, or "missing" for a file that is not there
@@ -175,6 +178,17 @@ def test_solve_finite_overflow_cell_exits_two(capsys):
     # the failure's diagnostics follow the message as one JSON line
     diagnostics = json.loads(err.splitlines()[-1])
     assert diagnostics["attempts"][0]["method"] == "best_response"
+
+
+def test_solve_finite_k2_refuses_init(capsys):
+    # k=2 goes to the closed form, which has no use for starting quantiles
+    code, out, err = _run(
+        capsys, ["solve", "finite", "--n", "3", "--k", "2", "--cost-ratio", "0.05",
+                 "--init", "0.5"]
+    )
+    assert code == 1
+    assert "--init needs k >= 3" in err
+    assert out == ""
 
 
 def test_solve_finite_reports_nonexistence_with_exit_two(capsys):
@@ -306,6 +320,20 @@ def test_verify_best_response_passes(capsys):
     )
     assert code == 0
     assert "# verify: PASS" in out
+
+
+def test_verify_distribution_free_reads_dist_file(capsys, tmp_path):
+    spec = tmp_path / "d.json"
+    argv = ["verify", "distribution_free", "--reps", "2000", "--seed", "1",
+            "--dist-file", str(spec)]
+    spec.write_text(json.dumps({"family": "exponential", "params": [2.0]}))
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert len(_payload(out)["result"]["rows"]) == 4  # three stock families and the file's
+    spec.write_text('{"family": "exponential", "params": [null]}')
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert "error" in err and out == ""
 
 
 def test_verify_designer_foc_passes(capsys):

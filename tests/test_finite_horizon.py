@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from searchcontest import (
     FiniteHorizonParams,
@@ -18,7 +19,7 @@ from searchcontest import (
     solve_two_draw,
     threshold_profile,
 )
-from searchcontest.finite_horizon import _continuation_values
+from searchcontest.finite_horizon import _continuation_values, _two_draw_residual
 
 # Reference first-round quantiles (printed at 3 decimals) for N = 2..9.
 # None marks parameter cells where no symmetric equilibrium exists.
@@ -103,6 +104,56 @@ def test_final_cdf_rejects_bad_quantiles():
         OpponentFinalCdf([-0.1])
 
 
+def _numpy_cdf_nodes(a):
+    """Reference nodes and values of h, built with numpy cumprod and unique."""
+    reach = np.cumprod(np.concatenate(([1.0], a)))
+    nodes = np.unique(np.concatenate(([0.0, 1.0], a)))
+    ys = [0.0]
+    for x0, x1 in zip(nodes[:-1], nodes[1:]):
+        slope = reach[-1] + sum(reach[j] for j, aj in enumerate(a) if aj <= x0)
+        ys.append(ys[-1] + slope * (x1 - x0))
+    ys[-1] = 1.0
+    return nodes, np.array(ys)
+
+
+def _numpy_integral_power(xs, ys, p, lo=0.0, hi=1.0, ref=1.0):
+    """Reference integral of (h/ref)^p: np.unique cuts, np.interp values."""
+    if hi <= lo or ref <= 0.0:
+        return 0.0
+    cuts = np.unique(np.clip(np.concatenate((xs, [lo, hi])), lo, hi))
+    total = 0.0
+    for x0, x1 in zip(cuts[:-1], cuts[1:]):
+        y0 = float(np.interp(x0, xs, ys)) / ref
+        y1 = float(np.interp(x1, xs, ys)) / ref
+        if y1 == y0:
+            total += y0**p * (x1 - x0)
+        else:
+            total += (y1 ** (p + 1) - y0 ** (p + 1)) / (y1 - y0) * (x1 - x0) / (p + 1)
+    return total
+
+
+def test_final_cdf_bitwise_equal_to_numpy_reference():
+    rng = np.random.default_rng(20260)
+    for case in range(600):
+        a = [float(x) for x in rng.random(int(rng.integers(1, 6)))]  # k up to 6
+        if case % 3 == 0:
+            a[int(rng.integers(len(a)))] = 0.0
+        if case % 4 == 0 and len(a) > 1:
+            a[-1] = a[0]  # a repeated quantile
+        h = OpponentFinalCdf(a)
+        xs, ys = _numpy_cdf_nodes(a)
+        assert np.array_equal(h._xs, xs) and np.array_equal(h._ys, ys)
+        nodes = [0.0, 1.0] + a
+        p = int(rng.integers(1, 15))
+        lo, hi = sorted(float(rng.choice(nodes)) if rng.random() < 0.5 else float(rng.random())
+                        for _ in range(2))
+        ref = float(rng.uniform(0.05, 2.0))
+        for args in ((p,), (p, lo, hi), (p, lo, hi, ref), (p, 0.0, a[-1], ref)):
+            got = h.integral_power(*args)
+            assert type(got) is float
+            assert got == _numpy_integral_power(xs, ys, *args), (a, args)
+
+
 # ------------------------------------------------------------ two draws
 
 
@@ -127,6 +178,23 @@ def test_two_draw_nonexistence_reports_unstable_root():
     sol = solve_two_draw(7, 0.10)
     assert not sol.exists
     assert sol.diagnostics.get("roots"), "interior roots should still be recorded"
+
+
+def test_two_draw_roots_equal_scalar_scan():
+    # reference: the grid scanned one interval at a time
+    grid = np.linspace(1e-9, 1.0 - 1e-9, 4001)
+    for n in range(2, 16):
+        for r in np.linspace(0.0, 1.0 / n, 30):
+            r = float(r)
+            vals = _two_draw_residual(grid, n, r)
+            roots = []
+            for x0, x1, v0, v1 in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
+                if v0 == 0.0:
+                    roots.append(float(x0))
+                elif v0 * v1 < 0:
+                    roots.append(float(brentq(_two_draw_residual, x0, x1, args=(n, r),
+                                              xtol=1e-15)))
+            assert solve_two_draw(n, r).diagnostics["roots"] == roots, (n, r)
 
 
 def test_two_draw_matches_backward_induction():
