@@ -9,29 +9,24 @@ __version__ = "0.1.0"
 
 from .distributions import (
     Distribution,
-    TruncatedDistribution,
     distribution_from_spec,
     from_quantile_grid,
     make_custom,
     make_exponential,
     make_pareto,
     make_uniform,
-    truncate_below,
 )
 from .equilibrium import (
     AsymmetricEquilibrium,
-    ComparativeRow,
     ContestParams,
     MultiPrizeEquilibrium,
     PrizeSchedule,
     SymmetricEquilibrium,
-    comparative_statics,
     solve_asymmetric,
     solve_multiprize,
     solve_symmetric,
 )
 from .errors import (
-    DegenerateTruncationError,
     DivergentObjectiveError,
     InvalidParameterError,
     NoAsymmetricEquilibriumError,
@@ -72,7 +67,7 @@ from .planner import (
     planner_welfare,
     solve_planner,
 )
-from .serialize import canonical, to_json, write_csv, write_json
+from .serialize import canonical, to_json, write_json
 from .simulation import (
     DeviationRow,
     DeviationScanReport,

@@ -97,6 +97,18 @@ def _manifest(args: argparse.Namespace, command: str, parameters: dict,
     }
 
 
+def _check_writable(path: str, flag: str) -> None:
+    """Refuse an --output/--out path that cannot be written before any solver
+    runs; nothing is created."""
+    p = Path(path)
+    if p.exists():
+        ok = p.is_file() and os.access(p, os.W_OK)
+    else:
+        ok = p.parent.is_dir() and os.access(p.parent, os.W_OK)
+    if not ok:
+        raise InvalidParameterError(f"cannot write {flag}: {path}")
+
+
 def _emit(args: argparse.Namespace, command: str, parameters: dict,
           dist: Distribution | None, result, summary: Sequence[str]) -> int:
     payload = {"manifest": _manifest(args, command, parameters, dist),
@@ -228,9 +240,10 @@ def _cmd_solve_planner(args) -> int:
     d = _parse_dist(args)
     sol = solve_planner(args.n, args.cost, d)
     result = canonical(sol)
-    result["efficient_prize_hazard_form"] = efficient_prize_integral(args.n, args.cost, d)
+    result["efficient_prize_hazard_form"] = efficient_prize_integral(sol, args.n, d)
     if args.classify is not None:
-        result["classification"] = canonical(classify_prize(args.classify, args.n, args.cost, d))
+        result["classification"] = canonical(
+            classify_prize(args.classify, sol, args.n, args.cost, d))
     return _emit(
         args, "solve planner",
         {"n_players": args.n, "cost": args.cost, "classify": args.classify}, d, result,
@@ -331,12 +344,13 @@ def _cmd_verify_dissipation(args) -> int:
 def _cmd_verify_distribution_free(args) -> int:
     dists = [distribution_from_spec({"family": f, "params": p}) for f, p in
              (("uniform", [0.0, 1.0]), ("exponential", [1.0]), ("pareto", [2.0, 1.0]))]
-    if args.dist or args.dist_file:
-        dists.append(_parse_dist(args))
+    extra = _parse_dist(args) if (args.dist or args.dist_file) else None
+    if extra is not None:
+        dists.append(extra)
     params, fields = _contest(args)
     rep = distribution_free_check(params, dists, _sim_config(args))
     return _verdict(
-        args, "verify distribution_free", {**fields, "replications": args.reps}, None, rep,
+        args, "verify distribution_free", {**fields, "replications": args.reps}, extra, rep,
         rep.passed, [f"max_pairwise_sigma: {rep.max_pairwise_sigma:.3f}"],
     )
 
@@ -471,6 +485,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("output", "out"):
+            if getattr(args, flag, None):
+                _check_writable(getattr(args, flag), f"--{flag}")
         return args.func(args)
     except SearchContestError as ex:
         print(f"searchcontest: error: {ex}", file=sys.stderr)

@@ -9,12 +9,12 @@ share across threads; samplers take an explicit Generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateTruncationError, InvalidParameterError, require_positive
+from .errors import InvalidParameterError, require_positive
 
 
 def _vectorized(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
@@ -48,16 +48,13 @@ class Distribution:
         return self.quantile(rng.random(size))
 
     def spec(self) -> dict:
-        """JSON-serializable description (round-trips through from_spec)."""
+        """JSON-serializable description; round-trips through
+        distribution_from_spec for the stock families and for quantile grids,
+        whose params are the grid's [u, x] pairs laid end to end."""
+        if self.name == "custom":
+            pairs = zip(self.params[::2], self.params[1::2])
+            return {"family": "custom", "quantile_grid": [list(p) for p in pairs]}
         return {"family": self.name, "params": list(self.params)}
-
-
-@dataclass(frozen=True)
-class TruncatedDistribution(Distribution):
-    """Base distribution conditioned on exceeding a lower point."""
-
-    base: Distribution = None
-    lower: float = float("nan")
 
 
 def make_uniform(lo: float, hi: float) -> Distribution:
@@ -140,43 +137,18 @@ def make_custom(
     density: Callable,
     support_lower: float,
     support_upper: float,
+    *,
+    cdf: Callable,
     name: str = "custom",
-    cdf: Callable | None = None,
 ) -> Distribution:
-    """Build a distribution from its quantile function and density.
-
-    Without an exact cdf, the CDF is recovered by bisection on u (64 halvings,
-    resolution < 1e-12): the quantile is the primitive the solvers need most,
-    so it is the input. The hazard uses whichever CDF results.
-    """
-    qfn = quantile
-
-    def _bisect_cdf(x: np.ndarray) -> np.ndarray:
-        lo = np.zeros_like(x)
-        hi = np.ones_like(x)
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            below = qfn(mid) <= x
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        u = 0.5 * (lo + hi)
-        u[x <= support_lower] = 0.0
-        if math.isfinite(support_upper):
-            u[x >= support_upper] = 1.0
-        return u
-
-    _cdf = _bisect_cdf if cdf is None else (lambda x: np.asarray(cdf(x), dtype=float))
-
-    def _cdf_any(x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = _cdf(arr)
-        return float(out[0]) if np.ndim(x) == 0 else out
-
+    """Build a distribution from its quantile function, density and CDF; the
+    hazard is density / (1 - CDF)."""
+    cdf_v = _vectorized(lambda x: np.asarray(cdf(x), dtype=float))
     dens = _vectorized(lambda x: np.asarray(density(x), dtype=float))
 
     def _hazard(x):
         f = dens(x)
-        tail = 1.0 - _cdf_any(x)
+        tail = 1.0 - cdf_v(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             h = np.where(tail > 0, f / np.where(tail > 0, tail, 1.0), 0.0)
         return h
@@ -186,9 +158,9 @@ def make_custom(
         params=(),
         support_lower=float(support_lower),
         support_upper=float(support_upper),
-        cdf=_cdf_any,
+        cdf=cdf_v,
         density=dens,
-        quantile=_vectorized(lambda u: np.asarray(qfn(u), dtype=float)),
+        quantile=_vectorized(lambda u: np.asarray(quantile(u), dtype=float)),
         hazard=_vectorized(lambda x: np.asarray(_hazard(x), dtype=float)),
     )
 
@@ -218,41 +190,14 @@ def from_quantile_grid(grid: Sequence[Sequence[float]]) -> Distribution:
         out = np.where((arr >= xs[0]) & (arr <= xs[-1]), slopes[idx], 0.0)
         return float(out) if np.ndim(x) == 0 else out
 
-    return make_custom(
+    d = make_custom(
         quantile=lambda u: np.interp(u, us, xs),
         density=density,
         support_lower=float(xs[0]),
         support_upper=float(xs[-1]),
-        name="custom",
         cdf=lambda x: np.interp(x, xs, us),
     )
-
-
-def truncate_below(d: Distribution, b: float) -> TruncatedDistribution:
-    """Condition d on exceeding b; requires mass above b."""
-    qb = d.cdf(b)
-    if qb >= 1.0 - 1e-12:
-        raise DegenerateTruncationError(f"no mass above truncation point {b}")
-    tail = 1.0 - qb
-
-    cdf = _vectorized(lambda x: np.clip((d.cdf(x) - qb) / tail, 0.0, 1.0))
-    density = _vectorized(lambda x: np.where(x >= b, d.density(x) / tail, 0.0))
-    quantile = _vectorized(lambda u: d.quantile(qb + u * tail))
-    # conditioning on the tail leaves the hazard above b unchanged
-    hazard = _vectorized(lambda x: np.where(x >= b, d.hazard(x), 0.0))
-
-    return TruncatedDistribution(
-        name=f"{d.name}|>{b:g}",
-        params=d.params,
-        support_lower=float(b),
-        support_upper=d.support_upper,
-        cdf=cdf,
-        density=density,
-        quantile=quantile,
-        hazard=hazard,
-        base=d,
-        lower=float(b),
-    )
+    return replace(d, params=tuple(v for p in pts for v in p))  # what spec() reads
 
 
 _FAMILIES = {

@@ -7,12 +7,12 @@ arithmetic happens on u = F(x) and values appear only through quantile().
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import gammaln, xlogy
 
 from .distributions import Distribution
 from .errors import (
@@ -52,14 +52,6 @@ class SymmetricEquilibrium:
     expected_cost_per_player: float
     dissipation_ratio: float
     player_value: float
-
-
-@dataclass(frozen=True)
-class ComparativeRow:
-    params: ContestParams
-    viable: bool
-    equilibrium: SymmetricEquilibrium | None
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -125,19 +117,6 @@ def solve_symmetric(params: ContestParams, d: Distribution) -> SymmetricEquilibr
     )
 
 
-def comparative_statics(
-    params_grid: Sequence[ContestParams], d: Distribution
-) -> list[ComparativeRow]:
-    """Solve each grid point; non-viable points are flagged, not fatal."""
-    rows = []
-    for p in params_grid:
-        if p.n_players * p.cost > p.prize:
-            rows.append(ComparativeRow(p, False, None, "not viable: Nc > W"))
-        else:
-            rows.append(ComparativeRow(p, True, solve_symmetric(p, d), ""))
-    return rows
-
-
 def solve_multiprize(
     n_players: int, cost: float, prizes: PrizeSchedule, d: Distribution
 ) -> MultiPrizeEquilibrium:
@@ -164,38 +143,46 @@ def solve_multiprize(
     )
 
 
-def _shifted_power_integral(b: float, d: float, m: int, j: int) -> float:
-    """Integral of (b + s)^m s^j over s in [0, d], by binomial expansion.
-
-    For b, d >= 0 every term is nonnegative, so nothing cancels as d -> 0."""
-    return sum(
-        math.comb(m, i) * b ** (m - i) * d ** (i + j + 1) / (i + j + 1) for i in range(m + 1)
-    )
+@lru_cache(maxsize=8)
+def _log_binom_coefficients(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """i = 0..m and log C(m, i), from lgamma."""
+    i = np.arange(m + 1)
+    return i, gammaln(m + 1) - gammaln(i + 1) - gammaln(m - i + 1)
 
 
-def _asym_low_profit(l: float, h: float, n: int, c: float, w: float) -> float:
-    """Zero-profit residual of a low-threshold player, quantile space:
-    -c + w * integral_h^1 (u-l)^(n-2) (u-h) du / ((1-l)^(n-2) (1-h))."""
-    a, b, d = 1.0 - l, h - l, 1.0 - h
-    val = _shifted_power_integral(b, d, n - 2, 1)
-    return -c + w * val / (a ** (n - 2) * d)
+def _binom_pmf(m: int, s_h: float, s_l: float) -> tuple[np.ndarray, np.ndarray]:
+    """i and Binom(i; m, delta) with delta = s_h/s_l, summed in log space so
+    no power of a tail underflows on its own; beta = 1 - delta is formed from
+    the tails, not by subtraction from 1."""
+    i, log_comb = _log_binom_coefficients(m)
+    log_pmf = log_comb + xlogy(i, s_h / s_l) + xlogy(m - i, (s_l - s_h) / s_l)
+    return i, np.exp(log_pmf)
 
 
-def _asym_high_indiff(l: float, h: float, n: int, c: float, w: float) -> float:
-    """High player indifferent between stopping at the threshold and continuing."""
-    a, b, d = 1.0 - l, h - l, 1.0 - h
-    v_high = w * (b / a) ** (n - 1)
-    val = _shifted_power_integral(b, d, n - 1, 0) / a ** (n - 1)
-    return v_high * d + c - w * val
+def _asym_low_profit(s_l: float, s_h: float, n: int, c: float, w: float) -> float:
+    """Zero-profit residual of a low-threshold player with acceptance
+    probability s_l against a high player accepting with s_h:
+    -c + w s_h sum_i Binom(i; n-2, s_h/s_l) / (i+2)."""
+    i, pmf = _binom_pmf(n - 2, s_h, s_l)
+    return -c + w * s_h * float(pmf @ (1.0 / (i + 2)))
+
+
+def _asym_high_indiff(s_l: float, s_h: float, n: int, c: float, w: float) -> float:
+    """High player indifferent between stopping at the threshold and continuing:
+    w beta^(n-1) s_h + c - w s_h sum_i Binom(i; n-1, s_h/s_l) / (i+1)."""
+    i, pmf = _binom_pmf(n - 1, s_h, s_l)
+    beta = (s_l - s_h) / s_l
+    return w * beta ** (n - 1) * s_h + c - w * s_h * float(pmf @ (1.0 / (i + 1)))
 
 
 def solve_asymmetric(params: ContestParams, d: Distribution) -> AsymmetricEquilibrium:
     """Two-threshold equilibrium: N-1 players share a low threshold and earn
     nothing; one player uses a higher threshold and keeps positive rents.
 
-    Solved by nested root finding in quantile space: the inner bracket pins
-    the low quantile from the zero-profit condition for each candidate high
-    quantile, the outer bracket closes the high player's indifference.
+    Solved by nested root finding on acceptance probabilities (one minus the
+    quantile, so tiny ones keep their digits): the inner bracket pins the low
+    players' acceptance from the zero-profit condition for each candidate high
+    acceptance, the outer bracket closes the high player's indifference.
     Exists only for N >= 3.
     """
     n, c, w = params.n_players, params.cost, params.prize
@@ -206,42 +193,48 @@ def solve_asymmetric(params: ContestParams, d: Distribution) -> AsymmetricEquili
     if not params.viable:
         raise NotViableError(f"total per-round cost {n * c} exceeds prize {w}")
 
-    q_sym = 1.0 - n * c / w
+    accept = n * c / w
 
-    def low_quantile(h: float) -> float | None:
-        lo, hi = 1e-12, h - 1e-12
-        # zero-profit residual decreases in l; need a sign change on (0, h)
-        if _asym_low_profit(lo, h, n, c, w) <= 0 or _asym_low_profit(hi, h, n, c, w) >= 0:
+    def low_tail(s_h: float) -> float | None:
+        # zero-profit residual increases in s_l; need a sign change on [s_h, 1]
+        if (_asym_low_profit(s_h, s_h, n, c, w) >= 0
+                or _asym_low_profit(1.0, s_h, n, c, w) <= 0):
             return None
-        return brentq(_asym_low_profit, lo, hi, args=(h, n, c, w), xtol=1e-12)
+        return brentq(_asym_low_profit, s_h, 1.0, args=(s_h, n, c, w), xtol=1e-12 * accept)
 
-    def outer(h: float) -> float | None:
-        l = low_quantile(h)
-        if l is None:
-            return None
-        return _asym_high_indiff(l, h, n, c, w)
+    def outer(s_h: float) -> float | None:
+        s_l = low_tail(s_h)
+        return None if s_l is None else _asym_high_indiff(s_l, s_h, n, c, w)
 
-    # the symmetric point h = q_sym is a trivial zero; scan strictly above it
-    grid = np.linspace(q_sym + 1e-6, 1.0 - 1e-9, 257)
-    vals = [outer(h) for h in grid]
-    bracket = None
-    for (h0, v0), (h1, v1) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
-        if v0 is not None and v1 is not None and v0 * v1 < 0:
-            bracket = (h0, h1)
+    # low players accepting every draw break even at s_min; the asymmetric
+    # root lies strictly between s_min and the trivial symmetric zero s_h =
+    # accept, and scales with accept, so scan that range geometrically
+    if _asym_low_profit(1.0, accept, n, c, w) <= 0:
+        raise NumericFailureError("no asymmetric bracket found: low players cannot break even",
+                                  diagnostics={"n_players": n, "acceptance": accept})
+    s_min = brentq(lambda t: _asym_low_profit(1.0, t, n, c, w), 0.0, accept,
+                   xtol=1e-12 * accept)
+    tails = np.geomspace(accept, s_min, 259)[1:-1]
+    bracket, prev = None, (None, None)
+    for s_h in tails:
+        v = outer(s_h)
+        if v is not None and prev[1] is not None and v * prev[1] < 0:
+            bracket = (s_h, prev[0])
             break
+        prev = (s_h, v)
     if bracket is None:
         raise NumericFailureError(
             "no asymmetric bracket found",
-            diagnostics={"n_players": n, "grid_lo": float(grid[0]), "grid_hi": float(grid[-1])},
+            diagnostics={"n_players": n, "acceptance": accept, "s_min": s_min},
         )
 
-    h_star = brentq(lambda h: outer(h), *bracket, xtol=1e-11)
-    l_star = low_quantile(h_star)
-    if l_star is None:
+    s_h = brentq(outer, *bracket, xtol=1e-11 * accept)
+    s_l = low_tail(s_h)
+    if s_l is None:
         raise NumericFailureError("inner bracket vanished at the outer root")
-    v_high = w * ((h_star - l_star) / (1.0 - l_star)) ** (n - 1)
+    v_high = w * ((s_l - s_h) / s_l) ** (n - 1)
     return AsymmetricEquilibrium(
-        low_threshold=float(d.quantile(l_star)),
-        high_threshold=float(d.quantile(h_star)),
+        low_threshold=float(d.quantile(1.0 - s_l)),
+        high_threshold=float(d.quantile(1.0 - s_h)),
         high_player_value=float(v_high),
     )

@@ -24,10 +24,6 @@ class NoAsymmetricEquilibriumError(SearchContestError):
     """Requested an asymmetric equilibrium where none exists (two players)."""
 
 
-class DegenerateTruncationError(SearchContestError):
-    """Truncation point at or beyond the upper end of the support."""
-
-
 class DivergentObjectiveError(SearchContestError):
     """Welfare objective has no finite value (diverging expected maximum)."""
 

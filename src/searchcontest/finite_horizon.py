@@ -172,11 +172,9 @@ def solve_two_draw(n_players: int, cost_ratio: float) -> FiniteHorizonEquilibriu
         else:
             roots.append(float(brentq(_two_draw_residual, x0, x1, args=(n, r), xtol=1e-15)))
 
-    stable = [(a, f) for a in roots for ok, f in [_two_draw_stable(a, n, r)] if ok]
-    diagnostics = {
-        "roots": roots,
-        "stability_factors": [_two_draw_stable(a, n, r)[1] for a in roots],
-    }
+    checks = [_two_draw_stable(a, n, r) for a in roots]
+    stable = [(a, f) for a, (ok, f) in zip(roots, checks) if ok]
+    diagnostics = {"roots": roots, "stability_factors": [f for _, f in checks]}
     if not stable:
         return FiniteHorizonEquilibrium((), False, diagnostics)
     a_star, factor = stable[0]

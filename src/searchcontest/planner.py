@@ -246,12 +246,13 @@ def solve_planner(n_players: int, cost: float, d: Distribution) -> PlannerSoluti
 
 
 def classify_prize(
-    prize: float, n_players: int, cost: float, d: Distribution, tol: float = 1e-9
+    prize: float, sol: PlannerSolution, n_players: int, cost: float, d: Distribution,
+    tol: float = 1e-9,
 ) -> PrizeClassification:
-    """Compare the competitive threshold induced by a prize with the planner's."""
+    """Compare the competitive threshold induced by a prize with the planner's,
+    sol = solve_planner(n_players, cost, d)."""
     params = ContestParams(n_players=n_players, cost=cost, prize=prize)
     competitive = solve_symmetric(params, d).threshold
-    sol = solve_planner(n_players, cost, d)
     gap = competitive - sol.threshold
     scale = max(1.0, abs(sol.threshold))
     if abs(gap) <= tol * scale:
@@ -268,12 +269,11 @@ def classify_prize(
     )
 
 
-def efficient_prize_integral(n_players: int, cost: float, d: Distribution) -> float:
+def efficient_prize_integral(sol: PlannerSolution, n_players: int, d: Distribution) -> float:
     """Efficient prize via the hazard-rate representation
-    N * integral of u^{N-1} / hazard(x(u)) du above the optimal quantile.
-    Independent of the acceptance-probability formula, so the two routes
-    cross-check each other."""
-    sol = solve_planner(n_players, cost, d)
+    N * integral of u^{N-1} / hazard(x(u)) du above the optimal quantile of
+    sol = solve_planner(n_players, cost, d). Independent of the
+    acceptance-probability formula, so the two routes cross-check each other."""
     q = 1.0 - sol.acceptance_prob
     n = n_players
 

@@ -65,6 +65,3 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
         writer.writerow(row)
     return buf.getvalue()
 
-
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    Path(path).write_text(csv_text(header, rows))

@@ -126,7 +126,7 @@ class DeviationScanReport:
 
 @dataclass(frozen=True)
 class DistributionRow:
-    name: str
+    spec: dict  # Distribution.spec() of the row's distribution
     acceptance_rate: float
     se_acceptance_rate: float
     mean_draws: float
@@ -507,7 +507,7 @@ def distribution_free_check(
         se_cost = math.sqrt(sum(se**2 for se in rep.se_cost)) / n
         rows.append(
             DistributionRow(
-                name=d.name,
+                spec=d.spec(),
                 acceptance_rate=1.0 / draws,
                 se_acceptance_rate=se_draws / draws**2,
                 mean_draws=draws,

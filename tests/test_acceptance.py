@@ -245,12 +245,13 @@ def test_planner_and_efficient_prize():
     assert w_p == pytest.approx(8.889, abs=5e-4)
 
     for d in (uniform, exponential, pareto):
-        w_star = solve_planner(2, 0.1, d).efficient_prize
-        assert efficient_prize_integral(2, 0.1, d) == pytest.approx(w_star, rel=1e-6)
-        assert classify_prize(w_star * 1.5, 2, 0.1, d).kind == "oversearch"
+        sol = solve_planner(2, 0.1, d)
+        w_star = sol.efficient_prize
+        assert efficient_prize_integral(sol, 2, d) == pytest.approx(w_star, rel=1e-6)
+        assert classify_prize(w_star * 1.5, sol, 2, 0.1, d).kind == "oversearch"
         low = max(w_star * 0.7, 0.2 + 1e-9)  # stay viable: prize >= N*c
-        assert classify_prize(low, 2, 0.1, d).kind == "undersearch"
-        assert classify_prize(w_star, 2, 0.1, d).kind == "efficient"
+        assert classify_prize(low, sol, 2, 0.1, d).kind == "undersearch"
+        assert classify_prize(w_star, sol, 2, 0.1, d).kind == "efficient"
 
 
 def test_recall_irrelevance():

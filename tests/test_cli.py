@@ -147,9 +147,16 @@ _BAD_SPECS = {
     pytest.param(_SYM + ["--output", "/no/such/dir/x.json"], None, id="output-unwritable"),
     pytest.param(["table", "finite_k2", "--out", "/no/such/dir/t.csv"], None,
                  id="out-unwritable"),
+    # a cell where the asymmetric solver's powers once underflowed to 0/0
+    pytest.param(["solve", "asymmetric", "--n", "200", "--cost", "0.0001"], None,
+                 id="asymmetric-underflow"),
 ] + [pytest.param(_SYM, text, id=name) for name, text in _BAD_SPECS.items()])
 def test_bad_input_exits_without_traceback(capsys, tmp_path, argv, spec):
     # spec: the text of a --dist-file, or "missing" for a file that is not there
+    if argv[:2] == ["solve", "asymmetric"]:  # valid input: a result or a solver error
+        code, _, err = _run(capsys, argv)
+        assert code in (0, 2) and "Traceback" not in err
+        return
     if spec is not None:
         path = tmp_path / "spec.json"
         if spec != "missing":
@@ -163,6 +170,21 @@ def test_bad_input_exits_without_traceback(capsys, tmp_path, argv, spec):
     assert code in (1, 2)
     assert "error" in err and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("kind", ["finite_k2", "welfare_examples"])
+def test_table_out_checked_before_solving(capsys, tmp_path, monkeypatch, kind):
+    import searchcontest.cli as cli_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solver ran before --out was checked")
+
+    monkeypatch.setattr(cli_mod, "threshold_profile", forbidden)
+    monkeypatch.setattr(cli_mod, "solve_planner", forbidden)
+    for target in ("/no/such/dir/t.csv", str(tmp_path)):  # missing directory; a directory
+        code, out, err = _run(capsys, ["table", kind, "--out", target])
+        assert code == 1 and out == "" and "cannot write --out" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_solve_finite_overflow_cell_exits_two(capsys):
@@ -329,7 +351,15 @@ def test_verify_distribution_free_reads_dist_file(capsys, tmp_path):
     spec.write_text(json.dumps({"family": "exponential", "params": [2.0]}))
     code, out, _ = _run(capsys, argv)
     assert code == 0
-    assert len(_payload(out)["result"]["rows"]) == 4  # three stock families and the file's
+    payload = _payload(out)
+    # three stock families and the file's, each named by its spec
+    assert [row["spec"] for row in payload["result"]["rows"]] == [
+        {"family": "uniform", "params": [0.0, 1.0]},
+        {"family": "exponential", "params": [1.0]},
+        {"family": "pareto", "params": [2.0, 1.0]},
+        {"family": "exponential", "params": [2.0]},
+    ]
+    assert payload["manifest"]["distribution"] == {"family": "exponential", "params": [2.0]}
     spec.write_text('{"family": "exponential", "params": [null]}')
     code, out, err = _run(capsys, argv)
     assert code == 1
@@ -370,3 +400,81 @@ def test_env_seed_garbage_falls_back(capsys, monkeypatch):
     parser = build_parser()
     args = parser.parse_args(["verify", "recall"])
     assert args.seed == 12345
+
+
+_SPECS = {
+    "uniform": {"family": "uniform", "params": [0.0, 1.0]},
+    "pareto": {"family": "pareto", "params": [2.0, 1.0]},
+    "grid": {"family": "custom", "quantile_grid": [[0.0, 0.0], [0.5, 1.0], [1.0, 3.0]]},
+}
+
+
+def test_solve_planner_solves_once(capsys, monkeypatch):
+    import searchcontest.cli as cli_mod
+    import searchcontest.planner as planner_mod
+
+    calls = []
+    solve = planner_mod.solve_planner
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(cli_mod, "solve_planner", counted)
+    monkeypatch.setattr(planner_mod, "solve_planner", counted)
+    code, _, _ = _run(capsys, ["solve", "planner", "--n", "2", "--cost", "0.1",
+                               "--classify", "1.0"])
+    assert code == 0
+    assert len(calls) == 1
+
+
+# result blocks of `solve planner --classify 1.0` before the planner functions
+# took a shared solution; not one digit may move
+_PLANNER_RESULTS = {
+    ("uniform", "0.1"): {
+        "acceptance_prob": 0.774596669241483,
+        "efficient_prize": 0.258198889747161,
+        "efficient_prize_hazard_form": 0.258198889747161,
+        "foc_residual": -1.38777878078145e-17,
+        "interior": True,
+        "threshold": 0.225403330758517,
+        "welfare": 0.483602220505678,
+        "classification": {"competitive_threshold": 0.8, "kind": "oversearch",
+                           "planner_threshold": 0.225403330758517, "threshold_gap": 0.574596669241483},
+    },
+    ("pareto", "0.1"): {
+        "acceptance_prob": 0.0224999999997899,
+        "efficient_prize": 8.88888888897189,
+        "efficient_prize_hazard_form": 8.88888888895904,
+        "foc_residual": 6.81427136939305e-13,
+        "interior": True,
+        "threshold": 6.66666666669779,
+        "welfare": 8.88888888899077,
+        "classification": {"competitive_threshold": 2.23606797749979, "kind": "undersearch",
+                           "planner_threshold": 6.66666666669779, "threshold_gap": -4.430598689198},
+    },
+    ("grid", "0.3"): {
+        "acceptance_prob": 0.708962569679709,
+        "efficient_prize": 0.846307020511766,
+        "efficient_prize_hazard_form": 0.846307020511728,
+        "foc_residual": -1.72639680329212e-14,
+        "interior": True,
+        "threshold": 0.582074860640581,
+        "welfare": 1.22051184527384,
+        "classification": {"competitive_threshold": 0.8, "kind": "oversearch",
+                           "planner_threshold": 0.582074860640581, "threshold_gap": 0.217925139359419},
+    },
+}
+
+
+@pytest.mark.parametrize("family,cost", list(_PLANNER_RESULTS))
+def test_solve_planner_result_bytes_frozen(capsys, tmp_path, family, cost):
+    spec = tmp_path / "d.json"
+    spec.write_text(json.dumps(_SPECS[family]))
+    code, out, _ = _run(capsys, ["solve", "planner", "--n", "2", "--cost", cost,
+                                 "--classify", "1.0", "--dist-file", str(spec)])
+    assert code == 0
+    payload = _payload(out)
+    assert payload["result"] == _PLANNER_RESULTS[family, cost]
+    # the manifest names the distribution that ran, the grid included
+    assert payload["manifest"]["distribution"] == _SPECS[family]

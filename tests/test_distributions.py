@@ -1,4 +1,4 @@
-"""Distribution layer: closed-form families, custom builders, truncation."""
+"""Distribution layer: closed-form families, custom builders, JSON specs."""
 import json
 import math
 
@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from searchcontest import (
-    DegenerateTruncationError,
     InvalidParameterError,
     distribution_from_spec,
     from_quantile_grid,
@@ -16,7 +15,6 @@ from searchcontest import (
     make_exponential,
     make_pareto,
     make_uniform,
-    truncate_below,
 )
 
 
@@ -130,6 +128,7 @@ def test_make_custom_recovers_cdf():
         density=lambda x: 2.0 * np.asarray(x, dtype=float),
         support_lower=0.0,
         support_upper=1.0,
+        cdf=lambda x: np.clip(x, 0.0, 1.0) ** 2,
     )
     for x in (0.2, 0.5, 0.9):
         assert d.cdf(x) == pytest.approx(x * x, abs=1e-10)
@@ -162,40 +161,17 @@ def test_from_quantile_grid_validation():
         from_quantile_grid([[0.0, 0.0], [0.5, 2.0], [1.0, 1.0]])
 
 
-def test_truncate_below_uniform():
-    d = truncate_below(make_uniform(0.0, 1.0), 0.4)
-    assert d.support_lower == 0.4
-    assert d.cdf(0.4) == pytest.approx(0.0)
-    assert d.cdf(0.7) == pytest.approx(0.5)
-    assert d.quantile(0.5) == pytest.approx(0.7)
-    # hazard above the cut is the base hazard
-    base = make_uniform(0.0, 1.0)
-    assert float(d.hazard(0.8)) == pytest.approx(float(base.hazard(0.8)), rel=1e-12)
-
-
-def test_truncate_below_requires_mass():
-    with pytest.raises(DegenerateTruncationError):
-        truncate_below(make_uniform(0.0, 1.0), 1.0)
-
-
-def test_truncated_exponential_is_shifted():
-    # memorylessness: truncating Exp(r) at b shifts the support
-    d = truncate_below(make_exponential(2.0), 1.5)
-    base = make_exponential(2.0)
-    for u in (0.1, 0.5, 0.9):
-        assert float(d.quantile(u)) == pytest.approx(1.5 + float(base.quantile(u)), rel=1e-10)
-
-
 def test_spec_roundtrip():
     for spec in (
         {"family": "uniform", "params": [0.0, 2.0]},
         {"family": "uniform", "params": {"lo": 0.0, "hi": 2.0}},
         {"family": "exponential", "params": [1.5]},
         {"family": "pareto", "params": {"shape": 3.0, "scale": 1.0}},
+        {"family": "custom", "quantile_grid": [[0.0, 0.0], [0.5, 1.0], [1.0, 3.0]]},
     ):
         d = distribution_from_spec(spec)
         again = distribution_from_spec(d.spec())
-        assert again.name == d.name
+        assert again.name == d.name and again.spec() == d.spec()
         assert float(again.quantile(0.3)) == pytest.approx(float(d.quantile(0.3)))
 
 

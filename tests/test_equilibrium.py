@@ -1,8 +1,9 @@
 """Infinite-horizon equilibria: symmetric, multi-prize, asymmetric."""
 import math
+import warnings
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -13,7 +14,7 @@ from searchcontest import (
     NoSearchIncentiveError,
     NotViableError,
     PrizeSchedule,
-    comparative_statics,
+    SearchContestError,
     make_exponential,
     make_pareto,
     make_uniform,
@@ -79,14 +80,6 @@ def test_more_rivals_lower_threshold(exponential):
         for n in range(2, 12)
     ]
     assert all(a > b for a, b in zip(thresholds, thresholds[1:]))
-
-
-def test_comparative_statics_flags_nonviable(uniform):
-    grid = [ContestParams(n, 0.2, 1.0) for n in (2, 4, 6)]
-    rows = comparative_statics(grid, uniform)
-    assert [r.viable for r in rows] == [True, True, False]
-    assert rows[0].equilibrium is not None
-    assert rows[2].equilibrium is None and rows[2].note
 
 
 @given(
@@ -223,3 +216,20 @@ def test_asymmetric_solves_equilibrium_conditions(uniform, n, c):
 def test_asymmetric_two_players_impossible(uniform):
     with pytest.raises(NoAsymmetricEquilibriumError):
         solve_asymmetric(ContestParams(2, 0.1, 1.0), uniform)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(n=st.integers(3, 300), log_accept=st.floats(math.log(1e-6), 0.0, exclude_max=True))
+def test_asymmetric_total_on_box(uniform, n, log_accept):
+    # every cell with N*c/W in [1e-6, 1) either solves or ends in the
+    # package's own error, with no float warning on the way
+    accept = math.exp(log_accept)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            eq = solve_asymmetric(ContestParams(n, accept / n, 1.0), uniform)
+        except SearchContestError:
+            return
+    # the low players are less picky than the symmetric field, the high one more
+    assert 0.0 <= eq.low_threshold <= 1.0 - accept <= eq.high_threshold < 1.0
+    assert 0.0 < eq.high_player_value < 1.0

@@ -142,18 +142,18 @@ def test_efficiency_bridge(trio):
 
 
 def test_classify_three_ways(uniform, pareto):
-    assert classify_prize(1.0, 2, 0.1, uniform).kind == OVERSEARCH
-    w_star = solve_planner(2, 0.1, uniform).efficient_prize
-    eff = classify_prize(w_star, 2, 0.1, uniform)
+    sol_u = solve_planner(2, 0.1, uniform)
+    assert classify_prize(1.0, sol_u, 2, 0.1, uniform).kind == OVERSEARCH
+    eff = classify_prize(sol_u.efficient_prize, sol_u, 2, 0.1, uniform)
     assert eff.kind == EFFICIENT
     assert abs(eff.threshold_gap) < 1e-9
-    under = classify_prize(1.0, 2, 0.1, pareto)
+    under = classify_prize(1.0, solve_planner(2, 0.1, pareto), 2, 0.1, pareto)
     assert under.kind == UNDERSEARCH
     assert under.threshold_gap < 0
 
 
 def test_classification_gap_sign_matches_kind(uniform):
-    over = classify_prize(1.0, 2, 0.1, uniform)
+    over = classify_prize(1.0, solve_planner(2, 0.1, uniform), 2, 0.1, uniform)
     assert over.threshold_gap > 0
     assert over.competitive_threshold > over.planner_threshold
 
@@ -161,12 +161,13 @@ def test_classification_gap_sign_matches_kind(uniform):
 def test_integral_route_matches_direct_prize(trio):
     for d in trio:
         sol = solve_planner(2, 0.1, d)
-        w_int = efficient_prize_integral(2, 0.1, d)
+        w_int = efficient_prize_integral(sol, 2, d)
         assert w_int == pytest.approx(sol.efficient_prize, rel=1e-6)
 
 
 def test_integral_route_constant_hazard_is_exact(exponential):
-    assert efficient_prize_integral(2, 0.1, exponential) == pytest.approx(1.0, rel=1e-9)
+    sol = solve_planner(2, 0.1, exponential)
+    assert efficient_prize_integral(sol, 2, exponential) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_hazard_dominance_uniform_vs_exponential(uniform, exponential):

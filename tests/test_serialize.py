@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from searchcontest import canonical, to_json, write_json
-from searchcontest.serialize import csv_text, format_full, round15, write_csv
+from searchcontest.serialize import csv_text, format_full, round15
 
 
 def test_round15_trims_noise_digits():
@@ -79,8 +79,3 @@ def test_csv_text_uses_plain_newlines():
     assert text == "n,value\n2,0.5\n3,--\n"
     assert "\r" not in text
 
-
-def test_write_csv(tmp_path):
-    path = tmp_path / "table.csv"
-    write_csv(path, ["a"], [[1], [2]])
-    assert path.read_text() == "a\n1\n2\n"
