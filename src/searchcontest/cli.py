@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Three families of subcommands: `solve` prints one equilibrium or optimum as
-JSON (with a `# key: value` human summary above it), `table` writes CSV
-sweeps, and `verify` runs simulation-based consistency checks. Every JSON
-payload carries a manifest (command, parameters, distribution, seed,
-version, timestamp) next to, never inside, the result block, so result
-bytes stay comparable across runs.
+JSON under a `# key: value` summary read from its result block, `table`
+writes CSV sweeps, one kind per subcommand, and `verify` runs
+simulation-based consistency checks. Every JSON payload carries a manifest
+(command, parameters, distribution, seed, version, timestamp) next to,
+never inside, the result block, so result bytes stay comparable across runs.
 
 Exit codes: 0 success, 1 usage or invalid parameters, 2 no equilibrium or
 numeric failure, 3 verification failed.
@@ -75,6 +75,12 @@ def _dist_spec(text: str) -> dict:
     return {"family": family.strip(), "params": _floats(rest)}
 
 
+# the stock families of `table welfare_examples` and `verify distribution_free`
+_STOCK_SPECS = ({"family": "uniform", "params": [0.0, 1.0]},
+                {"family": "exponential", "params": [1.0]},
+                {"family": "pareto", "params": [2.0, 1.0]})
+
+
 def _parse_dist(args: argparse.Namespace) -> Distribution:
     if args.dist_file:
         try:
@@ -85,10 +91,10 @@ def _parse_dist(args: argparse.Namespace) -> Distribution:
     return distribution_from_spec(args.dist or {"family": "uniform", "params": [0.0, 1.0]})
 
 
-def _manifest(args: argparse.Namespace, command: str, parameters: dict,
-              dist: Distribution | None) -> dict:
+def _manifest(args: argparse.Namespace, parameters, dist: Distribution | None) -> dict:
+    """parameters: a dict, or a parameter record, whose field names are the keys."""
     return {
-        "command": command,
+        "command": f"{args.command} {args.what}",
         "parameters": parameters,
         "distribution": dist.spec() if dist is not None else None,
         "seed": getattr(args, "seed", None),
@@ -109,31 +115,33 @@ def _check_writable(path: str, flag: str) -> None:
         raise InvalidParameterError(f"cannot write {flag}: {path}")
 
 
-def _emit(args: argparse.Namespace, command: str, parameters: dict,
-          dist: Distribution | None, result, summary: Sequence[str]) -> int:
-    payload = {"manifest": _manifest(args, command, parameters, dist),
-               "result": canonical(result)}
-    text = to_json(payload)
+def _emit(args: argparse.Namespace, parameters, dist: Distribution | None, result,
+          show: Sequence[str] = (), extra: Sequence[str] = ()) -> int:
+    """Print the `# key: value` summary, then the JSON payload. Each key in
+    `show` reads its value from the canonical result block, so the summary
+    carries the result's digits; `extra` lines hold what the result does not."""
+    block = canonical(result)
+    text = to_json({"manifest": _manifest(args, parameters, dist), "result": block})
     if args.output:  # written first, so a path that cannot be written leaves stdout empty
         try:
             Path(args.output).write_text(text + "\n")
         except OSError as ex:
             raise InvalidParameterError(f"cannot write --output: {ex}") from None
-    for line in summary:
+    for line in [f"{key}: {json.dumps(block[key])}" for key in show] + list(extra):
         print(f"# {line}")
     print(text)
     return 0
 
 
-def _write_table(args: argparse.Namespace, command: str, parameters: dict,
-                 header: Sequence[str], rows, diagnostics=None) -> int:
+def _write_table(args: argparse.Namespace, parameters: dict, header: Sequence[str], rows,
+                 diagnostics=None) -> int:
     text = csv_text(header, rows)
     if args.out:
         out = Path(args.out)
         try:
             out.write_text(text)
             write_json(out.with_suffix(out.suffix + ".manifest.json"),
-                       _manifest(args, command, parameters, None))
+                       _manifest(args, parameters, None))
             if diagnostics is not None:
                 write_json(out.with_suffix(out.suffix + ".diagnostics.json"), diagnostics)
         except OSError as ex:
@@ -144,20 +152,17 @@ def _write_table(args: argparse.Namespace, command: str, parameters: dict,
     return 0
 
 
-def _fmt3(x: float | None) -> str:
-    return "" if x is None else f"{x:.3f}"
+def _cells(qs, full: bool) -> list[str]:
+    """CSV cells of quantiles or prizes: 3 decimals, or 15 digits; blank for None."""
+    return ["" if q is None else format_full(q) if full else f"{q:.3f}" for q in qs]
 
 
-def _contest(args) -> tuple[ContestParams, dict]:
-    """The contest of --n/--cost/--prize and its manifest parameters."""
-    return (ContestParams(args.n, args.cost, args.prize),
-            {"n_players": args.n, "cost": args.cost, "prize": args.prize})
+def _contest(args) -> ContestParams:
+    return ContestParams(args.n, args.cost, args.prize)
 
 
-def _designer(args) -> tuple[DesignerParams, dict]:
-    return (DesignerParams(args.designers, args.team_size, args.cost, args.meta_prize),
-            {"n_designers": args.designers, "team_size": args.team_size,
-             "cost": args.cost, "meta_prize": args.meta_prize})
+def _designer(args) -> DesignerParams:
+    return DesignerParams(args.designers, args.team_size, args.cost, args.meta_prize)
 
 
 def _sim_config(args) -> SimulationConfig:
@@ -169,39 +174,24 @@ def _sim_config(args) -> SimulationConfig:
 
 def _cmd_solve_symmetric(args) -> int:
     d = _parse_dist(args)
-    params, fields = _contest(args)
-    eq = solve_symmetric(params, d)
-    return _emit(
-        args, "solve symmetric", fields, d, eq,
-        [f"threshold: {eq.threshold:.6g}",
-         f"acceptance_prob: {eq.acceptance_prob:.6g}",
-         f"dissipation_ratio: {eq.dissipation_ratio:.6g}"],
-    )
+    params = _contest(args)
+    return _emit(args, params, d, solve_symmetric(params, d),
+                 ["threshold", "acceptance_prob", "dissipation_ratio"])
 
 
 def _cmd_solve_multiprize(args) -> int:
     d = _parse_dist(args)
     prizes = PrizeSchedule(tuple(args.prizes))
-    eq = solve_multiprize(args.n, args.cost, prizes, d)
-    return _emit(
-        args, "solve multiprize",
-        {"n_players": args.n, "cost": args.cost, "prizes": list(prizes.prizes)}, d, eq,
-        [f"threshold: {eq.threshold:.6g}",
-         f"player_value: {eq.player_value:.6g}",
-         f"dissipation_ratio: {eq.dissipation_ratio:.6g}"],
-    )
+    return _emit(args, {"n_players": args.n, "cost": args.cost, **canonical(prizes)}, d,
+                 solve_multiprize(args.n, args.cost, prizes, d),
+                 ["threshold", "player_value", "dissipation_ratio"])
 
 
 def _cmd_solve_asymmetric(args) -> int:
     d = _parse_dist(args)
-    params, fields = _contest(args)
-    eq = solve_asymmetric(params, d)
-    return _emit(
-        args, "solve asymmetric", fields, d, eq,
-        [f"low_threshold: {eq.low_threshold:.6g}",
-         f"high_threshold: {eq.high_threshold:.6g}",
-         f"high_player_value: {eq.high_player_value:.6g}"],
-    )
+    params = _contest(args)
+    return _emit(args, params, d, solve_asymmetric(params, d),
+                 ["low_threshold", "high_threshold", "high_player_value"])
 
 
 def _cmd_solve_finite(args) -> int:
@@ -216,24 +206,15 @@ def _cmd_solve_finite(args) -> int:
         result["round_thresholds"] = [float(d.quantile(q)) for q in sol.round_quantiles]
     if not sol.exists:
         print("# no symmetric equilibrium at these parameters", file=sys.stderr)
-    summary = (["round_quantiles: " + ",".join(f"{q:.6g}" for q in sol.round_quantiles)]
-               if sol.exists else ["exists: false"])
-    _emit(args, "solve finite",
-          {"n_players": args.n, "cost_ratio": args.cost_ratio, "n_draws": args.k},
-          d, result, summary)
+    _emit(args, params, d, result, ["exists", "round_quantiles"])
     return 0 if sol.exists else 2
 
 
 def _cmd_solve_designer(args) -> int:
     d = _parse_dist(args)
-    params, fields = _designer(args)
-    eq = solve_designer(params, d)
-    return _emit(
-        args, "solve designer", fields, d, eq,
-        [f"threshold: {eq.threshold:.6g}",
-         f"internal_prize: {eq.internal_prize:.6g}",
-         f"dissipation_ratio: {eq.dissipation_ratio:.6g}"],
-    )
+    params = _designer(args)
+    return _emit(args, params, d, solve_designer(params, d),
+                 ["threshold", "internal_prize", "dissipation_ratio"])
 
 
 def _cmd_solve_planner(args) -> int:
@@ -244,120 +225,96 @@ def _cmd_solve_planner(args) -> int:
     if args.classify is not None:
         result["classification"] = canonical(
             classify_prize(args.classify, sol, args.n, args.cost, d))
-    return _emit(
-        args, "solve planner",
-        {"n_players": args.n, "cost": args.cost, "classify": args.classify}, d, result,
-        [f"threshold: {sol.threshold:.6g}",
-         f"efficient_prize: {sol.efficient_prize:.6g}",
-         f"interior: {sol.interior}"],
-    )
+    return _emit(args, {"n_players": args.n, "cost": args.cost, "classify": args.classify}, d,
+                 result, ["threshold", "efficient_prize", "interior"])
 
 
 # ---------------------------------------------------------------- table
 
 
-def _finite_table(args, k: int) -> int:
-    ratios = args.cost_ratios
+def _cmd_table_finite(args) -> int:
+    k = 2 if args.what == "finite_k2" else 3
     n_range = range(args.n_min, args.n_max + 1)
     header = (["cost_ratio", "n_players", "exists"]
               + [f"a{j}" for j in range(1, k)]
               + [f"a{j}_full" for j in range(1, k)])
     rows = []
     diagnostics = []
-    for r in ratios:
+    for r in args.cost_ratios:
         profile = threshold_profile(k, r, n_range)
         for row in profile.rows:
             qs = row.round_quantiles if row.exists else (None,) * (k - 1)
             rows.append([r, row.n_players, int(row.exists)]
-                        + [_fmt3(q) for q in qs]
-                        + [format_full(q) if q is not None else "" for q in qs])
+                        + _cells(qs, False) + _cells(qs, True))
         diagnostics.append({"cost_ratio": r, "peak_n": profile.peak_n,
                             "frontier_n": profile.frontier_n})
     return _write_table(
-        args, f"table finite_k{k}",
-        {"cost_ratios": ratios, "n_min": args.n_min, "n_max": args.n_max},
+        args, {"cost_ratios": args.cost_ratios, "n_min": args.n_min, "n_max": args.n_max},
         header, rows, {"profiles": diagnostics},
     )
 
 
-def _cmd_table(args) -> int:
-    if args.kind in ("finite_k2", "finite_k3"):
-        return _finite_table(args, 2 if args.kind == "finite_k2" else 3)
-    if args.kind == "profile":
-        profile = threshold_profile(args.k, args.cost_ratio, range(args.n_min, args.n_max + 1))
-        header = ["N"] + [f"a{j}" for j in range(1, args.k)] + ["exists"]
-        rows = []
-        for row in profile.rows:
-            qs = row.round_quantiles if row.exists else (None,) * (args.k - 1)
-            rows.append([row.n_players]
-                        + [format_full(q) if q is not None else "" for q in qs]
-                        + [int(row.exists)])
-        diag = {"cost_ratio": args.cost_ratio, "n_draws": args.k,
-                "peak_n": profile.peak_n, "frontier_n": profile.frontier_n}
-        return _write_table(args, "table profile",
-                            {"k": args.k, "cost_ratio": args.cost_ratio,
-                             "n_min": args.n_min, "n_max": args.n_max},
-                            header, rows, diag)
-    # welfare_examples: efficient thresholds and prizes for the stock families
-    specs = [
-        {"family": "uniform", "params": [0.0, 1.0]},
-        {"family": "exponential", "params": [1.0]},
-        {"family": "pareto", "params": [2.0, 1.0]},
-    ]
+def _cmd_table_profile(args) -> int:
+    profile = threshold_profile(args.k, args.cost_ratio, range(args.n_min, args.n_max + 1))
+    header = ["N"] + [f"a{j}" for j in range(1, args.k)] + ["exists"]
     rows = []
-    for spec in specs:
-        d = distribution_from_spec(spec)
-        sol = solve_planner(args.n, args.cost, d)
-        rows.append([spec["family"], f"{sol.threshold:.3f}", f"{sol.efficient_prize:.3f}",
-                     format_full(sol.threshold), format_full(sol.efficient_prize)])
-    return _write_table(args, "table welfare_examples",
-                        {"n_players": args.n, "cost": args.cost},
+    for row in profile.rows:
+        qs = row.round_quantiles if row.exists else (None,) * (args.k - 1)
+        rows.append([row.n_players] + _cells(qs, True) + [int(row.exists)])
+    diag = {"cost_ratio": args.cost_ratio, "n_draws": args.k,
+            "peak_n": profile.peak_n, "frontier_n": profile.frontier_n}
+    return _write_table(args, {"k": args.k, "cost_ratio": args.cost_ratio,
+                               "n_min": args.n_min, "n_max": args.n_max}, header, rows, diag)
+
+
+def _cmd_table_welfare(args) -> int:
+    rows = []
+    for spec in _STOCK_SPECS:
+        sol = solve_planner(args.n, args.cost, distribution_from_spec(spec))
+        pair = [sol.threshold, sol.efficient_prize]
+        rows.append([spec["family"]] + _cells(pair, False) + _cells(pair, True))
+    return _write_table(args, {"n_players": args.n, "cost": args.cost},
                         ["family", "b_star", "w_star", "b_star_full", "w_star_full"], rows)
 
 
 # ---------------------------------------------------------------- verify
 
 
-def _verdict(args, command: str, parameters: dict, dist, result, passed: bool,
-             summary: Sequence[str]) -> int:
-    _emit(args, command, parameters, dist, result,
-          list(summary) + [f"verify: {'PASS' if passed else 'FAIL'}"])
+def _verdict(args, parameters, dist, result, passed: bool,
+             show: Sequence[str] = (), extra: Sequence[str] = ()) -> int:
+    _emit(args, parameters, dist, result, show,
+          list(extra) + [f"verify: {'PASS' if passed else 'FAIL'}"])
     return 0 if passed else 3
 
 
 def _cmd_verify_dissipation(args) -> int:
     d = _parse_dist(args)
-    params, fields = _contest(args)
+    params = _contest(args)
     eq = solve_symmetric(params, d)
     profile = StrategyProfile((InfiniteThresholdStrategy(eq.threshold),) * args.n)
     rep = simulate_contest(profile, params, d, _sim_config(args))
     gap = abs(rep.dissipation_ratio - 1.0)
     payoff_ok = all(abs(m) <= 3.0 * s for m, s in zip(rep.mean_payoff, rep.se_payoff))
     passed = gap <= 3.0 * rep.se_dissipation and payoff_ok
-    return _verdict(
-        args, "verify dissipation", {**fields, "replications": args.reps}, d, rep, passed,
-        [f"dissipation: {rep.dissipation_ratio:.6f} (se {rep.se_dissipation:.2g})",
-         f"payoffs_within_3se: {payoff_ok}"],
-    )
+    return _verdict(args, {**canonical(params), "replications": args.reps}, d, rep, passed,
+                    ["dissipation_ratio", "se_dissipation"],
+                    [f"payoffs_within_3se: {payoff_ok}"])
 
 
 def _cmd_verify_distribution_free(args) -> int:
-    dists = [distribution_from_spec({"family": f, "params": p}) for f, p in
-             (("uniform", [0.0, 1.0]), ("exponential", [1.0]), ("pareto", [2.0, 1.0]))]
+    dists = [distribution_from_spec(spec) for spec in _STOCK_SPECS]
     extra = _parse_dist(args) if (args.dist or args.dist_file) else None
     if extra is not None:
         dists.append(extra)
-    params, fields = _contest(args)
+    params = _contest(args)
     rep = distribution_free_check(params, dists, _sim_config(args))
-    return _verdict(
-        args, "verify distribution_free", {**fields, "replications": args.reps}, extra, rep,
-        rep.passed, [f"max_pairwise_sigma: {rep.max_pairwise_sigma:.3f}"],
-    )
+    return _verdict(args, {**canonical(params), "replications": args.reps}, extra, rep,
+                    rep.passed, ["max_pairwise_sigma"])
 
 
 def _cmd_verify_best_response(args) -> int:
     d = _parse_dist(args)
-    params, fields = _contest(args)
+    params = _contest(args)
     qs = np.linspace(0.02, 0.98, args.grid)
     candidates = [InfiniteThresholdStrategy(float(d.quantile(q))) for q in qs]
     if args.profile == "asymmetric":
@@ -373,33 +330,25 @@ def _cmd_verify_best_response(args) -> int:
     cfg = _sim_config(args)
     scans = [deviation_scan(profile, i, candidates, params, d, cfg) for i in players]
     passed = not any(s.any_flagged for s in scans)
-    return _verdict(
-        args, "verify best_response",
-        {**fields, "profile": args.profile, "grid": args.grid, "replications": args.reps},
-        d, {"scans": [canonical(s) for s in scans]}, passed,
-        [f"profitable_deviation_found: {not passed}"],
-    )
+    return _verdict(args, {**canonical(params), "profile": args.profile, "grid": args.grid,
+                           "replications": args.reps}, d, {"scans": scans}, passed,
+                    extra=[f"profitable_deviation_found: {not passed}"])
 
 
 def _cmd_verify_designer_foc(args) -> int:
     d = _parse_dist(args)
-    params, fields = _designer(args)
+    params = _designer(args)
     rep = verify_designer_foc(params, d, step=args.step)
-    return _verdict(
-        args, "verify designer_foc", {**fields, "step": args.step}, d, rep, rep.passed,
-        [f"fd_vs_closed_rel_error: {rep.relative_error:.3g}",
-         f"win_prob_at_equilibrium: {rep.prob_at_equilibrium:.9f}"],
-    )
+    return _verdict(args, {**canonical(params), "step": args.step}, d,
+                    rep, rep.passed, ["relative_error", "prob_at_equilibrium"])
 
 
 def _cmd_verify_recall(args) -> int:
     d = _parse_dist(args)
-    params, fields = _contest(args)
+    params = _contest(args)
     rep = recall_irrelevance_check(params, d, _sim_config(args))
-    return _verdict(
-        args, "verify recall", {**fields, "replications": args.reps}, d, rep, rep.passed,
-        [f"ks_statistic: {rep.ks_statistic:.5f} (critical {rep.critical_value:.5f})"],
-    )
+    return _verdict(args, {**canonical(params), "replications": args.reps},
+                    d, rep, rep.passed, ["ks_statistic", "critical_value"])
 
 
 # ---------------------------------------------------------------- wiring
@@ -430,11 +379,10 @@ def _add_flags(p: argparse.ArgumentParser, rows) -> None:
                        help=help_[0] if help_ else None, **typed)
 
 
-def _leaf(sub, name: str, func, rows: list, sim: Sequence = ()) -> None:
-    """A solve or verify subcommand: its rows, the distribution flags, the
-    simulation rows if any, then --output."""
-    p = sub.add_parser(name)
-    _add_flags(p, rows + _DIST_FLAGS + list(sim) + [("--output", None, None)])
+def _leaf(sub, name: str, func, rows: list, **parser_kw) -> None:
+    """A subcommand that takes exactly its flag rows."""
+    p = sub.add_parser(name, **parser_kw)
+    _add_flags(p, rows)
     p.set_defaults(func=func)
 
 
@@ -444,40 +392,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"searchcontest {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     seed = ("--seed", int, _default_seed())
-    sim = [("--reps", int, 200_000), seed, ("--threads", int, 1)]
+    output = [("--output", None, None)]
+    io = _DIST_FLAGS + output
+    sim = _DIST_FLAGS + [("--reps", int, 200_000), seed, ("--threads", int, 1)] + output
 
     solve = sub.add_parser("solve", help="compute one equilibrium or optimum")
     ssub = solve.add_subparsers(dest="what", required=True, parser_class=_Parser)
-    _leaf(ssub, "symmetric", _cmd_solve_symmetric, _n_cost() + [_PRIZE])
+    _leaf(ssub, "symmetric", _cmd_solve_symmetric, _n_cost() + [_PRIZE] + io)
     _leaf(ssub, "multiprize", _cmd_solve_multiprize, _n_cost() + [
-        ("--prizes", _floats, _REQUIRED, "comma-separated, non-increasing")])
-    _leaf(ssub, "asymmetric", _cmd_solve_asymmetric, _n_cost() + [_PRIZE])
+        ("--prizes", _floats, _REQUIRED, "comma-separated, non-increasing")] + io)
+    _leaf(ssub, "asymmetric", _cmd_solve_asymmetric, _n_cost() + [_PRIZE] + io)
     _leaf(ssub, "finite", _cmd_solve_finite, [
         ("--n", int, _REQUIRED), ("--k", int, _REQUIRED), ("--cost-ratio", float, _REQUIRED),
-        ("--init", _floats, None, "comma-separated starting quantiles")])
-    _leaf(ssub, "designer", _cmd_solve_designer, _designer_flags())
+        ("--init", _floats, None, "comma-separated starting quantiles")] + io)
+    _leaf(ssub, "designer", _cmd_solve_designer, _designer_flags() + io)
     _leaf(ssub, "planner", _cmd_solve_planner, _n_cost() + [
-        ("--classify", float, None, "also classify this prize")])
+        ("--classify", float, None, "also classify this prize")] + io)
 
+    # each kind takes only its own flags, matched whole: a flag of another kind
+    # is a usage error, not an abbreviation of one of this kind's
     table = sub.add_parser("table", help="write CSV sweeps")
-    table.add_argument("kind", choices=["finite_k2", "finite_k3", "profile", "welfare_examples"])
-    _add_flags(table, [
-        ("--cost-ratios", _floats, "0.0,0.05,0.10"), ("--cost-ratio", float, 0.1),
-        ("--k", int, 3), ("--n-min", int, 2), ("--n-max", int, 9), ("--n", int, 2),
-        ("--cost", float, 0.1), ("--out", None, None, "CSV path; stdout when omitted")])
-    table.set_defaults(func=_cmd_table)
+    tsub = table.add_subparsers(dest="what", required=True, parser_class=_Parser)
+    n_range = [("--n-min", int, 2), ("--n-max", int, 9)]
+    out = [("--out", None, None, "CSV path; stdout when omitted")]
+    for kind in ("finite_k2", "finite_k3"):
+        _leaf(tsub, kind, _cmd_table_finite,
+              [("--cost-ratios", _floats, "0.0,0.05,0.10")] + n_range + out, allow_abbrev=False)
+    _leaf(tsub, "profile", _cmd_table_profile,
+          [("--k", int, 3), ("--cost-ratio", float, 0.1)] + n_range + out, allow_abbrev=False)
+    _leaf(tsub, "welfare_examples", _cmd_table_welfare,
+          [("--n", int, 2), ("--cost", float, 0.1)] + out, allow_abbrev=False)
 
     verify = sub.add_parser("verify", help="simulation-based consistency checks")
     vsub = verify.add_subparsers(dest="what", required=True, parser_class=_Parser)
-    _leaf(vsub, "dissipation", _cmd_verify_dissipation, _n_cost(3, 0.1) + [_PRIZE], sim)
+    _leaf(vsub, "dissipation", _cmd_verify_dissipation, _n_cost(3, 0.1) + [_PRIZE] + sim)
     _leaf(vsub, "distribution_free", _cmd_verify_distribution_free,
-          _n_cost(2, 0.05) + [_PRIZE], sim)
+          _n_cost(2, 0.05) + [_PRIZE] + sim)
     _leaf(vsub, "best_response", _cmd_verify_best_response, _n_cost(3, 0.1) + [
-        _PRIZE, ("--profile", ("symmetric", "asymmetric"), "symmetric"), ("--grid", int, 25)],
-        sim)
+        _PRIZE, ("--profile", ("symmetric", "asymmetric"), "symmetric"), ("--grid", int, 25)]
+        + sim)
     _leaf(vsub, "designer_foc", _cmd_verify_designer_foc,
-          _designer_flags(2, 2, 0.05) + [("--step", float, 1e-5), seed])
-    _leaf(vsub, "recall", _cmd_verify_recall, _n_cost(3, 0.1) + [_PRIZE], sim)
+          _designer_flags(2, 2, 0.05) + [("--step", float, 1e-5), seed] + io)
+    _leaf(vsub, "recall", _cmd_verify_recall, _n_cost(3, 0.1) + [_PRIZE] + sim)
     return parser
 
 

@@ -150,6 +150,19 @@ def _two_draw_stable(a: float, n: int, cost_ratio: float) -> tuple[bool, float]:
     return factor < 1.0, factor
 
 
+def _frontier(n: int, r: float, k: int, diagnostics: dict) -> FiniteHorizonEquilibrium | None:
+    """The outcome for N*c/W >= 1, else None. h(u) <= u pointwise (convex,
+    pinned at 0 and 1), so the forced-draw value is at most 1/N - c/W: past
+    N*c/W = 1 nothing exists, and on it every player accepts the first draw."""
+    if n * r < 1.0:
+        return None
+    if n * r > 1.0:
+        return FiniteHorizonEquilibrium((), False,
+                                        {**diagnostics, "reason": "participation frontier"})
+    return FiniteHorizonEquilibrium((0.0,) * (k - 1), True,
+                                    {**diagnostics, "reason": "degenerate frontier equilibrium"})
+
+
 def solve_two_draw(n_players: int, cost_ratio: float) -> FiniteHorizonEquilibrium:
     """Symmetric two-draw equilibrium by 1-D root finding on the closed form.
 
@@ -175,6 +188,9 @@ def solve_two_draw(n_players: int, cost_ratio: float) -> FiniteHorizonEquilibriu
     checks = [_two_draw_stable(a, n, r) for a in roots]
     stable = [(a, f) for a, (ok, f) in zip(roots, checks) if ok]
     diagnostics = {"roots": roots, "stability_factors": [f for _, f in checks]}
+    frontier = _frontier(n, r, 2, diagnostics)
+    if frontier is not None:
+        return frontier
     if not stable:
         return FiniteHorizonEquilibrium((), False, diagnostics)
     a_star, factor = stable[0]
@@ -331,14 +347,9 @@ def solve_k_draw(
         if not ok:
             raise InvalidParameterError(f"init must hold k-1 = {k - 1} quantiles in [0, 1)")
 
-    # h(u) <= u pointwise (convex, pinned at 0 and 1), so the forced-draw
-    # value is at most 1/N - c/W: beyond that frontier nothing can exist
-    if n * r > 1.0:
-        return FiniteHorizonEquilibrium((), False, {"reason": "participation frontier"})
-    if n * r == 1.0:
-        return FiniteHorizonEquilibrium(
-            (0.0,) * (k - 1), True, {"reason": "degenerate frontier equilibrium"}
-        )
+    frontier = _frontier(n, r, k, {})
+    if frontier is not None:
+        return frontier
 
     two = solve_two_draw(n, r)
     seed = two.round_quantiles[0] if two.exists else (

@@ -27,7 +27,6 @@ from .hierarchy import DesignerParams, solve_designer
 _CHUNK = 1 << 16
 # stream purposes: keeps every consumer of randomness on a disjoint substream
 _TAG_DRAW = 0
-_TAG_TIE = 1
 _TAG_SELF = 2
 _TAG_OPP = 3
 _TAG_DIST = 4
@@ -35,6 +34,7 @@ _TAG_RECALL = 5
 # round-by-round play draws a block per round; past this default cap it would
 # run for hours, so tiny acceptance probabilities are refused instead
 _MAX_ROUNDS = 100_000
+_MEMORY_BUDGET = 1 << 30  # bytes a simulation may hold at once; see _check_memory
 
 
 @dataclass(frozen=True)
@@ -193,9 +193,10 @@ def _round_cap(config: SimulationConfig, quantiles: list[np.ndarray], kinds: lis
 
 
 def _play_rounds(
-    rng: np.random.Generator, size: int, qs: np.ndarray, infinite: bool, cap: int
+    rng: np.random.Generator, size: int, q: float, cap: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate one player's search for a block of replications.
+    """Simulate one player's infinite-horizon search, round by round, for a
+    block of replications.
 
     Returns accepted quantile, number of draws, and a forced-stop flag. A
     full block of uniforms is drawn every round regardless of how many
@@ -204,25 +205,17 @@ def _play_rounds(
     final = np.zeros(size)
     draws = np.zeros(size, dtype=np.int64)
     alive = np.ones(size, dtype=bool)
-    n_rounds = cap if infinite else qs.size + 1
     x = None
-    for r in range(n_rounds):
+    for _ in range(cap):
         x = rng.random(size)
         draws += alive
-        if infinite:
-            accept = alive & (x >= qs[0])
-        elif r < qs.size:
-            accept = alive & (x >= qs[r])
-        else:
-            accept = alive  # final round keeps whatever arrives
+        accept = alive & (x >= q)
         final = np.where(accept, x, final)
         alive &= ~accept
         if not alive.any():
             break
-    forced = alive.copy()
-    if forced.any():
-        final = np.where(forced, x, final)  # cap reached: keep the last draw
-    return final, draws, forced
+    final = np.where(alive, x, final)  # cap reached: keep the last draw
+    return final, draws, alive
 
 
 def _simulate_chunk(
@@ -239,14 +232,16 @@ def _simulate_chunk(
     finals = np.empty((n, size))
     draws = np.empty((n, size), dtype=np.int64)
     forced_any = np.zeros(size, dtype=bool)
-    for i in range(n):
+    for i, qs in enumerate(quantiles):
         rng = _stream(seed, _TAG_DRAW, i, chunk_idx)
-        f, dr, forced = _play_rounds(rng, size, quantiles[i], kinds[i], cap)
+        if kinds[i]:
+            f, dr, forced = _play_rounds(rng, size, qs[0], cap)
+        else:  # row r of the block is the stretch of stream that round r would draw
+            f, dr, forced = _inverse_play(rng.random((qs.size + 1, size)).T, qs, False, cap)
         finals[i] = f
         draws[i] = dr
         forced_any |= forced
-    tie = _stream(seed, _TAG_TIE, chunk_idx).random((n, size))
-    order = np.lexsort((tie, finals), axis=0)  # ascending accepted value
+    order = np.argsort(finals, axis=0)  # ascending accepted value; exact ties have measure zero
     asc_pos = np.empty((n, size), dtype=np.int64)
     np.put_along_axis(asc_pos, order, np.arange(n, dtype=np.int64)[:, None], axis=0)
     rank = n - 1 - asc_pos  # 0 = winner
@@ -266,6 +261,17 @@ def _simulate_chunk(
         "diss2": (diss**2).sum(),
         "capped": int(forced_any.sum()),
     }
+
+
+def _check_memory(what: str, config: SimulationConfig, bytes_per_rep: int,
+                  held: int | None = None) -> None:
+    """Refuse, before it allocates anything, a simulation that would hold more
+    than _MEMORY_BUDGET: bytes_per_rep is peak-RSS growth measured per
+    replication held, and by default one chunk per thread is held at once."""
+    held = held or min(config.replications, _CHUNK * config.n_threads)
+    if bytes_per_rep * held > _MEMORY_BUDGET:
+        raise InvalidParameterError(f"{what} would hold about {bytes_per_rep * held >> 20} MB, "
+                                    f"over the {_MEMORY_BUDGET >> 20} MB memory budget")
 
 
 def _mean_se(s1: np.ndarray, s2: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -331,6 +337,7 @@ def simulate_contest(
     statistics with standard errors, plus the cost/prize dissipation ratio."""
     n = profile.n_players
     cost, prize_arr = _resolve_contest(params, prizes, n)
+    _check_memory(f"simulating {n} players", config, 72 * n)
     quantiles = [_threshold_quantiles(s, d) for s in profile.strategies]
     kinds = [isinstance(s, InfiniteThresholdStrategy) for s in profile.strategies]
     cap = _round_cap(config, quantiles, kinds)
@@ -431,6 +438,8 @@ def deviation_scan(
         self_q + opp_q, self_kind + opp_kind
     )
     v_cols = max([2] + [q.size + 1 for q, inf in zip(self_q, self_kind) if not inf])
+    _check_memory(f"scanning {len(candidates)} deviations", config,
+                  9 * (n - 1 + len(all_strats) + v_cols))
 
     reps = config.replications
 
@@ -545,11 +554,12 @@ def recall_irrelevance_check(
     if q >= 1.0:
         raise InvalidParameterError("equilibrium acceptance probability is below float resolution")
     cap = _round_cap(config, [np.array([q])], [True])
+    _check_memory("the recall check", config, 112, config.replications)  # all kept for KS
     reps = config.replications
 
     def work(c: int, size: int) -> tuple[np.ndarray, np.ndarray]:
         rng = _stream(config.seed, _TAG_RECALL, 0, c)
-        no_recall, _, _ = _play_rounds(rng, size, np.array([q]), True, cap)
+        no_recall, _, _ = _play_rounds(rng, size, q, cap)
 
         rng = _stream(config.seed, _TAG_RECALL, 1, c)
         best = np.zeros(size)

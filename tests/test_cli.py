@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from searchcontest import RecallReport
+from searchcontest import RecallReport, __version__
 from searchcontest.cli import build_parser, main
 
 
@@ -187,6 +187,43 @@ def test_table_out_checked_before_solving(capsys, tmp_path, monkeypatch, kind):
     assert list(tmp_path.iterdir()) == []
 
 
+# each table kind's own flags, --out aside
+_TABLE_FLAGS = {
+    "finite_k2": ["--cost-ratios", "--n-min", "--n-max"],
+    "finite_k3": ["--cost-ratios", "--n-min", "--n-max"],
+    "profile": ["--k", "--cost-ratio", "--n-min", "--n-max"],
+    "welfare_examples": ["--n", "--cost"],
+}
+
+
+@pytest.mark.parametrize("kind", list(_TABLE_FLAGS))
+def test_table_rejects_flags_of_other_kinds(capsys, tmp_path, kind):
+    own = _TABLE_FLAGS[kind]
+    args = build_parser().parse_args(["table", kind] + [x for f in own for x in (f, "1")])
+    assert args.what == kind
+    foreign = sorted({f for flags in _TABLE_FLAGS.values() for f in flags} - set(own))
+    for flag in foreign:  # --cost-ratio is no abbreviation of --cost-ratios either
+        with pytest.raises(SystemExit) as exc:
+            main(["table", kind, flag, "1", "--out", str(tmp_path / "t.csv")])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 1 and out == ""
+        assert f"unrecognized arguments: {flag} 1" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulation_over_memory_budget_exits_one(capsys, monkeypatch):
+    import searchcontest.simulation as sim
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("chunks ran before the memory check")
+
+    monkeypatch.setattr(sim, "_map_chunks", forbidden)
+    # about 4.5 GB of chunks in flight
+    code, out, err = _run(capsys, ["verify", "dissipation", "--n", "1000", "--cost", "0.0003"])
+    assert (code, out) == (1, "")
+    assert "memory budget" in err and "Traceback" not in err
+
+
 def test_solve_finite_overflow_cell_exits_two(capsys):
     # a k-draw cell whose scaled ratios leave the float range fails cleanly
     with warnings.catch_warnings():
@@ -221,6 +258,27 @@ def test_solve_finite_reports_nonexistence_with_exit_two(capsys):
     assert "no symmetric equilibrium" in err
     payload = _payload(out)
     assert payload["result"]["exists"] is False
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_solve_finite_on_participation_frontier(capsys, k):
+    # N*c/W = 1: every player accepts the first draw, for the closed form too
+    code, out, err = _run(
+        capsys, ["solve", "finite", "--n", "4", "--k", str(k), "--cost-ratio", "0.25"]
+    )
+    assert (code, err) == (0, "")
+    assert _payload(out)["result"] == {"exists": True, "round_quantiles": [0.0] * (k - 1)}
+
+
+def test_summary_lines_show_result_digits(capsys):
+    # thresholds 1 - 3.6e-12 and 1 - 2.7e-12, which 6 digits both round to 1
+    code, out, _ = _run(capsys, ["solve", "asymmetric", "--n", "3", "--cost", "1e-12"])
+    assert code == 0
+    result = _payload(out)["result"]
+    summary = dict(line[2:].split(": ", 1) for line in out.splitlines() if line.startswith("# "))
+    assert summary["low_threshold"] != summary["high_threshold"]
+    for key in ("low_threshold", "high_threshold", "high_player_value"):
+        assert json.loads(summary[key]) == result[key]
 
 
 def test_solve_finite_maps_quantiles_through_distribution(capsys):
@@ -339,6 +397,18 @@ def test_verify_best_response_passes(capsys):
         capsys,
         ["verify", "best_response", "--n", "2", "--cost", "0.1", "--grid", "9",
          "--reps", "40000", "--seed", "7"],
+    )
+    assert code == 0
+    assert "# verify: PASS" in out
+
+
+def test_verify_best_response_asymmetric_passes(capsys, monkeypatch):
+    # scripts/run_verifications.py's argv at the default seed
+    monkeypatch.delenv("SEARCHCONTEST_SEED", raising=False)
+    code, out, _ = _run(
+        capsys,
+        ["verify", "best_response", "--profile", "asymmetric", "--n", "3", "--cost", "0.1",
+         "--reps", "200000"],
     )
     assert code == 0
     assert "# verify: PASS" in out
@@ -478,3 +548,20 @@ def test_solve_planner_result_bytes_frozen(capsys, tmp_path, family, cost):
     assert payload["result"] == _PLANNER_RESULTS[family, cost]
     # the manifest names the distribution that ran, the grid included
     assert payload["manifest"]["distribution"] == _SPECS[family]
+
+
+# every solve leaf and `verify designer_foc`: exit code, stderr, and the
+# payload less its timestamp and version, as printed before summary lines
+# were read from the result block and manifests from the parameter record
+_FROZEN = json.loads(Path(__file__).with_name("cli_frozen_payloads.json").read_text())
+
+
+@pytest.mark.parametrize("case", _FROZEN, ids=[c["argv"] for c in _FROZEN])
+def test_payload_bytes_frozen(capsys, monkeypatch, case):
+    monkeypatch.delenv("SEARCHCONTEST_SEED", raising=False)
+    code, out, err = _run(capsys, case["argv"].split())
+    assert (code, err) == (case["exit"], case["stderr"])
+    payload = _payload(out)
+    assert payload["manifest"].pop("timestamp")
+    assert payload["manifest"].pop("version") == __version__
+    assert payload == case["payload"]

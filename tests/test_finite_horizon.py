@@ -197,6 +197,16 @@ def test_two_draw_roots_equal_scalar_scan():
             assert solve_two_draw(n, r).diagnostics["roots"] == roots, (n, r)
 
 
+def test_two_draw_shares_the_frontier_rule():
+    # on N*c/W = 1 both solvers report first-draw acceptance; past it, nothing
+    for n in range(2, 16):
+        for r in (1.0 / n, 1.1 / n):
+            closed = solve_two_draw(n, r)
+            bi = solve_k_draw(FiniteHorizonParams(n, r, 2))
+            assert (closed.round_quantiles, closed.exists) == (bi.round_quantiles, bi.exists)
+            assert closed.round_quantiles == ((0.0,) if n * r == 1.0 else ()), (n, r)
+
+
 def test_two_draw_matches_backward_induction():
     worst = 0.0
     for r in (0.0, 0.02, 0.05, 0.08, 0.10):

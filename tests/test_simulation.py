@@ -1,5 +1,6 @@
 """Monte Carlo engine: statistical agreement with theory and determinism."""
 import math
+import tracemalloc
 
 import pytest
 
@@ -319,3 +320,32 @@ def test_tiny_acceptance_refuses_default_cap(uniform):
     capped = SimulationConfig(10, SEED, max_draws_cap=5)
     rep = simulate_contest(_symmetric_profile(params, uniform), params, uniform, capped)
     assert rep.max_draws_cap == 5
+
+
+def test_memory_budget_refuses_before_allocating(uniform, monkeypatch):
+    import searchcontest.simulation as sim
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("chunks ran before the memory check")
+
+    monkeypatch.setattr(sim, "_map_chunks", forbidden)
+    big = ContestParams(n_players=1000, cost=0.0003, prize=1.0)  # ~4.5 GB of chunks
+    small = ContestParams(n_players=3, cost=0.1, prize=1.0)
+    config = SimulationConfig(200_000, SEED)
+    candidates = [InfiniteThresholdStrategy(0.5)] * 2000  # ~1.2 GB of paired payoffs
+    calls = [
+        lambda: simulate_contest(_symmetric_profile(big, uniform), big, uniform, config),
+        lambda: deviation_scan(_symmetric_profile(small, uniform), 0, candidates, small,
+                               uniform, config),
+        # every replication is kept for the KS test: ~2.1 GB
+        lambda: recall_irrelevance_check(small, uniform, SimulationConfig(20_000_000, SEED)),
+    ]
+    tracemalloc.start()
+    try:
+        for call in calls:
+            with pytest.raises(InvalidParameterError, match="memory budget"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20  # one player's chunk alone is about 4.5 MB
