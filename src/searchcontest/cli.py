@@ -31,7 +31,7 @@ from .equilibrium import (
     solve_multiprize,
     solve_symmetric,
 )
-from .errors import InvalidParameterError, NumericFailureError, SearchContestError
+from .errors import InvalidParameterError, NumericFailureError, SearchContestError, require_int
 from .finite_horizon import FiniteHorizonParams, solve_k_draw, solve_two_draw, threshold_profile
 from .hierarchy import DesignerParams, solve_designer, verify_designer_foc
 from .planner import classify_prize, efficient_prize_integral, solve_planner
@@ -315,6 +315,7 @@ def _cmd_verify_distribution_free(args) -> int:
 def _cmd_verify_best_response(args) -> int:
     d = _parse_dist(args)
     params = _contest(args)
+    require_int("grid", args.grid, 1)
     qs = np.linspace(0.02, 0.98, args.grid)
     candidates = [InfiniteThresholdStrategy(float(d.quantile(q))) for q in qs]
     if args.profile == "asymmetric":

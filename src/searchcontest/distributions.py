@@ -43,6 +43,16 @@ class Distribution:
     quantile: Callable
     hazard: Callable
 
+    def threshold(self, accept: float) -> float:
+        """The value a draw reaches with probability accept, quantile(1 - accept).
+        Refused when 1 - accept rounds to 1: the float quantiles stop short of
+        so small an acceptance probability."""
+        q = 1.0 - accept
+        if q == 1.0:
+            raise InvalidParameterError(
+                f"acceptance probability {accept:.3g} is below float resolution")
+        return float(self.quantile(q))
+
     def sample(self, rng: np.random.Generator, size=None):
         """Inverse-transform sampling; deterministic given the generator state."""
         return self.quantile(rng.random(size))
@@ -139,7 +149,6 @@ def make_custom(
     support_upper: float,
     *,
     cdf: Callable,
-    name: str = "custom",
 ) -> Distribution:
     """Build a distribution from its quantile function, density and CDF; the
     hazard is density / (1 - CDF)."""
@@ -154,7 +163,7 @@ def make_custom(
         return h
 
     return Distribution(
-        name=name,
+        name="custom",
         params=(),
         support_lower=float(support_lower),
         support_upper=float(support_upper),

@@ -105,10 +105,9 @@ def solve_symmetric(params: ContestParams, d: Distribution) -> SymmetricEquilibr
     if n * c > w:
         raise NotViableError(f"total per-round cost {n * c} exceeds prize {w}")
     accept = n * c / w
-    threshold = d.support_lower if accept == 1.0 else d.quantile(1.0 - accept)
     draws = 1.0 / accept
     return SymmetricEquilibrium(
-        threshold=float(threshold),
+        threshold=d.threshold(accept),
         acceptance_prob=accept,
         expected_draws=draws,
         expected_cost_per_player=c * draws,
@@ -132,10 +131,9 @@ def solve_multiprize(
     accept = cost / spread
     if accept > 1.0:
         raise NotViableError(f"cost {cost} exceeds prize spread {spread}")
-    threshold = d.support_lower if accept == 1.0 else d.quantile(1.0 - accept)
     total_cost = n_players * cost / accept
     return MultiPrizeEquilibrium(
-        threshold=float(threshold),
+        threshold=d.threshold(accept),
         acceptance_prob=accept,
         player_value=prizes.last,
         total_expected_cost=total_cost,
@@ -234,7 +232,7 @@ def solve_asymmetric(params: ContestParams, d: Distribution) -> AsymmetricEquili
         raise NumericFailureError("inner bracket vanished at the outer root")
     v_high = w * ((s_l - s_h) / s_l) ** (n - 1)
     return AsymmetricEquilibrium(
-        low_threshold=float(d.quantile(1.0 - s_l)),
-        high_threshold=float(d.quantile(1.0 - s_h)),
+        low_threshold=d.threshold(s_l),
+        high_threshold=d.threshold(s_h),
         high_player_value=float(v_high),
     )

@@ -124,28 +124,12 @@ def _two_draw_residual(a: float, n: int, cost_ratio: float) -> float:
     return (1.0 + a ** (2 * n - 1)) / (n * (1.0 + a)) - a ** (2 * n - 2) - cost_ratio
 
 
-def _two_draw_value_integral(a: float, p: int) -> float:
-    """Integral of h_a(u)^p for the single-threshold h: exact closed form."""
-    return a ** (2 * p + 1) / (p + 1) + (1.0 - a ** (2 * p + 2)) / ((p + 1) * (1.0 + a))
-
-
-def _two_draw_best_response(a: float, n: int, cost_ratio: float) -> float:
-    """Optimal round-1 quantile against opponents using quantile a."""
-    v2 = -cost_ratio + _two_draw_value_integral(a, n - 1)
-    if v2 <= 0.0:
-        return 0.0
-    x = v2 ** (1.0 / (n - 1))
-    # invert h_a: below the kink h=a*u, above it h=(1+a)*u-a
-    return x / a if x <= a * a else (x + a) / (1.0 + a)
-
-
 def _two_draw_stable(a: float, n: int, cost_ratio: float) -> tuple[bool, float]:
-    """Damped best-response stability at a root: factor |(1+T')/2| < 1."""
-    eps = 1e-7
-    tp = (
-        _two_draw_best_response(a + eps, n, cost_ratio)
-        - _two_draw_best_response(a - eps, n, cost_ratio)
-    ) / (2 * eps)
+    """Damped best-response stability at a root: factor |(1+T')/2| < 1, with
+    T the round-1 best response to opponents using quantile a."""
+    hi, lo = a + 1e-7, max(a - 1e-7, 0.0)  # quantiles stay in [0, 1)
+    tp = (_best_response((hi,), 1, n, cost_ratio)
+          - _best_response((lo,), 1, n, cost_ratio)) / (hi - lo)
     factor = abs(0.5 * (1.0 + tp))
     return factor < 1.0, factor
 
@@ -215,16 +199,20 @@ def _continuation_values(a: np.ndarray, n: int, r: float) -> tuple[np.ndarray, O
     return v, h
 
 
+def _best_response(a: Sequence[float], j: int, n: int, r: float) -> float:
+    """Undamped best round-j quantile against opponents using quantiles a:
+    the quantile whose win probability h^(N-1) equals the value of going on."""
+    v, h = _continuation_values(a, n, r)
+    return float(h.inverse(max(v[j + 1], 0.0) ** (1.0 / (n - 1))))
+
+
 def _best_response_sweep(a: np.ndarray, n: int, r: float) -> tuple[np.ndarray, float]:
     """One damped Gauss-Seidel sweep over rounds k-1..1; returns sup residual."""
     k = len(a) + 1
-    p = n - 1
     a = a.copy()
     resid = 0.0
     for j in range(k - 1, 0, -1):
-        v, h = _continuation_values(a, n, r)
-        target = max(v[j + 1], 0.0) ** (1.0 / p)
-        b = float(h.inverse(target))
+        b = _best_response(a, j, n, r)
         resid = max(resid, abs(b - a[j - 1]))
         a[j - 1] = min(max(a[j - 1] + _DAMPING * (b - a[j - 1]), 0.0), 1.0 - 1e-12)
     return a, resid

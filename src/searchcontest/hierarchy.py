@@ -82,11 +82,9 @@ def solve_designer(params: DesignerParams, d: Distribution) -> DesignerEquilibri
         raise NotViableError(
             f"required acceptance probability {accept:.6g} exceeds 1: costs too high"
         )
-    tq = 1.0 - accept
-    threshold = d.support_lower if accept == 1.0 else float(d.quantile(tq))
     return DesignerEquilibrium(
-        threshold=threshold,
-        threshold_quantile=tq,
+        threshold=d.threshold(accept),
+        threshold_quantile=1.0 - accept,
         internal_prize=n * params.cost / accept,
         designer_value=params.meta_prize * (n - 1) / (m * (n * m - 1)),
         dissipation_ratio=n * (m - 1) / (n * m - 1),

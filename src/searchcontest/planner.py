@@ -27,6 +27,8 @@ _GRID = 256
 _BLOCK_ROWS = 32  # grid points per vectorized block; bounds temporary memory
 _CERTIFY_FACTOR = 10.0
 _CERTIFY_FLOOR = 1e-12
+_EFFICIENT_TOL = 1e-9  # relative threshold gap classify_prize calls efficient
+_HAZARD_GRID = 1000  # points on which hazard_order_check compares hazards
 
 OVERSEARCH = "oversearch"
 EFFICIENT = "efficient"
@@ -101,7 +103,7 @@ def _check_tail(d: Distribution) -> None:
 def _expected_max(q: float, n_players: int, d: Distribution) -> float:
     """E[max of n values drawn above quantile q], written against the quantile
     function so unbounded supports need no truncation."""
-    b = d.support_lower if q == 0.0 else float(d.quantile(q))
+    b = float(d.quantile(q))
 
     def integrand(u: float) -> float:
         return (1.0 - u**n_players) * (1.0 - q) * _inverse_density(q + u * (1.0 - q), d)
@@ -234,9 +236,8 @@ def solve_planner(n_players: int, cost: float, d: Distribution) -> PlannerSoluti
         if w > best_w:
             best_q, best_w = q, w
     interior = best_q > 0.0
-    threshold = d.support_lower if best_q == 0.0 else float(d.quantile(best_q))
     return PlannerSolution(
-        threshold=threshold,
+        threshold=float(d.quantile(best_q)),
         welfare=best_w,
         efficient_prize=n * cost / (1.0 - best_q),
         acceptance_prob=1.0 - best_q,
@@ -247,7 +248,6 @@ def solve_planner(n_players: int, cost: float, d: Distribution) -> PlannerSoluti
 
 def classify_prize(
     prize: float, sol: PlannerSolution, n_players: int, cost: float, d: Distribution,
-    tol: float = 1e-9,
 ) -> PrizeClassification:
     """Compare the competitive threshold induced by a prize with the planner's,
     sol = solve_planner(n_players, cost, d)."""
@@ -255,7 +255,7 @@ def classify_prize(
     competitive = solve_symmetric(params, d).threshold
     gap = competitive - sol.threshold
     scale = max(1.0, abs(sol.threshold))
-    if abs(gap) <= tol * scale:
+    if abs(gap) <= _EFFICIENT_TOL * scale:
         kind = EFFICIENT
     elif gap > 0:
         kind = OVERSEARCH
@@ -294,8 +294,7 @@ def efficient_prize_integral(sol: PlannerSolution, n_players: int, d: Distributi
 
 
 def hazard_order_check(
-    first: Distribution, second: Distribution, n_players: int, cost: float,
-    grid: int = 1000,
+    first: Distribution, second: Distribution, n_players: int, cost: float
 ) -> HazardOrderReport:
     """If the first distribution hazard-rate dominates the second everywhere on
     the shared support, its efficient prize should be no larger."""
@@ -306,7 +305,7 @@ def hazard_order_check(
     hi = min(his)
     if hi <= lo:
         raise InvalidParameterError("supports do not overlap")
-    xs = np.linspace(lo, hi, grid, endpoint=False)
+    xs = np.linspace(lo, hi, _HAZARD_GRID, endpoint=False)
     h1 = np.asarray(first.hazard(xs), dtype=float)
     h2 = np.asarray(second.hazard(xs), dtype=float)
     bad = np.nonzero(h1 < h2 - 1e-12)[0]

@@ -71,16 +71,13 @@ class StrategyProfile:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    replications: int
+    replications: int  # at least 2: a standard error needs two
     seed: int
-    max_draws_cap: int | None = None  # default: ceil(40 / min acceptance prob)
     n_threads: int = 1
 
     def __post_init__(self):
-        require_int("replications", self.replications, 1)
+        require_int("replications", self.replications, 2)
         require_int("seed", self.seed, 0)
-        if self.max_draws_cap is not None:
-            require_int("max_draws_cap", self.max_draws_cap, 1)
         require_int("n_threads", self.n_threads, 1)
 
 
@@ -169,6 +166,8 @@ def _threshold_quantiles(strategy: Strategy, d: Distribution) -> np.ndarray:
 
 
 def _default_cap(quantiles: list[np.ndarray], kinds: list[bool]) -> int:
+    """The largest of ceil(40 / acceptance probability) over infinite-horizon
+    players and k over finite-horizon ones."""
     cap = 1
     for qs, infinite in zip(quantiles, kinds):
         if infinite:
@@ -178,15 +177,12 @@ def _default_cap(quantiles: list[np.ndarray], kinds: list[bool]) -> int:
     return cap
 
 
-def _round_cap(config: SimulationConfig, quantiles: list[np.ndarray], kinds: list[bool]) -> int:
-    """The cap for round-by-round play: the configured one, else the default
-    when it stays within _MAX_ROUNDS."""
-    if config.max_draws_cap:
-        return config.max_draws_cap
+def _round_cap(quantiles: list[np.ndarray], kinds: list[bool]) -> int:
+    """The draw cap of round-by-round play, refused past _MAX_ROUNDS."""
     cap = _default_cap(quantiles, kinds)
     if cap > _MAX_ROUNDS:
         raise InvalidParameterError(
-            f"default max_draws_cap {cap} exceeds {_MAX_ROUNDS} rounds: the acceptance "
+            f"max_draws_cap {cap} exceeds {_MAX_ROUNDS} rounds: the acceptance "
             "probability is too small to simulate round by round"
         )
     return cap
@@ -236,11 +232,11 @@ def _simulate_chunk(
         rng = _stream(seed, _TAG_DRAW, i, chunk_idx)
         if kinds[i]:
             f, dr, forced = _play_rounds(rng, size, qs[0], cap)
+            forced_any |= forced
         else:  # row r of the block is the stretch of stream that round r would draw
-            f, dr, forced = _inverse_play(rng.random((qs.size + 1, size)).T, qs, False, cap)
+            f, dr = _inverse_play(rng.random((qs.size + 1, size)).T, qs, False)
         finals[i] = f
         draws[i] = dr
-        forced_any |= forced
     order = np.argsort(finals, axis=0)  # ascending accepted value; exact ties have measure zero
     asc_pos = np.empty((n, size), dtype=np.int64)
     np.put_along_axis(asc_pos, order, np.arange(n, dtype=np.int64)[:, None], axis=0)
@@ -276,8 +272,6 @@ def _check_memory(what: str, config: SimulationConfig, bytes_per_rep: int,
 
 def _mean_se(s1: np.ndarray, s2: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     mean = s1 / n
-    if n < 2:
-        return mean, np.full_like(mean, np.nan)
     var = np.maximum(s2 - n * mean**2, 0.0) / (n - 1)
     return mean, np.sqrt(var / n)
 
@@ -340,7 +334,7 @@ def simulate_contest(
     _check_memory(f"simulating {n} players", config, 72 * n)
     quantiles = [_threshold_quantiles(s, d) for s in profile.strategies]
     kinds = [isinstance(s, InfiniteThresholdStrategy) for s in profile.strategies]
-    cap = _round_cap(config, quantiles, kinds)
+    cap = _round_cap(quantiles, kinds)
 
     reps = config.replications
 
@@ -374,16 +368,14 @@ def simulate_contest(
     )
 
 
-def _inverse_play(
-    v: np.ndarray, qs: np.ndarray, infinite: bool, cap: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Accepted quantile, draw count and forced-stop flag from pre-drawn
-    uniforms.
+def _inverse_play(v: np.ndarray, qs: np.ndarray, infinite: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Accepted quantile and draw count from pre-drawn uniforms.
 
     Infinite horizon uses two uniforms per replication: one through the
     geometric draw-count inverse CDF, one for the accepted value above the
-    threshold. A replication that reaches the cap keeps its last draw, which
-    lies below the threshold. Finite horizon reads the uniforms as the draws
+    threshold. A uniform is at most 1 - 2^-53, so a draw count is at most
+    ceil(36.74 / -log q) <= ceil(40 / (1 - q)), the cap of round-by-round
+    play: no cap can bind. Finite horizon reads the uniforms as the draws
     themselves. Sharing v across strategies yields common-random-number
     comparisons.
     """
@@ -391,21 +383,15 @@ def _inverse_play(
     if infinite:
         q = qs[0]
         if q <= 0.0:
-            draws = np.ones(size, dtype=np.int64)
-            return v[:, 1].copy(), draws, np.zeros(size, dtype=bool)
+            return v[:, 1].copy(), np.ones(size, dtype=np.int64)
         draws = np.maximum(1, np.ceil(np.log1p(-v[:, 0]) / math.log(q))).astype(np.int64)
-        forced = draws > cap
-        np.minimum(draws, cap, out=draws)
-        final = q + v[:, 1] * (1.0 - q)
-        final[forced] = v[forced, 1] * q
-        return final, draws, forced
+        return q + v[:, 1] * (1.0 - q), draws
     k = qs.size + 1
     acc = v[:, : k - 1] >= qs[None, :]
     any_acc = acc.any(axis=1)
     first = np.where(any_acc, acc.argmax(axis=1), k - 1)
     draws = first.astype(np.int64) + 1
-    final = v[np.arange(size), first]
-    return final, draws, np.zeros(size, dtype=bool)
+    return v[np.arange(size), first], draws
 
 
 def deviation_scan(
@@ -434,9 +420,6 @@ def deviation_scan(
     all_strats = [profile.strategies[player_index]] + list(candidates)
     self_q = [_threshold_quantiles(s, d) for s in all_strats]
     self_kind = [isinstance(s, InfiniteThresholdStrategy) for s in all_strats]
-    cap = config.max_draws_cap or _default_cap(
-        self_q + opp_q, self_kind + opp_kind
-    )
     v_cols = max([2] + [q.size + 1 for q, inf in zip(self_q, self_kind) if not inf])
     _check_memory(f"scanning {len(candidates)} deviations", config,
                   9 * (n - 1 + len(all_strats) + v_cols))
@@ -449,14 +432,14 @@ def deviation_scan(
         for slot, j in enumerate(opp_idx):
             rng = _stream(config.seed, _TAG_OPP, j, c)
             cols = 2 if opp_kind[slot] else opp_q[slot].size + 1
-            f, dr, _ = _inverse_play(rng.random((size, cols)), opp_q[slot], opp_kind[slot], cap)
+            f, dr = _inverse_play(rng.random((size, cols)), opp_q[slot], opp_kind[slot])
             opp_final[slot] = f
             opp_cost_total += cost * dr
         v_self = _stream(config.seed, _TAG_SELF, player_index, c).random((size, v_cols))
 
         payoffs = []
         for qs, infinite in zip(self_q, self_kind):
-            f, dr, _ = _inverse_play(v_self, qs, infinite, cap)
+            f, dr = _inverse_play(v_self, qs, infinite)
             rank = (opp_final > f[None, :]).sum(axis=0)  # exact ties have measure zero
             payoffs.append(prize_arr[rank] - cost * dr)
         base = payoffs[0]
@@ -506,8 +489,7 @@ def distribution_free_check(
         profile = StrategyProfile((InfiniteThresholdStrategy(eq.threshold),) * params.n_players)
         rep = simulate_contest(
             profile, params, d,
-            SimulationConfig(config.replications, child_seed,
-                             config.max_draws_cap, config.n_threads),
+            SimulationConfig(config.replications, child_seed, n_threads=config.n_threads),
         )
         n = params.n_players
         draws = sum(rep.mean_draws) / n
@@ -550,12 +532,15 @@ def recall_irrelevance_check(
     first draw above it is also the running maximum at stopping time, so the
     two samples must agree; a two-sample KS test at the 1 percent level makes
     that a falsifiable check of the simulator."""
-    q = 1.0 - solve_symmetric(params, d).acceptance_prob
-    if q >= 1.0:
-        raise InvalidParameterError("equilibrium acceptance probability is below float resolution")
-    cap = _round_cap(config, [np.array([q])], [True])
-    _check_memory("the recall check", config, 112, config.replications)  # all kept for KS
     reps = config.replications
+    crit = 1.628 * math.sqrt(2.0 / reps)  # both samples hold reps values
+    if crit >= 1.0:
+        raise InvalidParameterError(
+            f"the recall check needs at least 6 replications: at {reps} its KS "
+            f"critical value {crit:.3g} is not below 1, so it cannot fail")
+    q = 1.0 - solve_symmetric(params, d).acceptance_prob  # refused when it rounds to 1
+    cap = _round_cap([np.array([q])], [True])
+    _check_memory("the recall check", config, 112, reps)  # all kept for KS
 
     def work(c: int, size: int) -> tuple[np.ndarray, np.ndarray]:
         rng = _stream(config.seed, _TAG_RECALL, 0, c)
@@ -582,7 +567,6 @@ def recall_irrelevance_check(
     cdf_a = np.searchsorted(a_sorted, pooled, side="right") / a.size
     cdf_b = np.searchsorted(b_sorted, pooled, side="right") / b.size
     stat = float(np.abs(cdf_a - cdf_b).max())
-    crit = 1.628 * math.sqrt((a.size + b.size) / (a.size * b.size))
     return RecallReport(
         ks_statistic=stat, critical_value=crit, replications=reps, passed=stat < crit
     )

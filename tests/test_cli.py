@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, manifest/result layout, CSV sidecars."""
 import json
 import math
+import shlex
 import warnings
 from pathlib import Path
 
@@ -16,9 +17,17 @@ def _run(capsys, argv):
     return code, out, err
 
 
+def _strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, which JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def _payload(out: str) -> dict:
     body = "\n".join(line for line in out.splitlines() if not line.startswith("#"))
-    return json.loads(body)
+    return _strict_json(body)
 
 
 def test_version_flag_exits_zero(capsys):
@@ -121,6 +130,8 @@ def test_invalid_parameters_exit_one(capsys):
 
 
 _SYM = ["solve", "symmetric", "--n", "3", "--cost", "0.1"]
+# a cell where the asymmetric solver's powers once underflowed to 0/0
+_ASYM_UNDERFLOW = ["solve", "asymmetric", "--n", "200", "--cost", "0.0001"]
 _FINITE = ["solve", "finite", "--n", "3", "--k", "3"]
 _BAD_SPECS = {
     "spec-list": '[1, 2]',
@@ -147,13 +158,32 @@ _BAD_SPECS = {
     pytest.param(_SYM + ["--output", "/no/such/dir/x.json"], None, id="output-unwritable"),
     pytest.param(["table", "finite_k2", "--out", "/no/such/dir/t.csv"], None,
                  id="out-unwritable"),
-    # a cell where the asymmetric solver's powers once underflowed to 0/0
-    pytest.param(["solve", "asymmetric", "--n", "200", "--cost", "0.0001"], None,
-                 id="asymmetric-underflow"),
+    pytest.param(_ASYM_UNDERFLOW, None, id="asymmetric-underflow"),
+    # acceptance probabilities whose threshold quantile 1 - p rounds to 1
+    pytest.param(["solve", "symmetric", "--n", "2", "--cost", "1e-18", "--dist", "exponential:1"],
+                 None, id="symmetric-below-resolution"),
+    pytest.param(["solve", "symmetric", "--n", "2", "--cost", "1e-18"], None,
+                 id="symmetric-below-resolution-uniform"),
+    pytest.param(["solve", "multiprize", "--n", "2", "--cost", "1e-18", "--prizes", "1,0",
+                  "--dist", "exponential:1"], None, id="multiprize-below-resolution"),
+    pytest.param(["solve", "designer", "--designers", "2", "--team-size", "2", "--cost", "1e-19",
+                  "--dist", "exponential:1"], None, id="designer-below-resolution"),
+    pytest.param(["solve", "asymmetric", "--n", "3", "--cost", "1e-17", "--dist", "exponential:1"],
+                 None, id="asymmetric-below-resolution"),
+    # verifications that could not fail, and a grid numpy refuses
+    pytest.param(["verify", "recall", "--reps", "1"], None, id="recall-one-rep"),
+    pytest.param(["verify", "recall", "--reps", "5"], None, id="recall-ks-cannot-fail"),
+    pytest.param(["verify", "best_response", "--reps", "1", "--grid", "2"], None,
+                 id="best-response-one-rep"),
+    pytest.param(["verify", "distribution_free", "--reps", "1"], None,
+                 id="distribution-free-one-rep"),
+    pytest.param(["verify", "dissipation", "--reps", "1"], None, id="dissipation-one-rep"),
+    pytest.param(["verify", "best_response", "--grid", "0"], None, id="grid-zero"),
+    pytest.param(["verify", "best_response", "--grid", "-1"], None, id="grid-negative"),
 ] + [pytest.param(_SYM, text, id=name) for name, text in _BAD_SPECS.items()])
 def test_bad_input_exits_without_traceback(capsys, tmp_path, argv, spec):
     # spec: the text of a --dist-file, or "missing" for a file that is not there
-    if argv[:2] == ["solve", "asymmetric"]:  # valid input: a result or a solver error
+    if argv == _ASYM_UNDERFLOW:  # valid input: a result or a solver error
         code, _, err = _run(capsys, argv)
         assert code in (0, 2) and "Traceback" not in err
         return
@@ -162,13 +192,16 @@ def test_bad_input_exits_without_traceback(capsys, tmp_path, argv, spec):
         if spec != "missing":
             path.write_text(spec)
         argv = argv + ["--dist-file", str(path)]
-    try:
-        code = main(argv)
-    except SystemExit as ex:  # argparse usage errors
-        code = ex.code
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # a leaked numpy warning escapes
+        try:
+            code = main(argv)
+        except SystemExit as ex:  # argparse usage errors
+            code = ex.code
     out, err = capsys.readouterr()
-    assert code in (1, 2)
-    assert "error" in err and "Traceback" not in err
+    assert code == 1
+    assert "Traceback" not in err and "Warning" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
     assert out == ""
 
 
@@ -565,3 +598,30 @@ def test_payload_bytes_frozen(capsys, monkeypatch, case):
     assert payload["manifest"].pop("timestamp")
     assert payload["manifest"].pop("version") == __version__
     assert payload == case["payload"]
+
+
+def _readme_argvs() -> list[list[str]]:
+    """The `searchcontest ...` lines of the README's sh blocks, as argvs."""
+    argvs, in_sh = [], False
+    for line in Path(__file__).parents[1].joinpath("README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("searchcontest "):
+            argvs.append(shlex.split(line)[1:])
+    return argvs
+
+
+@pytest.mark.parametrize("argv", _readme_argvs(), ids=" ".join)
+def test_readme_examples_print_strict_json(capsys, tmp_path, monkeypatch, argv):
+    # every payload and table sidecar parses with NaN and Infinity refused
+    monkeypatch.delenv("SEARCHCONTEST_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    texts = [p.read_text() for p in sorted((tmp_path / "out").glob("*.json"))]
+    if any(not line.startswith("#") for line in out.splitlines()):
+        texts.append("\n".join(line for line in out.splitlines() if not line.startswith("#")))
+    assert texts
+    for text in texts:
+        _strict_json(text)

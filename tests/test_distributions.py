@@ -47,6 +47,26 @@ def test_pareto_basic():
     assert d.hazard(2.0) == pytest.approx(1.0, rel=1e-12)
 
 
+_LOWER_ENDS = {
+    "uniform": make_uniform(-1.0, 2.0),
+    "uniform-at-zero": make_uniform(0.0, 1.0),
+    "exponential": make_exponential(3.0),
+    "pareto": make_pareto(2.5, 1.5),
+    "grid": from_quantile_grid([[0, 0.5], [0.5, 1], [1, 3]]),
+}
+
+
+@pytest.mark.parametrize("d", list(_LOWER_ENDS.values()), ids=list(_LOWER_ENDS))
+def test_quantile_at_zero_is_support_lower(d):
+    # acceptance 1 maps to the lower end of the support without a special case
+    assert d.quantile(0.0) == d.support_lower
+    assert d.threshold(1.0) == d.support_lower
+    assert d.threshold(0.25) == d.quantile(0.75)
+    # 1 - 1e-17 rounds to 1: no float quantile is left to accept from
+    with pytest.raises(InvalidParameterError, match="below float resolution"):
+        d.threshold(1e-17)
+
+
 @pytest.mark.parametrize("bad", [
     lambda: make_uniform(1.0, 1.0),
     lambda: make_exponential(0.0),

@@ -36,8 +36,8 @@ BAD_CALLS = {
     "designer_prize_nan": lambda: DesignerParams(2, 2, 0.05, NAN),
     "designer_m_nan": lambda: DesignerParams(NAN, 2, 0.05, 1.0),
     "config_reps_nan": lambda: SimulationConfig(NAN, 1),
+    "config_reps_one": lambda: SimulationConfig(1, 1),  # no standard error from one
     "config_seed_negative": lambda: SimulationConfig(10, -1),
-    "config_cap_inf": lambda: SimulationConfig(10, 1, max_draws_cap=INF),
     "config_threads_nan": lambda: SimulationConfig(10, 1, n_threads=NAN),
     "planner_cost_nan": lambda: solve_planner(2, NAN, UNIFORM),
     "planner_n_inf": lambda: solve_planner(INF, 0.1, UNIFORM),

@@ -197,6 +197,15 @@ def test_two_draw_roots_equal_scalar_scan():
             assert solve_two_draw(n, r).diagnostics["roots"] == roots, (n, r)
 
 
+def test_two_draw_stability_near_zero_root():
+    # the root lies closer to 0 than the finite-difference step, so the
+    # stability check steps from 0, not below it; both routes agree
+    n, r = 6, 1.0 / 6 - 1e-8
+    sol = solve_two_draw(n, r)
+    assert sol.diagnostics["roots"][0] < 1e-7 and not sol.exists
+    assert not solve_k_draw(FiniteHorizonParams(n, r, 2)).exists
+
+
 def test_two_draw_shares_the_frontier_rule():
     # on N*c/W = 1 both solvers report first-draw acceptance; past it, nothing
     for n in range(2, 16):

@@ -217,8 +217,6 @@ def test_strategy_and_config_validation(uniform):
     with pytest.raises(InvalidParameterError):
         SimulationConfig(0, SEED)
     with pytest.raises(InvalidParameterError):
-        SimulationConfig(10, SEED, max_draws_cap=0)
-    with pytest.raises(InvalidParameterError):
         SimulationConfig(10, SEED, n_threads=0)
 
 
@@ -231,29 +229,19 @@ def test_threshold_with_no_acceptance_mass_rejected(uniform):
         simulate_contest(profile, params, uniform, SimulationConfig(10, SEED))
 
 
-def test_forced_stops_are_counted(uniform):
+def test_forced_stops_are_counted(uniform, monkeypatch):
+    import searchcontest.simulation as sim
+
+    # round-by-round play stops at the cap, which a real contest reaches
+    # with probability about e^-40; force it to one draw
+    monkeypatch.setattr(sim, "_default_cap", lambda quantiles, kinds: 1)
     params = ContestParams(n_players=2, cost=0.01, prize=1.0)
     profile = StrategyProfile((InfiniteThresholdStrategy(0.9),) * 2)
-    rep = simulate_contest(
-        profile, params, uniform, SimulationConfig(20_000, SEED, max_draws_cap=1)
-    )
+    rep = simulate_contest(profile, params, uniform, SimulationConfig(20_000, SEED))
     assert rep.max_draws_cap == 1
     assert rep.capped_replications > 0.9 * 20_000
     assert rep.mean_draws == (1.0, 1.0)
     assert rep.se_draws == (0.0, 0.0)
-
-
-def test_capped_deviation_keeps_a_draw_below_threshold(uniform):
-    # with one draw allowed every threshold strategy keeps its first draw,
-    # so no deviation can gain
-    params = ContestParams(n_players=2, cost=0.01, prize=1.0)
-    profile = StrategyProfile((InfiniteThresholdStrategy(0.9),) * 2)
-    report = deviation_scan(
-        profile, 0, [InfiniteThresholdStrategy(0.95)], params, uniform,
-        SimulationConfig(100_000, SEED, max_draws_cap=1),
-    )
-    assert not report.any_flagged
-    assert abs(report.rows[0].mean_gain) <= 3 * report.rows[0].se_gain
 
 
 def test_always_accept_uses_one_draw(uniform):
@@ -278,6 +266,14 @@ def test_recall_check_rejects_unresolvable_threshold(uniform):
     params = ContestParams(n_players=2, cost=1e-18, prize=1.0)
     with pytest.raises(InvalidParameterError):
         recall_irrelevance_check(params, uniform, SimulationConfig(10, SEED))
+
+
+def test_recall_check_refuses_a_test_that_cannot_fail(uniform):
+    # at 5 replications the 1 percent KS critical value exceeds 1
+    params = ContestParams(n_players=3, cost=0.1, prize=1.0)
+    with pytest.raises(InvalidParameterError, match="cannot fail"):
+        recall_irrelevance_check(params, uniform, SimulationConfig(5, SEED))
+    assert recall_irrelevance_check(params, uniform, SimulationConfig(6, SEED)).critical_value < 1
 
 
 def test_designer_dissipation_simulation(uniform):
@@ -316,10 +312,6 @@ def test_tiny_acceptance_refuses_default_cap(uniform):
         simulate_contest(_symmetric_profile(params, uniform), params, uniform, config)
     with pytest.raises(InvalidParameterError, match="max_draws_cap"):
         recall_irrelevance_check(params, uniform, config)
-    # a cap the caller sets is still honoured
-    capped = SimulationConfig(10, SEED, max_draws_cap=5)
-    rep = simulate_contest(_symmetric_profile(params, uniform), params, uniform, capped)
-    assert rep.max_draws_cap == 5
 
 
 def test_memory_budget_refuses_before_allocating(uniform, monkeypatch):
