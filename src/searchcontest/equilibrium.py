@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammaln, xlogy
 
 from .distributions import Distribution
 from .errors import (
@@ -144,6 +142,7 @@ def solve_multiprize(
 @lru_cache(maxsize=8)
 def _log_binom_coefficients(m: int) -> tuple[np.ndarray, np.ndarray]:
     """i = 0..m and log C(m, i), from lgamma."""
+    from scipy.special import gammaln
     i = np.arange(m + 1)
     return i, gammaln(m + 1) - gammaln(i + 1) - gammaln(m - i + 1)
 
@@ -152,6 +151,7 @@ def _binom_pmf(m: int, s_h: float, s_l: float) -> tuple[np.ndarray, np.ndarray]:
     """i and Binom(i; m, delta) with delta = s_h/s_l, summed in log space so
     no power of a tail underflows on its own; beta = 1 - delta is formed from
     the tails, not by subtraction from 1."""
+    from scipy.special import xlogy
     i, log_comb = _log_binom_coefficients(m)
     log_pmf = log_comb + xlogy(i, s_h / s_l) + xlogy(m - i, (s_l - s_h) / s_l)
     return i, np.exp(log_pmf)
@@ -183,6 +183,7 @@ def solve_asymmetric(params: ContestParams, d: Distribution) -> AsymmetricEquili
     acceptance, the outer bracket closes the high player's indifference.
     Exists only for N >= 3.
     """
+    from scipy.optimize import brentq
     n, c, w = params.n_players, params.cost, params.prize
     if n == 2:
         raise NoAsymmetricEquilibriumError(

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InvalidParameterError, NumericFailureError, require_int, require_positive
 
@@ -155,6 +154,7 @@ def solve_two_draw(n_players: int, cost_ratio: float) -> FiniteHorizonEquilibriu
     the participation frontier the indifference condition keeps an interior
     root that no adjustment process can hold; those cells report exists=False.)
     """
+    from scipy.optimize import brentq
     params = FiniteHorizonParams(n_players, cost_ratio, 2)
     n, r = params.n_players, params.cost_ratio
 

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy.integrate import quad
-
 from .distributions import Distribution
 from .errors import InvalidParameterError, NotViableError, require_int, require_positive
 
@@ -96,6 +94,7 @@ def _win_probability(q_dev: float, q_eq: float, m: int, n: int) -> float:
     other teams stop at q_eq. Parameterized by the deviator's truncated
     quantile t; other teams' best-of-N CDF enters as a power of the base
     truncated quantile."""
+    from scipy.integrate import quad
 
     def integrand(t: float) -> float:
         qx = q_dev + t * (1.0 - q_dev)

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
 
 from .distributions import Distribution
 from .equilibrium import solve_symmetric, ContestParams
@@ -63,6 +61,7 @@ class HazardOrderReport:
 
 
 def _quad(fn, lo: float, hi: float) -> float:
+    from scipy.integrate import IntegrationWarning, quad
     # roundoff warnings are expected next to integrable tail singularities
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
@@ -217,6 +216,7 @@ def solve_planner(n_players: int, cost: float, d: Distribution) -> PlannerSoluti
     _foc_residual, candidates are compared by adaptively integrated welfare,
     and the reported foc_residual is adaptive too, so the answer's digits come
     from adaptive quadrature alone."""
+    from scipy.optimize import brentq
     _check_args(n_players, cost)
     _check_tail(d)
     n = n_players
