@@ -11,7 +11,6 @@ from .distributions import (
     Distribution,
     distribution_from_spec,
     from_quantile_grid,
-    make_custom,
     make_exponential,
     make_pareto,
     make_uniform,
@@ -49,8 +48,6 @@ from .hierarchy import (
     DesignerEquilibrium,
     DesignerParams,
     FocReport,
-    LargeMarketRow,
-    large_market_limit,
     solve_designer,
     verify_designer_foc,
 )

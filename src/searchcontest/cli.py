@@ -82,6 +82,8 @@ _STOCK_SPECS = ({"family": "uniform", "params": [0.0, 1.0]},
 
 
 def _parse_dist(args: argparse.Namespace) -> Distribution:
+    if args.dist and args.dist_file:
+        raise InvalidParameterError("give --dist or --dist-file, not both")
     if args.dist_file:
         try:
             spec = json.loads(Path(args.dist_file).read_text())

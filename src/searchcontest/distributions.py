@@ -1,15 +1,15 @@
-"""Continuous value distributions: CDF, density, quantile, hazard, sampling.
+"""Continuous value distributions: CDF, density, quantile and hazard.
 
 Every solver in the package works in quantile space u = F(x); distributions
 enter only at the boundary of an operation (mapping quantiles back to values,
 evaluating densities and hazards along a quantile path). All callables are
 vectorized over numpy arrays and scalars. Objects are immutable and safe to
-share across threads; samplers take an explicit Generator.
+share across threads.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,18 +53,21 @@ class Distribution:
                 f"acceptance probability {accept:.3g} is below float resolution")
         return float(self.quantile(q))
 
-    def sample(self, rng: np.random.Generator, size=None):
-        """Inverse-transform sampling; deterministic given the generator state."""
-        return self.quantile(rng.random(size))
-
     def spec(self) -> dict:
-        """JSON-serializable description; round-trips through
-        distribution_from_spec for the stock families and for quantile grids,
-        whose params are the grid's [u, x] pairs laid end to end."""
+        """JSON-serializable description that distribution_from_spec rebuilds;
+        a quantile grid's params are its [u, x] pairs laid end to end."""
         if self.name == "custom":
             pairs = zip(self.params[::2], self.params[1::2])
             return {"family": "custom", "quantile_grid": [list(p) for p in pairs]}
         return {"family": self.name, "params": list(self.params)}
+
+
+def _distribution(name: str, params: Sequence[float], lower: float, upper: float,
+                  cdf: Callable, density: Callable, quantile: Callable,
+                  hazard: Callable) -> Distribution:
+    """Build a Distribution from four functions of a float array."""
+    return Distribution(name, tuple(map(float, params)), float(lower), float(upper),
+                        *map(_vectorized, (cdf, density, quantile, hazard)))
 
 
 def make_uniform(lo: float, hi: float) -> Distribution:
@@ -72,111 +75,46 @@ def make_uniform(lo: float, hi: float) -> Distribution:
         raise InvalidParameterError(f"uniform needs finite lo < hi, got [{lo}, {hi}]")
     width = hi - lo
 
-    cdf = _vectorized(lambda x: np.clip((x - lo) / width, 0.0, 1.0))
-    density = _vectorized(
-        lambda x: np.where((x >= lo) & (x <= hi), 1.0 / width, 0.0)
-    )
-    quantile = _vectorized(lambda u: lo + u * width)
-
-    def _hazard(x):
+    def hazard(x):
         with np.errstate(divide="ignore"):
-            h = np.where((x >= lo) & (x < hi), 1.0 / (hi - x), 0.0)
-        return h
+            return np.where((x >= lo) & (x < hi), 1.0 / (hi - x), 0.0)
 
-    return Distribution(
-        name="uniform",
-        params=(float(lo), float(hi)),
-        support_lower=float(lo),
-        support_upper=float(hi),
-        cdf=cdf,
-        density=density,
-        quantile=quantile,
-        hazard=_vectorized(_hazard),
+    return _distribution(
+        "uniform", (lo, hi), lo, hi,
+        cdf=lambda x: np.clip((x - lo) / width, 0.0, 1.0),
+        density=lambda x: np.where((x >= lo) & (x <= hi), 1.0 / width, 0.0),
+        quantile=lambda u: lo + u * width,
+        hazard=hazard,
     )
 
 
 def make_exponential(rate: float) -> Distribution:
     require_positive("exponential rate", rate)
-
-    cdf = _vectorized(lambda x: np.where(x > 0, -np.expm1(-rate * np.maximum(x, 0.0)), 0.0))
-    density = _vectorized(lambda x: np.where(x >= 0, rate * np.exp(-rate * np.maximum(x, 0.0)), 0.0))
-    quantile = _vectorized(lambda u: -np.log1p(-u) / rate)
-    hazard = _vectorized(lambda x: np.where(x >= 0, rate, 0.0))
-
-    return Distribution(
-        name="exponential",
-        params=(float(rate),),
-        support_lower=0.0,
-        support_upper=math.inf,
-        cdf=cdf,
-        density=density,
-        quantile=quantile,
-        hazard=hazard,
+    return _distribution(
+        "exponential", (rate,), 0.0, math.inf,
+        cdf=lambda x: np.where(x > 0, -np.expm1(-rate * np.maximum(x, 0.0)), 0.0),
+        density=lambda x: np.where(x >= 0, rate * np.exp(-rate * np.maximum(x, 0.0)), 0.0),
+        quantile=lambda u: -np.log1p(-u) / rate,
+        hazard=lambda x: np.where(x >= 0, rate, 0.0),
     )
 
 
 def make_pareto(shape: float, scale: float) -> Distribution:
     require_positive("pareto shape", shape)
     require_positive("pareto scale", scale)
-
-    cdf = _vectorized(
-        lambda x: np.where(x > scale, 1.0 - (scale / np.maximum(x, scale)) ** shape, 0.0)
-    )
-    density = _vectorized(
-        lambda x: np.where(
-            x >= scale, shape * scale**shape * np.maximum(x, scale) ** (-shape - 1.0), 0.0
-        )
-    )
-    quantile = _vectorized(lambda u: scale * (1.0 - u) ** (-1.0 / shape))
-    hazard = _vectorized(lambda x: np.where(x >= scale, shape / np.maximum(x, scale), 0.0))
-
-    return Distribution(
-        name="pareto",
-        params=(float(shape), float(scale)),
-        support_lower=float(scale),
-        support_upper=math.inf,
-        cdf=cdf,
-        density=density,
-        quantile=quantile,
-        hazard=hazard,
-    )
-
-
-def make_custom(
-    quantile: Callable,
-    density: Callable,
-    support_lower: float,
-    support_upper: float,
-    *,
-    cdf: Callable,
-) -> Distribution:
-    """Build a distribution from its quantile function, density and CDF; the
-    hazard is density / (1 - CDF)."""
-    cdf_v = _vectorized(lambda x: np.asarray(cdf(x), dtype=float))
-    dens = _vectorized(lambda x: np.asarray(density(x), dtype=float))
-
-    def _hazard(x):
-        f = dens(x)
-        tail = 1.0 - cdf_v(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h = np.where(tail > 0, f / np.where(tail > 0, tail, 1.0), 0.0)
-        return h
-
-    return Distribution(
-        name="custom",
-        params=(),
-        support_lower=float(support_lower),
-        support_upper=float(support_upper),
-        cdf=cdf_v,
-        density=dens,
-        quantile=_vectorized(lambda u: np.asarray(quantile(u), dtype=float)),
-        hazard=_vectorized(lambda x: np.asarray(_hazard(x), dtype=float)),
+    return _distribution(
+        "pareto", (shape, scale), scale, math.inf,
+        cdf=lambda x: np.where(x > scale, 1.0 - (scale / np.maximum(x, scale)) ** shape, 0.0),
+        density=lambda x: np.where(
+            x >= scale, shape * scale**shape * np.maximum(x, scale) ** (-shape - 1.0), 0.0),
+        quantile=lambda u: scale * (1.0 - u) ** (-1.0 / shape),
+        hazard=lambda x: np.where(x >= scale, shape / np.maximum(x, scale), 0.0),
     )
 
 
 def from_quantile_grid(grid: Sequence[Sequence[float]]) -> Distribution:
     """Piecewise-linear quantile function from [[u, x], ...] pairs; its CDF is
-    the exact inverse interpolation."""
+    the exact inverse interpolation and its hazard density / (1 - CDF)."""
     try:
         pts = sorted((float(u), float(x)) for u, x in grid)
     except (TypeError, ValueError):
@@ -193,20 +131,21 @@ def from_quantile_grid(grid: Sequence[Sequence[float]]) -> Distribution:
 
     slopes = np.diff(us) / np.diff(xs)  # du/dx per segment
 
-    def density(x):
-        arr = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(xs, arr, side="right") - 1, 0, len(slopes) - 1)
-        out = np.where((arr >= xs[0]) & (arr <= xs[-1]), slopes[idx], 0.0)
-        return float(out) if np.ndim(x) == 0 else out
+    def cdf(x):
+        return np.interp(x, xs, us)
 
-    d = make_custom(
-        quantile=lambda u: np.interp(u, us, xs),
-        density=density,
-        support_lower=float(xs[0]),
-        support_upper=float(xs[-1]),
-        cdf=lambda x: np.interp(x, xs, us),
+    def density(x):
+        idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(slopes) - 1)
+        return np.where((x >= xs[0]) & (x <= xs[-1]), slopes[idx], 0.0)
+
+    def hazard(x):
+        tail = 1.0 - cdf(x)
+        return np.where(tail > 0, density(x) / np.where(tail > 0, tail, 1.0), 0.0)
+
+    return _distribution(
+        "custom", [v for p in pts for v in p], xs[0], xs[-1],  # spec() reads the params
+        cdf=cdf, density=density, quantile=lambda u: np.interp(u, us, xs), hazard=hazard,
     )
-    return replace(d, params=tuple(v for p in pts for v in p))  # what spec() reads
 
 
 _FAMILIES = {

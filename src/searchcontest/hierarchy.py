@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .distributions import Distribution
 from .errors import InvalidParameterError, NotViableError, require_int, require_positive
@@ -63,13 +62,6 @@ class FocReport:
     deviation_gap: float  # max payoff gain on a deviation grid (<= 0 at optimum)
     step: float
     passed: bool
-
-
-@dataclass(frozen=True)
-class LargeMarketRow:
-    n_designers: int
-    accept_prob: float
-    limit_gap: float
 
 
 def solve_designer(params: DesignerParams, d: Distribution) -> DesignerEquilibrium:
@@ -169,20 +161,3 @@ def verify_designer_foc(
         passed=passed,
     )
 
-
-def large_market_limit(
-    team_size: int, cost: float, per_designer_prize: float, m_range: Sequence[int]
-) -> list[LargeMarketRow]:
-    """Acceptance probability against M with the per-designer prize held fixed;
-    converges to the individual-competition value N c / omega."""
-    require_int("team_size", team_size, 1)
-    require_positive("cost", cost)
-    require_positive("per_designer_prize", per_designer_prize)
-    n = team_size
-    limit = n * cost / per_designer_prize
-    rows = []
-    for m in m_range:
-        require_int("M in m_range", m, 2)
-        accept = cost * (n * m - 1) / (per_designer_prize * (m - 1))
-        rows.append(LargeMarketRow(m, accept, abs(accept - limit)))
-    return rows

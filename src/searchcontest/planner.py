@@ -18,7 +18,8 @@ import numpy as np
 
 from .distributions import Distribution
 from .equilibrium import solve_symmetric, ContestParams
-from .errors import DivergentObjectiveError, InvalidParameterError, require_int, require_positive
+from .errors import (DivergentObjectiveError, InvalidParameterError, NumericFailureError,
+                     require_int, require_positive)
 
 _QUAD_TOL = 1e-11
 _GRID = 256
@@ -215,13 +216,20 @@ def solve_planner(n_players: int, cost: float, d: Distribution) -> PlannerSoluti
     certify a sign. Each sign change is then polished by brentq on the adaptive
     _foc_residual, candidates are compared by adaptively integrated welfare,
     and the reported foc_residual is adaptive too, so the answer's digits come
-    from adaptive quadrature alone."""
+    from adaptive quadrature alone. A positive residual at the top grid point
+    means welfare still rises where the quantiles run out of float resolution;
+    that is refused rather than answered with the corner."""
     from scipy.optimize import brentq
     _check_args(n_players, cost)
     _check_tail(d)
     n = n_players
     qs = np.linspace(0.0, 1.0 - 1e-9, _GRID)
     vals = _bracket_residuals(qs, n, cost, d)
+    if vals[-1] > 0.0:  # heavy tails: the q = 0 corner would win by default
+        raise NumericFailureError(
+            "welfare still rises at the top of the quantile grid: the optimal "
+            "threshold lies past float resolution",
+            {"top_quantile": float(qs[-1]), "top_residual": float(vals[-1])})
     roots = [0.0]  # corner candidate: accept everything
     for i in range(_GRID - 1):
         a, b = vals[i], vals[i + 1]

@@ -150,6 +150,8 @@ _BAD_SPECS = {
     pytest.param(_FINITE + ["--cost-ratio", "0.05", "--init", "0.5,x"], None, id="init-letter"),
     pytest.param(["table", "finite_k2", "--cost-ratios", "a"], None, id="cost-ratios-letter"),
     pytest.param(_SYM, "missing", id="dist-file-missing"),
+    pytest.param(_SYM + ["--dist", "pareto:2,1"], '{"family": "exponential", "params": [3]}',
+                 id="dist-and-dist-file"),
     pytest.param(["solve", "symmetric", "--n", "3", "--cost", "nan"], None, id="cost-nan"),
     pytest.param(_FINITE + ["--cost-ratio", "nan"], None, id="cost-ratio-nan"),
     pytest.param(_FINITE + ["--cost-ratio", "0.05", "--init", "0.5"], None, id="init-short"),
@@ -270,6 +272,17 @@ def test_solve_finite_overflow_cell_exits_two(capsys):
     # the failure's diagnostics follow the message as one JSON line
     diagnostics = json.loads(err.splitlines()[-1])
     assert diagnostics["attempts"][0]["method"] == "best_response"
+
+
+def test_solve_planner_past_float_resolution_exits_two(capsys):
+    # a heavy tail whose welfare optimum lies beyond the quantile grid
+    code, out, err = _run(capsys, ["solve", "planner", "--n", "2", "--cost", "0.1",
+                                   "--dist", "pareto:1.1,1"])
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 2 and "error:" in lines[0]
+    assert json.loads(lines[1])["top_residual"] > 0.0
 
 
 def test_solve_finite_k2_refuses_init(capsys):

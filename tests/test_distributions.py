@@ -1,4 +1,4 @@
-"""Distribution layer: closed-form families, custom builders, JSON specs."""
+"""Distribution layer: closed-form families, quantile grids, JSON specs."""
 import json
 import math
 
@@ -11,7 +11,6 @@ from searchcontest import (
     InvalidParameterError,
     distribution_from_spec,
     from_quantile_grid,
-    make_custom,
     make_exponential,
     make_pareto,
     make_uniform,
@@ -124,36 +123,12 @@ def test_hazard_matches_density_over_tail(maker):
         assert float(d.hazard(x)) == pytest.approx(expected, rel=1e-10)
 
 
-def test_sampling_matches_cdf():
-    d = make_exponential(1.0)
-    rng = np.random.default_rng(5)
-    xs = d.sample(rng, 40_000)
-    for u in (0.25, 0.5, 0.75):
-        q = float(d.quantile(u))
-        assert np.mean(xs <= q) == pytest.approx(u, abs=0.01)
-
-
 def test_vectorized_calls():
     d = make_uniform(0.0, 1.0)
     us = np.linspace(0.0, 1.0, 11)
     xs = d.quantile(us)
     assert isinstance(xs, np.ndarray) and xs.shape == us.shape
     assert isinstance(d.quantile(0.5), float)
-
-
-def test_make_custom_recovers_cdf():
-    # triangular on [0, 1]: F(x) = x^2, Q(u) = sqrt(u), f(x) = 2x
-    d = make_custom(
-        quantile=lambda u: np.sqrt(u),
-        density=lambda x: 2.0 * np.asarray(x, dtype=float),
-        support_lower=0.0,
-        support_upper=1.0,
-        cdf=lambda x: np.clip(x, 0.0, 1.0) ** 2,
-    )
-    for x in (0.2, 0.5, 0.9):
-        assert d.cdf(x) == pytest.approx(x * x, abs=1e-10)
-    assert d.cdf(-0.5) == 0.0 and d.cdf(1.5) == 1.0
-    assert d.hazard(0.5) == pytest.approx(1.0 / 0.75, rel=1e-8)
 
 
 def test_from_quantile_grid_interpolates():

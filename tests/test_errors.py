@@ -11,7 +11,6 @@ from searchcontest import (
     InvalidParameterError,
     PrizeSchedule,
     SimulationConfig,
-    large_market_limit,
     make_exponential,
     make_pareto,
     make_uniform,
@@ -43,8 +42,6 @@ BAD_CALLS = {
     "planner_n_inf": lambda: solve_planner(INF, 0.1, UNIFORM),
     "multiprize_cost_nan": lambda: solve_multiprize(2, NAN, PrizeSchedule((1.0, 0.0)), UNIFORM),
     "prize_schedule_nan": lambda: PrizeSchedule((1.0, NAN)),
-    "large_market_cost_nan": lambda: large_market_limit(2, NAN, 1.0, [2, 3]),
-    "large_market_m_nan": lambda: large_market_limit(2, 0.1, 1.0, [NAN]),
     "exponential_nan": lambda: make_exponential(NAN),
     "pareto_shape_nan": lambda: make_pareto(NAN, 1.0),
     "pareto_scale_inf": lambda: make_pareto(2.0, INF),

@@ -11,6 +11,7 @@ from searchcontest import (
     DivergentObjectiveError,
     EFFICIENT,
     InvalidParameterError,
+    NumericFailureError,
     OVERSEARCH,
     UNDERSEARCH,
     classify_prize,
@@ -129,6 +130,20 @@ def test_fat_tail_rejected():
         solve_planner(2, 0.1, heavy)
     with pytest.raises(DivergentObjectiveError):
         planner_welfare(2.0, 2, 0.1, heavy)
+
+
+@pytest.mark.parametrize("shape, n, cost", [(1.1, 2, 0.1), (1.05, 10, 0.3), (1.3, 1, 0.01)])
+def test_optimum_past_float_resolution_refused(shape, n, cost):
+    # welfare still rises at acceptance 1e-9, so the q = 0 corner is no answer
+    with pytest.raises(NumericFailureError) as info:
+        solve_planner(n, cost, make_pareto(shape, 1.0))
+    assert info.value.diagnostics["top_residual"] > 0.0
+
+
+def test_true_corner_still_returned():
+    # crowded and costly: accepting every draw is optimal, and the top residual is negative
+    sol = solve_planner(10, 0.3, make_pareto(2.0, 1.0))
+    assert not sol.interior and sol.threshold == 1.0
 
 
 def test_efficiency_bridge(trio):
