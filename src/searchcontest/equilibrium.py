@@ -173,6 +173,18 @@ def _asym_high_indiff(s_l: float, s_h: float, n: int, c: float, w: float) -> flo
     return w * beta ** (n - 1) * s_h + c - w * s_h * float(pmf @ (1.0 / (i + 1)))
 
 
+def _brentq(f, lo: float, hi: float, xtol: float, args: tuple = ()) -> float:
+    """scipy's brentq, with a search that does not converge raised as
+    NumericFailureError instead of RuntimeError."""
+    from scipy.optimize import brentq
+    root, info = brentq(f, lo, hi, args=args, xtol=xtol, full_output=True, disp=False)
+    if not info.converged:
+        raise NumericFailureError(
+            f"asymmetric root search did not converge: {info.flag}",
+            diagnostics={"bracket": [lo, hi], "iterations": info.iterations, "last": root})
+    return root
+
+
 def solve_asymmetric(params: ContestParams, d: Distribution) -> AsymmetricEquilibrium:
     """Two-threshold equilibrium: N-1 players share a low threshold and earn
     nothing; one player uses a higher threshold and keeps positive rents.
@@ -183,7 +195,6 @@ def solve_asymmetric(params: ContestParams, d: Distribution) -> AsymmetricEquili
     acceptance, the outer bracket closes the high player's indifference.
     Exists only for N >= 3.
     """
-    from scipy.optimize import brentq
     n, c, w = params.n_players, params.cost, params.prize
     if n == 2:
         raise NoAsymmetricEquilibriumError(
@@ -193,13 +204,14 @@ def solve_asymmetric(params: ContestParams, d: Distribution) -> AsymmetricEquili
         raise NotViableError(f"total per-round cost {n * c} exceeds prize {w}")
 
     accept = n * c / w
+    d.threshold(accept)  # refuses an acceptance below float resolution, before any search
 
     def low_tail(s_h: float) -> float | None:
         # zero-profit residual increases in s_l; need a sign change on [s_h, 1]
         if (_asym_low_profit(s_h, s_h, n, c, w) >= 0
                 or _asym_low_profit(1.0, s_h, n, c, w) <= 0):
             return None
-        return brentq(_asym_low_profit, s_h, 1.0, args=(s_h, n, c, w), xtol=1e-12 * accept)
+        return _brentq(_asym_low_profit, s_h, 1.0, args=(s_h, n, c, w), xtol=1e-12 * accept)
 
     def outer(s_h: float) -> float | None:
         s_l = low_tail(s_h)
@@ -211,8 +223,8 @@ def solve_asymmetric(params: ContestParams, d: Distribution) -> AsymmetricEquili
     if _asym_low_profit(1.0, accept, n, c, w) <= 0:
         raise NumericFailureError("no asymmetric bracket found: low players cannot break even",
                                   diagnostics={"n_players": n, "acceptance": accept})
-    s_min = brentq(lambda t: _asym_low_profit(1.0, t, n, c, w), 0.0, accept,
-                   xtol=1e-12 * accept)
+    s_min = _brentq(lambda t: _asym_low_profit(1.0, t, n, c, w), 0.0, accept,
+                    xtol=1e-12 * accept)
     tails = np.geomspace(accept, s_min, 259)[1:-1]
     bracket, prev = None, (None, None)
     for s_h in tails:
@@ -227,7 +239,7 @@ def solve_asymmetric(params: ContestParams, d: Distribution) -> AsymmetricEquili
             diagnostics={"n_players": n, "acceptance": accept, "s_min": s_min},
         )
 
-    s_h = brentq(outer, *bracket, xtol=1e-11 * accept)
+    s_h = _brentq(outer, *bracket, xtol=1e-11 * accept)
     s_l = low_tail(s_h)
     if s_l is None:
         raise NumericFailureError("inner bracket vanished at the outer root")

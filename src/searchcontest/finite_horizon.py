@@ -315,15 +315,15 @@ def solve_k_draw(
 ) -> FiniteHorizonEquilibrium:
     """Symmetric k-draw equilibrium by backward induction.
 
-    Stage 1 iterates damped sequential best response from `init`, if given,
-    then from the two-draw root. When neither converges, stage 2 runs damped
-    Newton on the cancellation-free system from those starts and a fixed list
-    of others (needed near the participation frontier, where best response is
-    unstable and the raw residuals are below float noise). Whichever stage
-    finds the root, a final Newton polish tightens it. For k=2 the result
-    matches solve_two_draw's closed-form root, and the same stability rule
-    decides existence. For k>=3 any interior root found is reported as an
-    equilibrium.
+    One ordered list of (method, start) attempts, first success wins: damped
+    sequential best response from `init`, if given, then from the two-draw
+    root; then damped Newton on the cancellation-free system from those starts
+    and a fixed list of others (needed near the participation frontier, where
+    best response is unstable and the raw residuals are below float noise). A
+    final Newton polish tightens the root found. For k=2 solve_two_draw's
+    closed-form scan and stability rule decide existence, so a cell it finds
+    no equilibrium in returns its result before any attempt. For k>=3 any
+    interior root found is reported as an equilibrium.
     """
     n, r, k = params.n_players, params.cost_ratio, params.n_draws
     if init is not None:
@@ -340,64 +340,42 @@ def solve_k_draw(
         return frontier
 
     two = solve_two_draw(n, r)
+    if k == 2 and not two.exists:
+        return two
     seed = two.round_quantiles[0] if two.exists else (
         two.diagnostics["roots"][0] if two.diagnostics.get("roots") else 0.5
     )
 
-    inits: list[np.ndarray] = []
-    if init is not None:
-        inits.append(np.clip(init, 1e-9, 1 - 1e-9))
-    inits.append(np.full(k - 1, seed))
+    starts = [] if init is None else [np.clip(init, 1e-9, 1 - 1e-9)]
+    starts.append(np.full(k - 1, seed))
+    others = [0.9 * seed, min(0.95, 1.2 * seed)]
+    if r > 0:
+        edge = max(1e-6, min(1.0 / (n * r) - 1.0, 1 - 1e-6))
+        others += [edge, 0.5 * (edge + seed)]
+    others += [0.1, 0.3, 0.5, 0.7, 0.9]
+    plan = ([(_run_best_response, "best_response", a0) for a0 in starts]
+            + [(_newton_polish, "newton", a0) for a0 in starts]
+            + [(_newton_polish, "newton", np.full(k - 1, x)) for x in others])
 
     attempts = []
-    solution = None
-    for a0 in inits:
-        a_fix, iters, resid = _run_best_response(a0, n, r)
-        attempts.append({"method": "best_response", "iterations": iters, "residual": resid})
-        if a_fix is not None:
-            solution = a_fix
+    for method, name, a0 in plan:
+        solution, iters, resid = method(a0, n, r)
+        attempts.append({"method": name, "iterations": iters, "residual": resid})
+        if solution is not None:
             break
-
-    if solution is None:
-        # stage 2: Newton on the well-conditioned system
-        newton_inits = list(inits) + [
-            np.full(k - 1, x) for x in (0.9 * seed, min(0.95, 1.2 * seed))
-        ]
-        if r > 0:
-            frontier = max(1e-6, min(1.0 / (n * r) - 1.0, 1 - 1e-6))
-            newton_inits.append(np.full(k - 1, frontier))
-            newton_inits.append(np.full(k - 1, 0.5 * (frontier + seed)))
-        newton_inits += [np.full(k - 1, x) for x in (0.1, 0.3, 0.5, 0.7, 0.9)]
-        for a0 in newton_inits:
-            a_fix, iters, resid = _newton_polish(a0, n, r)
-            attempts.append({"method": "newton", "iterations": iters, "residual": resid})
-            if a_fix is not None:
-                solution = a_fix
-                break
-
-    if solution is None:
-        if k == 2:
-            # exhaustive 1-D scan already ruled everything out
-            return FiniteHorizonEquilibrium((), False, {"attempts": attempts})
+    else:
         raise NumericFailureError(
             f"no k={k} equilibrium found for N={n}, c/W={r}",
             diagnostics={"attempts": attempts},
         )
 
-    # polish whatever stage produced the root so both routes agree tightly
-    polished, _, norm = _newton_polish(solution, n, r)
+    # polish whichever method found the root so every route agrees tightly
+    polished, _, _ = _newton_polish(solution, n, r)
     if polished is not None:
         solution = polished
-
     diagnostics = {"attempts": attempts, "scaled_residual": float(
         np.max(np.abs(_scaled_residuals(solution, n, r)))
     )}
-    if k == 2:
-        ok, factor = _two_draw_stable(float(solution[0]), n, r)
-        diagnostics["stability_factor"] = factor
-        if not ok:
-            diagnostics["unstable_root"] = float(solution[0])
-            return FiniteHorizonEquilibrium((), False, diagnostics)
     return FiniteHorizonEquilibrium(tuple(float(v) for v in solution), True, diagnostics)
 
 

@@ -119,6 +119,9 @@ def verify_designer_foc(
     m, n = params.n_designers, params.team_size
     eq = solve_designer(params, d)
     q = eq.threshold_quantile
+    if step > min(q, 1.0 - q):  # the differences read P at q - step and q + step
+        raise InvalidParameterError(
+            f"step {step} does not fit inside [0, 1] around the equilibrium quantile {q}")
     b = eq.threshold
     fb = float(d.density(b))
 

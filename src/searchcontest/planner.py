@@ -235,7 +235,7 @@ def solve_planner(n_players: int, cost: float, d: Distribution) -> PlannerSoluti
         a, b = vals[i], vals[i + 1]
         if a == 0.0:
             roots.append(float(qs[i]))
-        elif a * b < 0.0:
+        elif (a < 0.0 < b) or (b < 0.0 < a):  # a product can overflow or underflow
             roots.append(float(brentq(_foc_residual, qs[i], qs[i + 1],
                                       args=(n, cost, d), xtol=1e-13)))
     best_q, best_w = None, -math.inf

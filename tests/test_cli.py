@@ -1,11 +1,15 @@
 """Command-line contract: exit codes, manifest/result layout, CSV sidecars."""
+import io
 import json
 import math
 import shlex
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from searchcontest import RecallReport, __version__
 from searchcontest.cli import build_parser, main
@@ -638,3 +642,163 @@ def test_readme_examples_print_strict_json(capsys, tmp_path, monkeypatch, argv):
     assert texts
     for text in texts:
         _strict_json(text)
+
+
+def _run_strict(capsys, argv):
+    """_run with a RuntimeWarning raised as an error, as CI runs the suite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return _run(capsys, argv)
+
+
+def _one_error_line(err: str) -> str:
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and "error:" in lines[0], err
+    return lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    "solve asymmetric --n 3 --cost 1e-60",
+    "solve asymmetric --n 3 --cost 1e-320",
+    "verify best_response --profile asymmetric --n 3 --cost 1e-300 --dist uniform:-1e9,1e9"
+    " --grid 1 --reps 2",
+])
+def test_asymmetric_below_float_resolution_exits_one(capsys, argv):
+    # refused before any root search, which used to escape as a traceback
+    code, out, err = _run_strict(capsys, argv.split())
+    assert (code, out) == (1, "")
+    assert "below float resolution" in _one_error_line(err)
+
+
+@pytest.mark.parametrize("argv", [
+    "verify designer_foc --designers 30 --team-size 9 --cost 1e-13 --step 1e-3",
+    "verify designer_foc --designers 2 --team-size 2 --cost 1e-9",
+])
+def test_designer_foc_step_past_the_tail_exits_one(capsys, argv):
+    # q + step past 1 used to overflow, or to fail a correct closed form
+    code, out, err = _run_strict(capsys, argv.split())
+    assert (code, out) == (1, "")
+    assert "does not fit inside [0, 1]" in _one_error_line(err)
+
+
+@pytest.mark.parametrize("argv", [
+    "solve planner --n 2 --cost 1e200",
+    "table welfare_examples --n 9 --cost 1e300",
+])
+def test_planner_huge_cost_exits_zero(capsys, argv):
+    # bracket signs are compared, not multiplied, so nothing overflows
+    code, out, err = _run_strict(capsys, argv.split())
+    assert (code, err) == (0, "")
+    if argv.startswith("solve"):
+        assert _payload(out)["result"]["interior"] is False
+
+
+# ------------------------------------------------------------ argv property
+
+_COST = st.one_of(st.floats(math.log(1e-14), math.log(100.0)).map(math.exp),
+                  st.sampled_from([1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300]))
+_DIST = st.sampled_from([[], ["--dist", "uniform:0,1"], ["--dist", "exponential:1"],
+                         ["--dist", "pareto:2,1"], ["--dist", "pareto:1.1,1"],
+                         ["--dist", "uniform:-1e9,1e9"]])
+_N = st.integers(1, 2000)
+
+
+def _argv(*parts) -> st.SearchStrategy:
+    """An argv from fixed words, (flag, strategy) pairs and dist-flag lists."""
+    def word(part):
+        if isinstance(part, str):
+            return st.just([part])
+        if isinstance(part, tuple):
+            flag, values = part
+            return values.map(lambda v: [flag, repr(v) if isinstance(v, float) else str(v)])
+        return part
+    return st.tuples(*map(word, parts)).map(lambda words: [w for ws in words for w in ws])
+
+
+def _sim(what: str, *extra) -> st.SearchStrategy:
+    # simulations stay at reps <= 5,000, N <= 30 and acceptance >= 1e-2 so that
+    # round-by-round play cannot hang the suite
+    return st.tuples(st.integers(1, 30), st.floats(math.log(1e-2), math.log(2.0))).flatmap(
+        lambda nc: _argv("verify", what, ("--n", st.just(nc[0])),
+                         ("--cost", st.just(math.exp(nc[1]) / nc[0])),
+                         ("--reps", st.integers(2, 5000)), *extra, _DIST))
+
+
+def _prizes(n: int) -> st.SearchStrategy:
+    values = st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n)
+    return values.map(lambda v: ",".join(map(repr, sorted(v, reverse=True))))
+
+
+_N_RANGE = (("--n-min", st.integers(1, 6)), ("--n-max", st.integers(2, 12)))
+_LEAF_ARGVS = {
+    "solve symmetric": _argv("solve", "symmetric", ("--n", _N), ("--cost", _COST), _DIST),
+    "solve multiprize": st.integers(1, 40).flatmap(lambda n: _argv(
+        "solve", "multiprize", ("--n", st.just(n)), ("--cost", _COST),
+        ("--prizes", _prizes(n)), _DIST)),
+    "solve asymmetric": _argv("solve", "asymmetric", ("--n", _N), ("--cost", _COST), _DIST),
+    "solve finite": st.tuples(st.integers(1, 40), st.integers(1, 6)).flatmap(lambda nk: _argv(
+        "solve", "finite", ("--n", st.just(nk[0])), ("--k", st.just(nk[1])),
+        ("--cost-ratio", st.floats(0.0, 1.2).map(lambda f: f / nk[0])), _DIST)),
+    "solve designer": _argv("solve", "designer", ("--designers", st.integers(1, 30)),
+                            ("--team-size", st.integers(0, 10)), ("--cost", _COST), _DIST),
+    "solve planner": _argv("solve", "planner", ("--n", _N), ("--cost", _COST), _DIST),
+    "table finite_k2": _argv("table", "finite_k2", ("--cost-ratios", st.floats(0.0, 0.3)),
+                             *_N_RANGE),
+    "table finite_k3": _argv("table", "finite_k3", ("--cost-ratios", st.floats(0.0, 0.3)),
+                             *_N_RANGE),
+    "table profile": _argv("table", "profile", ("--k", st.integers(2, 4)),
+                           ("--cost-ratio", st.floats(0.0, 0.3)), *_N_RANGE),
+    "table welfare_examples": _argv("table", "welfare_examples", ("--n", _N),
+                                    ("--cost", _COST)),
+    "verify dissipation": _sim("dissipation"),
+    "verify distribution_free": _sim("distribution_free"),
+    "verify best_response": _sim("best_response",
+                                 ("--profile", st.sampled_from(["symmetric", "asymmetric"])),
+                                 ("--grid", st.integers(1, 25))),
+    "verify designer_foc": _argv(
+        "verify", "designer_foc", ("--designers", st.integers(1, 30)),
+        ("--team-size", st.integers(1, 10)), ("--cost", _COST),
+        ("--step", st.floats(math.log(1e-11), math.log(0.1)).map(math.exp)), _DIST),
+    "verify recall": _sim("recall"),
+}
+
+
+def test_argv_property_covers_every_leaf():
+    subcommands = [a for a in build_parser()._actions if a.dest == "command"][0].choices
+    leaves = {f"{family} {leaf}" for family, parser in subcommands.items()
+              for a in parser._actions if a.dest == "what" for leaf in a.choices}
+    assert leaves == set(_LEAF_ARGVS)
+
+
+@pytest.mark.parametrize("leaf", sorted(_LEAF_ARGVS))
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_argv_exits_with_a_code(leaf, data):
+    # exit 0 or 3 prints a strict JSON payload (a CSV for tables); exit 1 or 2
+    # prints exactly one error line, and never a traceback
+    argv = data.draw(_LEAF_ARGVS[leaf], label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = main(argv)
+        except SystemExit as ex:  # argparse's usage errors
+            code = ex.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    if code in (1, 2) and not out:
+        # a usage error follows the usage lines; a numeric failure is
+        # followed by its diagnostics line
+        assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+        return
+    assert "error:" not in err, (argv, err)
+    if argv[0] == "table":
+        rows = [line.split(",") for line in out.splitlines()]
+        assert all(len(row) == len(rows[0]) for row in rows), argv
+        assert not {"nan", "inf", "-inf"} & {cell for row in rows for cell in row}, argv
+        return
+    payload = _payload(out)
+    if code == 2:  # `solve finite` prints its no-equilibrium payload
+        assert argv[:2] == ["solve", "finite"] and payload["result"]["exists"] is False

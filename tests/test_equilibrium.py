@@ -13,6 +13,7 @@ from searchcontest import (
     NoAsymmetricEquilibriumError,
     NoSearchIncentiveError,
     NotViableError,
+    NumericFailureError,
     PrizeSchedule,
     SearchContestError,
     make_exponential,
@@ -22,6 +23,7 @@ from searchcontest import (
     solve_multiprize,
     solve_symmetric,
 )
+from searchcontest.equilibrium import _brentq
 
 # two-player-types equilibrium quantiles, solved independently to high
 # precision from the zero-profit and indifference conditions
@@ -233,3 +235,23 @@ def test_asymmetric_total_on_box(uniform, n, log_accept):
     # the low players are less picky than the symmetric field, the high one more
     assert 0.0 <= eq.low_threshold <= 1.0 - accept <= eq.high_threshold < 1.0
     assert 0.0 < eq.high_player_value < 1.0
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(n=st.integers(3, 300), log_accept=st.floats(math.log(1e-300), math.log(1e-6)))
+def test_asymmetric_total_at_tiny_costs(uniform, n, log_accept):
+    # below that box, down to N*c/W = 1e-300: a result or the package's own
+    # error, never a raw root-search exception
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            solve_asymmetric(ContestParams(n, math.exp(log_accept) / n, 1.0), uniform)
+        except SearchContestError:
+            pass
+
+
+def test_asymmetric_root_search_failure_is_numeric_failure():
+    # a step function brentq cannot close within its iteration budget
+    with pytest.raises(NumericFailureError) as exc:
+        _brentq(lambda x: 1.0 if x > 1e-300 else -1.0, 0.0, 1.0, xtol=1e-310)
+    assert exc.value.diagnostics["iterations"] == 100

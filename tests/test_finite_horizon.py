@@ -206,6 +206,17 @@ def test_two_draw_stability_near_zero_root():
     assert not solve_k_draw(FiniteHorizonParams(n, r, 2)).exists
 
 
+def test_two_draw_nonexistence_runs_no_attempt():
+    # the closed-form scan decides k=2 existence, so a cell without an
+    # equilibrium returns its verdict before any best-response or Newton start
+    start = solve_k_draw(FiniteHorizonParams(6, 0.10, 2))
+    assert start.exists
+    sol = solve_k_draw(FiniteHorizonParams(8, 0.10, 2), init=start.round_quantiles)
+    assert not sol.exists and sol.round_quantiles == ()
+    assert "attempts" not in sol.diagnostics
+    assert sol.diagnostics == solve_two_draw(8, 0.10).diagnostics
+
+
 def test_two_draw_shares_the_frontier_rule():
     # on N*c/W = 1 both solvers report first-draw acceptance; past it, nothing
     for n in range(2, 16):
@@ -262,6 +273,12 @@ def test_three_draw_printed_artifact_cell():
     sol = solve_k_draw(FiniteHorizonParams(9, 0.10, 3))
     assert sol.exists
     assert sol.round_quantiles[0] == pytest.approx(0.107, abs=5e-4)
+
+
+def test_k_draw_attempt_methods_pinned():
+    # perfbench counts best-response sweeps and Newton iterations by these names
+    sol = solve_k_draw(FiniteHorizonParams(9, 0.10, 3))
+    assert [a["method"] for a in sol.diagnostics["attempts"]] == ["best_response", "newton"]
 
 
 @pytest.mark.parametrize("cell,expect", sorted(HARD_CELLS.items()))
