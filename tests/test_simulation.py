@@ -244,6 +244,40 @@ def test_forced_stops_are_counted(uniform, monkeypatch):
     assert rep.se_draws == (0.0, 0.0)
 
 
+def test_forced_stop_reports_frozen(uniform, monkeypatch):
+    import searchcontest.simulation as sim
+
+    # a cap of 3 at acceptance 0.3 binds on about a third of the searches:
+    # the no-recall side keeps its last draw, the with-recall side its best,
+    # so the KS check fails; both reports are pinned to the last bit, over
+    # one full chunk and a partial one on two threads
+    monkeypatch.setattr(sim, "_default_cap", lambda quantiles, kinds: 3)
+    params = ContestParams(n_players=3, cost=0.1, prize=1.0)
+    config = SimulationConfig(70_000, SEED, n_threads=2)
+    rep = simulate_contest(_symmetric_profile(params, uniform), params, uniform, config)
+    assert repr(rep) == (
+        "SimulationReport(n_players=3, replications=70000, seed=20260814, max_draws_cap=3, "
+        "capped_replications=50343, mean_payoff=(np.float64(0.11249999999999999), "
+        "np.float64(0.11360714285714285), np.float64(0.11576285714285714)), "
+        "se_payoff=(np.float64(0.001904503599118825), np.float64(0.0019071896095116476), "
+        "np.float64(0.0019104194828709158)), mean_cost=(np.float64(0.2195714285714286), "
+        "np.float64(0.2193214285714286), np.float64(0.21923714285714288)), "
+        "se_cost=(np.float64(0.0003281471423612966), np.float64(0.0003283245388105664), "
+        "np.float64(0.0003284542695417728)), mean_draws=(np.float64(2.1957142857142857), "
+        "np.float64(2.193214285714286), np.float64(2.1923714285714286)), "
+        "se_draws=(np.float64(0.0032814714236129635), np.float64(0.003283245388105661), "
+        "np.float64(0.0032845426954177213)), win_frequency=(np.float64(0.3320714285714286), "
+        "np.float64(0.3329285714285714), np.float64(0.335)), "
+        "se_win=(np.float64(0.0017800608477343883), np.float64(0.0017812127107829138), "
+        "np.float64(0.0017839690201724955)), dissipation_ratio=0.65813, "
+        "se_dissipation=0.0005668703395170996, total_prize=1.0)"
+    )
+    assert repr(recall_irrelevance_check(params, uniform, config)) == (
+        "RecallReport(ks_statistic=0.13118571428571427, critical_value=0.008702026036668538, "
+        "replications=70000, passed=False)"
+    )
+
+
 def test_always_accept_uses_one_draw(uniform):
     params = ContestParams(n_players=2, cost=0.01, prize=1.0)
     profile = StrategyProfile((InfiniteThresholdStrategy(0.0),) * 2)
