@@ -31,8 +31,9 @@ _TAG_SELF = 2
 _TAG_OPP = 3
 _TAG_DIST = 4
 _TAG_RECALL = 5
-# round-by-round play draws a block per round; past this default cap it would
-# run for hours, so tiny acceptance probabilities are refused instead
+# round-by-round play draws a full row of uniforms per round, one for every
+# replication, and examines only the live columns; the rows alone would take
+# hours past this cap, so tiny acceptance probabilities are refused instead
 _MAX_ROUNDS = 100_000
 _MEMORY_BUDGET = 1 << 30  # bytes a simulation may hold at once; see _check_memory
 
@@ -189,29 +190,38 @@ def _round_cap(quantiles: list[np.ndarray], kinds: list[bool]) -> int:
 
 
 def _play_rounds(
-    rng: np.random.Generator, size: int, q: float, cap: int
+    rng: np.random.Generator, size: int, q: float, cap: int, recall: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate one player's infinite-horizon search, round by round, for a
     block of replications.
 
-    Returns accepted quantile, number of draws, and a forced-stop flag. A
-    full block of uniforms is drawn every round regardless of how many
-    replications are still searching, so stream consumption is reproducible.
+    Returns the accepted quantile, the number of draws and the indices of the
+    replications the cap stopped. Every round draws a full row of uniforms,
+    however few replications still search, so the stream is consumed the same
+    way whatever the stopping pattern; only the live columns of the row are
+    examined. With recall a search stops once its running maximum reaches q,
+    and the cap keeps that maximum instead of the last draw.
     """
-    final = np.zeros(size)
-    draws = np.zeros(size, dtype=np.int64)
-    alive = np.ones(size, dtype=bool)
-    x = None
-    for _ in range(cap):
-        x = rng.random(size)
-        draws += alive
-        accept = alive & (x >= q)
-        final = np.where(accept, x, final)
-        alive &= ~accept
-        if not alive.any():
+    x = np.empty(size)
+    final = np.empty(size)
+    draws = np.full(size, cap, dtype=np.int64)
+    live = np.arange(size)
+    best = np.zeros(size)  # running maximum of each live column, with recall
+    for r in range(1, cap + 1):
+        rng.random(out=x)
+        seen = np.maximum(best, x[live]) if recall else x[live]
+        stop = seen >= q
+        done = live[stop]
+        final[done] = seen[stop]
+        draws[done] = r
+        keep = ~stop
+        live = live[keep]
+        if recall:
+            best = seen[keep]
+        if not live.size:
             break
-    final = np.where(alive, x, final)  # cap reached: keep the last draw
-    return final, draws, alive
+    final[live] = best if recall else x[live]  # cap reached
+    return final, draws, live
 
 
 def _simulate_chunk(
@@ -231,8 +241,8 @@ def _simulate_chunk(
     for i, qs in enumerate(quantiles):
         rng = _stream(seed, _TAG_DRAW, i, chunk_idx)
         if kinds[i]:
-            f, dr, forced = _play_rounds(rng, size, qs[0], cap)
-            forced_any |= forced
+            f, dr, capped = _play_rounds(rng, size, qs[0], cap)
+            forced_any[capped] = True
         else:  # row r of the block is the stretch of stream that round r would draw
             f, dr = _inverse_play(rng.random((qs.size + 1, size)).T, qs, False)
         finals[i] = f
@@ -542,23 +552,9 @@ def recall_irrelevance_check(
     cap = _round_cap([np.array([q])], [True])
     _check_memory("the recall check", config, 112, reps)  # all kept for KS
 
-    def work(c: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = _stream(config.seed, _TAG_RECALL, 0, c)
-        no_recall, _, _ = _play_rounds(rng, size, q, cap)
-
-        rng = _stream(config.seed, _TAG_RECALL, 1, c)
-        best = np.zeros(size)
-        alive = np.ones(size, dtype=bool)
-        final = np.zeros(size)
-        for _ in range(cap):
-            x = rng.random(size)
-            best = np.where(alive, np.maximum(best, x), best)
-            stop = alive & (best >= q)
-            final = np.where(stop, best, final)
-            alive &= ~stop
-            if not alive.any():
-                break
-        return no_recall, np.where(alive, best, final)
+    def work(c: int, size: int) -> tuple[np.ndarray, ...]:
+        return tuple(_play_rounds(_stream(config.seed, _TAG_RECALL, side, c), size, q, cap,
+                                  recall=side == 1)[0] for side in (0, 1))
 
     # no name keeps the chunk pieces alive through the KS copies below
     a, b = (np.concatenate(side) for side in zip(*_map_chunks(work, reps, config.n_threads)))
