@@ -122,6 +122,10 @@ def verify_designer_foc(
     if step > min(q, 1.0 - q):  # the differences read P at q - step and q + step
         raise InvalidParameterError(
             f"step {step} does not fit inside [0, 1] around the equilibrium quantile {q}")
+    if step > min(q, 1.0 - q) / 10:  # the Richardson error grows as (step / tail)^4
+        raise InvalidParameterError(
+            f"step {step} is over a tenth of {min(q, 1.0 - q)}, the distance from the "
+            f"equilibrium quantile {q} to the edge of [0, 1]: the difference would be inaccurate")
     b = eq.threshold
     fb = float(d.density(b))
 

@@ -682,6 +682,16 @@ def test_designer_foc_step_past_the_tail_exits_one(capsys, argv):
     assert "does not fit inside [0, 1]" in _one_error_line(err)
 
 
+def test_designer_foc_step_near_the_tail_exits_one(capsys):
+    # a step of 0.88 of the tail fits inside [0, 1] but read relative_error
+    # 0.54 and exited 3: a false FAIL of a correct closed form
+    argv = ("verify designer_foc --designers 24 --team-size 6 --cost 9.734177760728507e-06 "
+            "--step 0.0012727878596263166 --dist pareto:1.1,1")
+    code, out, err = _run_strict(capsys, argv.split())
+    assert (code, out) == (1, "")
+    assert "over a tenth of" in _one_error_line(err)
+
+
 @pytest.mark.parametrize("argv", [
     "solve planner --n 2 --cost 1e200",
     "table welfare_examples --n 9 --cost 1e300",

@@ -10,6 +10,7 @@ from searchcontest import (
     DesignerParams,
     InvalidParameterError,
     NotViableError,
+    make_pareto,
     solve_designer,
     solve_symmetric,
     verify_designer_foc,
@@ -113,6 +114,17 @@ def test_foc_step_validation(uniform):
         verify_designer_foc(params, uniform, step=0.5)
     with pytest.raises(InvalidParameterError):
         verify_designer_foc(params, uniform, step=1e-12)
+
+
+def test_foc_step_up_to_a_tenth_of_the_tail():
+    # the Richardson error grows as (step / tail)^4: 2.2e-5 at a tenth of the
+    # tail passes the 1e-4 tolerance, a fifth would read 3.6e-4 and is refused
+    params = DesignerParams(24, 6, 9.734177760728507e-06, 1.0)
+    d = make_pareto(1.1, 1.0)
+    tail = 1.0 - solve_designer(params, d).threshold_quantile
+    assert verify_designer_foc(params, d, step=tail / 10).passed
+    with pytest.raises(InvalidParameterError, match="over a tenth of"):
+        verify_designer_foc(params, d, step=tail / 5)
 
 
 def test_foc_requires_viable_params(uniform):
