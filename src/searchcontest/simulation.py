@@ -207,14 +207,15 @@ def _play_rounds(
     draws = np.full(size, cap, dtype=np.int64)
     live = np.arange(size)
     best = np.zeros(size)  # running maximum of each live column, with recall
+    mask = np.empty(size, dtype=bool)  # one buffer: a fresh mask every round fragments the heap
     for r in range(1, cap + 1):
         rng.random(out=x)
         seen = np.maximum(best, x[live]) if recall else x[live]
-        stop = seen >= q
+        stop = np.greater_equal(seen, q, out=mask[: live.size])
         done = live[stop]
         final[done] = seen[stop]
         draws[done] = r
-        keep = ~stop
+        keep = np.logical_not(stop, out=stop)
         live = live[keep]
         if recall:
             best = seen[keep]
