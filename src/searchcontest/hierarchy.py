@@ -119,13 +119,14 @@ def verify_designer_foc(
     m, n = params.n_designers, params.team_size
     eq = solve_designer(params, d)
     q = eq.threshold_quantile
-    if step > min(q, 1.0 - q):  # the differences read P at q - step and q + step
+    room = min(q, 1.0 - q)
+    if step > room:  # the differences read P at q - step and q + step
         raise InvalidParameterError(
             f"step {step} does not fit inside [0, 1] around the equilibrium quantile {q}")
-    if step > min(q, 1.0 - q) / 10:  # the Richardson error grows as (step / tail)^4
+    if step > room / 10:  # the Richardson error grows as (step / room)^4
         raise InvalidParameterError(
-            f"step {step} is over a tenth of {min(q, 1.0 - q)}, the distance from the "
-            f"equilibrium quantile {q} to the edge of [0, 1]: the difference would be inaccurate")
+            f"step {step} is over a tenth of {room}, the distance from the equilibrium "
+            f"quantile {q} to the edge of [0, 1]: the difference would be inaccurate")
     b = eq.threshold
     fb = float(d.density(b))
 
