@@ -103,9 +103,10 @@ def solve_symmetric(params: ContestParams, d: Distribution) -> SymmetricEquilibr
     if n * c > w:
         raise NotViableError(f"total per-round cost {n * c} exceeds prize {w}")
     accept = n * c / w
+    threshold = d.threshold(accept)  # refuses an acceptance below float resolution, even 0
     draws = 1.0 / accept
     return SymmetricEquilibrium(
-        threshold=d.threshold(accept),
+        threshold=threshold,
         acceptance_prob=accept,
         expected_draws=draws,
         expected_cost_per_player=c * draws,
@@ -180,9 +181,21 @@ def _brentq(f, lo: float, hi: float, xtol: float, args: tuple = ()) -> float:
     root, info = brentq(f, lo, hi, args=args, xtol=xtol, full_output=True, disp=False)
     if not info.converged:
         raise NumericFailureError(
-            f"asymmetric root search did not converge: {info.flag}",
+            f"root search did not converge: {info.flag}",
             diagnostics={"bracket": [lo, hi], "iterations": info.iterations, "last": root})
     return root
+
+
+def _opposite(a, b):
+    """Nonzero with opposite signs, elementwise; a product can overflow or underflow to 0."""
+    return ((a < 0.0) & (b > 0.0)) | ((a > 0.0) & (b < 0.0))
+
+
+def _grid_roots(f, xs: np.ndarray, fs: np.ndarray, xtol: float, args: tuple = ()) -> list:
+    """The roots of f that the grid xs, with fs = f(xs), brackets, ascending: every
+    point where fs is exactly 0, and a _brentq polish of every sign change."""
+    return [float(xs[i]) if fs[i] == 0.0 else float(_brentq(f, xs[i], xs[i + 1], xtol, args))
+            for i in np.flatnonzero((fs == 0.0) | np.append(_opposite(fs[:-1], fs[1:]), False))]
 
 
 def solve_asymmetric(params: ContestParams, d: Distribution) -> AsymmetricEquilibrium:
@@ -229,7 +242,7 @@ def solve_asymmetric(params: ContestParams, d: Distribution) -> AsymmetricEquili
     bracket, prev = None, (None, None)
     for s_h in tails:
         v = outer(s_h)
-        if v is not None and prev[1] is not None and v * prev[1] < 0:
+        if v is not None and prev[1] is not None and _opposite(v, prev[1]):
             bracket = (s_h, prev[0])
             break
         prev = (s_h, v)

@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .equilibrium import _grid_roots
 from .errors import InvalidParameterError, NumericFailureError, require_int, require_positive
 
 _BR_TOL = 1e-12
@@ -154,21 +155,11 @@ def solve_two_draw(n_players: int, cost_ratio: float) -> FiniteHorizonEquilibriu
     the participation frontier the indifference condition keeps an interior
     root that no adjustment process can hold; those cells report exists=False.)
     """
-    from scipy.optimize import brentq
     params = FiniteHorizonParams(n_players, cost_ratio, 2)
     n, r = params.n_players, params.cost_ratio
 
     grid = np.linspace(1e-9, 1.0 - 1e-9, 4001)
-    vals = _two_draw_residual(grid, n, r)
-    v0, v1 = vals[:-1], vals[1:]
-    roots = []
-    for i in np.flatnonzero((v0 == 0.0) | (v0 * v1 < 0)):
-        x0, x1 = grid[i], grid[i + 1]
-        if v0[i] == 0.0:
-            roots.append(float(x0))
-        else:
-            roots.append(float(brentq(_two_draw_residual, x0, x1, args=(n, r), xtol=1e-15)))
-
+    roots = _grid_roots(_two_draw_residual, grid, _two_draw_residual(grid, n, r), 1e-15, (n, r))
     checks = [_two_draw_stable(a, n, r) for a in roots]
     stable = [(a, f) for a, (ok, f) in zip(roots, checks) if ok]
     diagnostics = {"roots": roots, "stability_factors": [f for _, f in checks]}
@@ -186,14 +177,17 @@ def solve_two_draw(n_players: int, cost_ratio: float) -> FiniteHorizonEquilibriu
 # general k: backward induction + damped best response, Newton fallback
 
 
-def _continuation_values(a: np.ndarray, n: int, r: float) -> tuple[np.ndarray, OpponentFinalCdf]:
-    """V[j] = value of entering round j (1-indexed; V[k] is the forced draw)."""
+def _continuation_values(
+    a: np.ndarray, n: int, r: float, last: int = 1
+) -> tuple[np.ndarray, OpponentFinalCdf]:
+    """V[j] = value of entering round j (1-indexed; V[k] is the forced draw),
+    by backward induction from round k down to round `last`; V below it is 0."""
     k = len(a) + 1
     p = n - 1
     h = OpponentFinalCdf(a)
     v = np.zeros(k + 1)
     v[k] = -r + h.integral_power(p)
-    for j in range(k - 1, 0, -1):
+    for j in range(k - 1, last - 1, -1):
         aj = a[j - 1]
         v[j] = -r + aj * v[j + 1] + h.integral_power(p, aj, 1.0)
     return v, h
@@ -202,7 +196,7 @@ def _continuation_values(a: np.ndarray, n: int, r: float) -> tuple[np.ndarray, O
 def _best_response(a: Sequence[float], j: int, n: int, r: float) -> float:
     """Undamped best round-j quantile against opponents using quantiles a:
     the quantile whose win probability h^(N-1) equals the value of going on."""
-    v, h = _continuation_values(a, n, r)
+    v, h = _continuation_values(a, n, r, j + 1)
     return float(h.inverse(max(v[j + 1], 0.0) ** (1.0 / (n - 1))))
 
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .distributions import Distribution
-from .equilibrium import solve_symmetric, ContestParams
+from .equilibrium import solve_symmetric, ContestParams, _grid_roots
 from .errors import (DivergentObjectiveError, InvalidParameterError, NumericFailureError,
                      require_int, require_positive)
 
@@ -219,7 +219,6 @@ def solve_planner(n_players: int, cost: float, d: Distribution) -> PlannerSoluti
     from adaptive quadrature alone. A positive residual at the top grid point
     means welfare still rises where the quantiles run out of float resolution;
     that is refused rather than answered with the corner."""
-    from scipy.optimize import brentq
     _check_args(n_players, cost)
     _check_tail(d)
     n = n_players
@@ -230,14 +229,7 @@ def solve_planner(n_players: int, cost: float, d: Distribution) -> PlannerSoluti
             "welfare still rises at the top of the quantile grid: the optimal "
             "threshold lies past float resolution",
             {"top_quantile": float(qs[-1]), "top_residual": float(vals[-1])})
-    roots = [0.0]  # corner candidate: accept everything
-    for i in range(_GRID - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(float(qs[i]))
-        elif (a < 0.0 < b) or (b < 0.0 < a):  # a product can overflow or underflow
-            roots.append(float(brentq(_foc_residual, qs[i], qs[i + 1],
-                                      args=(n, cost, d), xtol=1e-13)))
+    roots = [0.0] + _grid_roots(_foc_residual, qs, vals, 1e-13, (n, cost, d))  # 0: the corner
     best_q, best_w = None, -math.inf
     for q in roots:
         w = _expected_max(q, n, d) - n * cost / (1.0 - q)

@@ -21,7 +21,6 @@ import numpy as np
 from .distributions import Distribution
 from .equilibrium import ContestParams, PrizeSchedule, solve_symmetric
 from .errors import InvalidParameterError, require_int
-from .finite_horizon import FiniteHorizonParams
 from .hierarchy import DesignerParams, solve_designer
 
 _CHUNK = 1 << 16
@@ -308,32 +307,28 @@ def _sum_chunks(work, reps: int, n_threads: int) -> dict:
 
 
 def _resolve_contest(
-    params: Union[ContestParams, FiniteHorizonParams],
-    prizes: PrizeSchedule | None,
-    n_players: int,
-) -> tuple[float, np.ndarray]:
-    """Per-draw cost and the rank-ordered prize vector implied by params."""
+    params: ContestParams, prizes: PrizeSchedule | None, n_players: int
+) -> tuple[float, np.ndarray, float]:
+    """Per-draw cost and the rank-ordered prize vector implied by params, both
+    in units of the top prize, and that top prize. Payoffs only scale with it,
+    so sums of squares in these units stay in range at any prize scale."""
     if params.n_players != n_players:
         raise InvalidParameterError(
             f"profile has {n_players} players but params expect {params.n_players}"
         )
-    if isinstance(params, FiniteHorizonParams):
-        top = 1.0 if prizes is None else prizes.prizes[0]
-        cost = params.cost_ratio * top
-    else:
-        cost = params.cost
-        if prizes is None:
-            prizes = PrizeSchedule((params.prize,) + (0.0,) * (n_players - 1))
     if prizes is None:
-        prizes = PrizeSchedule((1.0,) + (0.0,) * (n_players - 1))
+        prizes = PrizeSchedule((params.prize,) + (0.0,) * (n_players - 1))
     if len(prizes.prizes) != n_players:
         raise InvalidParameterError("prize schedule length must equal player count")
-    return cost, np.asarray(prizes.prizes, dtype=float)
+    top = prizes.prizes[0]
+    if top == 0.0:
+        raise InvalidParameterError("the top prize must be positive")
+    return params.cost / top, np.asarray(prizes.prizes, dtype=float) / top, top
 
 
 def simulate_contest(
     profile: StrategyProfile,
-    params: Union[ContestParams, FiniteHorizonParams],
+    params: ContestParams,
     d: Distribution,
     config: SimulationConfig,
     prizes: PrizeSchedule | None = None,
@@ -341,7 +336,7 @@ def simulate_contest(
     """Replicate the contest and report per-player payoff, cost, draw and win
     statistics with standard errors, plus the cost/prize dissipation ratio."""
     n = profile.n_players
-    cost, prize_arr = _resolve_contest(params, prizes, n)
+    cost, prize_arr, top = _resolve_contest(params, prizes, n)
     _check_memory(f"simulating {n} players", config, 72 * n)
     quantiles = [_threshold_quantiles(s, d) for s in profile.strategies]
     kinds = [isinstance(s, InfiniteThresholdStrategy) for s in profile.strategies]
@@ -365,17 +360,17 @@ def simulate_contest(
         seed=config.seed,
         max_draws_cap=cap,
         capped_replications=int(acc["capped"]),
-        mean_payoff=tuple(mean_pay),
-        se_payoff=tuple(se_pay),
-        mean_cost=tuple(mean_cost),
-        se_cost=tuple(se_cost),
+        mean_payoff=tuple(mean_pay * top),
+        se_payoff=tuple(se_pay * top),
+        mean_cost=tuple(mean_cost * top),
+        se_cost=tuple(se_cost * top),
         mean_draws=tuple(mean_draws),
         se_draws=tuple(se_draws),
         win_frequency=tuple(mean_win),
         se_win=tuple(se_win),
         dissipation_ratio=float(mean_diss[0]),
         se_dissipation=float(se_diss[0]),
-        total_prize=float(prize_arr.sum()),
+        total_prize=float(prize_arr.sum() * top),
     )
 
 
@@ -409,10 +404,9 @@ def deviation_scan(
     profile: StrategyProfile,
     player_index: int,
     candidates: Sequence[Strategy],
-    params: Union[ContestParams, FiniteHorizonParams],
+    params: ContestParams,
     d: Distribution,
     config: SimulationConfig,
-    prizes: PrizeSchedule | None = None,
 ) -> DeviationScanReport:
     """Estimate the payoff gain from unilateral deviations.
 
@@ -424,7 +418,7 @@ def deviation_scan(
     n = profile.n_players
     if not 0 <= player_index < n:
         raise InvalidParameterError(f"player_index {player_index} out of range")
-    cost, prize_arr = _resolve_contest(params, prizes, n)
+    cost, prize_arr, top = _resolve_contest(params, None, n)
     opp_idx = [j for j in range(n) if j != player_index]
     opp_q = [_threshold_quantiles(profile.strategies[j], d) for j in opp_idx]
     opp_kind = [isinstance(profile.strategies[j], InfiniteThresholdStrategy) for j in opp_idx]
@@ -467,16 +461,16 @@ def deviation_scan(
     rows = tuple(
         DeviationRow(
             strategy=s,
-            mean_gain=float(m),
-            se_gain=float(se),
+            mean_gain=float(m * top),
+            se_gain=float(se * top),
             flagged=bool(m > 3.0 * se),
         )
         for s, m, se in zip(candidates, gain_mean, gain_se)
     )
     return DeviationScanReport(
         player_index=player_index,
-        equilibrium_payoff=float(eq_mean[0]),
-        se_equilibrium_payoff=float(eq_se[0]),
+        equilibrium_payoff=float(eq_mean[0] * top),
+        se_equilibrium_payoff=float(eq_se[0] * top),
         rows=rows,
     )
 
@@ -491,6 +485,7 @@ def distribution_free_check(
     pairwise within three combined standard errors."""
     if len(distributions) < 2:
         raise InvalidParameterError("need at least two distributions to compare")
+    w = params.prize  # costs are compared in its units: their squares can overflow or underflow
     rows = []
     for idx, d in enumerate(distributions):
         eq = solve_symmetric(params, d)
@@ -506,7 +501,7 @@ def distribution_free_check(
         draws = sum(rep.mean_draws) / n
         se_draws = math.sqrt(sum(se**2 for se in rep.se_draws)) / n
         cost = sum(rep.mean_cost) / n
-        se_cost = math.sqrt(sum(se**2 for se in rep.se_cost)) / n
+        se_cost = math.sqrt(sum((se / w) ** 2 for se in rep.se_cost)) / n * w
         rows.append(
             DistributionRow(
                 spec=d.spec(),
@@ -527,7 +522,7 @@ def distribution_free_check(
             a, b = rows[i], rows[j]
             for ma, sa, mb, sb in (
                 (a.mean_draws, a.se_draws, b.mean_draws, b.se_draws),
-                (a.mean_cost, a.se_cost, b.mean_cost, b.se_cost),
+                (a.mean_cost / w, a.se_cost / w, b.mean_cost / w, b.se_cost / w),
                 (a.dissipation_ratio, a.se_dissipation, b.dissipation_ratio, b.se_dissipation),
             ):
                 sigma = abs(ma - mb) / max(math.hypot(sa, sb), 1e-300)

@@ -704,6 +704,51 @@ def test_planner_huge_cost_exits_zero(capsys, argv):
         assert _payload(out)["result"]["interior"] is False
 
 
+def test_symmetric_acceptance_underflow_exits_one(capsys):
+    # N c / W underflows to 0, which was divided by; the argv property drew it
+    argv = "solve symmetric --n 2 --cost 1e-300 --prize 1e200".split()
+    code, out, err = _run_strict(capsys, argv)
+    assert (code, out) == (1, "")
+    assert "below float resolution" in _one_error_line(err)
+
+
+def test_two_draw_huge_cost_ratio_exits_two(capsys):
+    # the grid scan multiplied residuals near -1e200, which overflowed
+    code, out, err = _run_strict(capsys, "solve finite --n 2 --k 2 --cost-ratio 1e200".split())
+    assert (code, err) == (2, "# no symmetric equilibrium at these parameters\n")
+    assert _payload(out)["result"]["exists"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    "solve asymmetric --n 3 --cost 1e199 --prize 1e200",
+    "solve asymmetric --n 3 --cost 1e-201 --prize 1e-200",
+])
+def test_asymmetric_extreme_prize_exits_zero(capsys, argv):
+    # the outer scan multiplied residuals of the prize's scale: the product
+    # overflowed at 1e200 and underflowed to 0, missing the bracket, at 1e-200
+    code, out, err = _run_strict(capsys, argv.split())
+    assert (code, err) == (0, "")
+    result = _payload(out)["result"]
+    assert result["low_threshold"] == pytest.approx(0.644444444444, abs=1e-9)
+    assert result["high_threshold"] == pytest.approx(0.733333333333, abs=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    "verify dissipation --n 3 --cost 1e-201 --prize 1e-200 --reps 20000 --seed 1",
+    "verify best_response --n 3 --cost 1e-201 --prize 1e-200 --reps 2000 --grid 3 --seed 1",
+    "verify distribution_free --n 2 --cost 5e-202 --prize 1e-200 --reps 20000 --seed 1",
+    "verify dissipation --n 3 --cost 1e199 --prize 1e200 --reps 20000 --seed 1",
+    "verify best_response --n 3 --cost 1e199 --prize 1e200 --reps 2000 --grid 3 --seed 1",
+    "verify distribution_free --n 2 --cost 5e198 --prize 1e200 --reps 20000 --seed 1",
+])
+def test_verdict_does_not_depend_on_the_prize_scale(capsys, argv):
+    # squared payoffs and costs in absolute units underflowed to a standard
+    # error of 0 (a false FAIL) or overflowed (a traceback); at prize 1 all pass
+    code, out, err = _run_strict(capsys, argv.split())
+    assert (code, err) == (0, "")
+    assert "# verify: PASS" in out.splitlines()
+
+
 # ------------------------------------------------------------ argv property
 
 _COST = st.one_of(st.floats(math.log(1e-14), math.log(100.0)).map(math.exp),
@@ -712,6 +757,9 @@ _DIST = st.sampled_from([[], ["--dist", "uniform:0,1"], ["--dist", "exponential:
                          ["--dist", "pareto:2,1"], ["--dist", "pareto:1.1,1"],
                          ["--dist", "uniform:-1e9,1e9"]])
 _N = st.integers(1, 2000)
+# the prize's scale must not matter: N c / W is what the equilibria depend on
+_PRIZE = st.one_of(st.sampled_from([1.0, 1e200, 1e-200, 2.0**600, 2.0**-600]),
+                   st.floats(math.log(1e-300), math.log(1e300)).map(math.exp))
 
 
 def _argv(*parts) -> st.SearchStrategy:
@@ -728,11 +776,13 @@ def _argv(*parts) -> st.SearchStrategy:
 
 def _sim(what: str, *extra) -> st.SearchStrategy:
     # simulations stay at reps <= 5,000, N <= 30 and acceptance >= 1e-2 so that
-    # round-by-round play cannot hang the suite
-    return st.tuples(st.integers(1, 30), st.floats(math.log(1e-2), math.log(2.0))).flatmap(
-        lambda nc: _argv("verify", what, ("--n", st.just(nc[0])),
-                         ("--cost", st.just(math.exp(nc[1]) / nc[0])),
-                         ("--reps", st.integers(2, 5000)), *extra, _DIST))
+    # round-by-round play cannot hang the suite; the cost scales with the prize
+    return st.tuples(st.integers(1, 30), st.floats(math.log(1e-2), math.log(2.0)),
+                     _PRIZE).flatmap(
+        lambda ncw: _argv("verify", what, ("--n", st.just(ncw[0])),
+                          ("--cost", st.just(math.exp(ncw[1]) / ncw[0] * ncw[2])),
+                          ("--prize", st.just(ncw[2])),
+                          ("--reps", st.integers(2, 5000)), *extra, _DIST))
 
 
 def _prizes(n: int) -> st.SearchStrategy:
@@ -742,14 +792,17 @@ def _prizes(n: int) -> st.SearchStrategy:
 
 _N_RANGE = (("--n-min", st.integers(1, 6)), ("--n-max", st.integers(2, 12)))
 _LEAF_ARGVS = {
-    "solve symmetric": _argv("solve", "symmetric", ("--n", _N), ("--cost", _COST), _DIST),
+    "solve symmetric": _argv("solve", "symmetric", ("--n", _N), ("--cost", _COST),
+                             ("--prize", _PRIZE), _DIST),
     "solve multiprize": st.integers(1, 40).flatmap(lambda n: _argv(
         "solve", "multiprize", ("--n", st.just(n)), ("--cost", _COST),
         ("--prizes", _prizes(n)), _DIST)),
-    "solve asymmetric": _argv("solve", "asymmetric", ("--n", _N), ("--cost", _COST), _DIST),
+    "solve asymmetric": _argv("solve", "asymmetric", ("--n", _N), ("--cost", _COST),
+                              ("--prize", _PRIZE), _DIST),
     "solve finite": st.tuples(st.integers(1, 40), st.integers(1, 6)).flatmap(lambda nk: _argv(
         "solve", "finite", ("--n", st.just(nk[0])), ("--k", st.just(nk[1])),
-        ("--cost-ratio", st.floats(0.0, 1.2).map(lambda f: f / nk[0])), _DIST)),
+        ("--cost-ratio", st.one_of(st.floats(0.0, 1.2).map(lambda f: f / nk[0]),
+                                   st.sampled_from([1e100, 1e200, 1e300]))), _DIST)),
     "solve designer": _argv("solve", "designer", ("--designers", st.integers(1, 30)),
                             ("--team-size", st.integers(0, 10)), ("--cost", _COST), _DIST),
     "solve planner": _argv("solve", "planner", ("--n", _N), ("--cost", _COST), _DIST),

@@ -1,4 +1,5 @@
 """Monte Carlo engine: statistical agreement with theory and determinism."""
+import dataclasses
 import math
 import tracemalloc
 
@@ -164,7 +165,8 @@ def test_finite_horizon_simulation_matches_value_oracle(uniform):
     a = eq.round_quantiles
     strategy = FiniteThresholdStrategy(tuple(float(q) for q in a))
     profile = StrategyProfile((strategy,) * 3)
-    rep = simulate_contest(profile, params, uniform, SimulationConfig(200_000, SEED))
+    rep = simulate_contest(profile, ContestParams(3, 0.05, 1.0), uniform,
+                           SimulationConfig(200_000, SEED))
     # independent oracle: win a third of the prize, pay for surviving rounds
     survival = [a[0], a[0] * a[1]]
     expected_draws = 1.0 + sum(survival)
@@ -200,6 +202,35 @@ def test_prize_schedule_length_must_match(uniform):
             profile, params, uniform, SimulationConfig(10, SEED),
             prizes=PrizeSchedule((1.0, 0.0)),
         )
+
+
+def test_zero_top_prize_refused(uniform):
+    # the dissipation ratio divides by the prize pool
+    params = ContestParams(n_players=2, cost=0.05, prize=1.0)
+    profile = StrategyProfile((InfiniteThresholdStrategy(0.5),) * 2)
+    with pytest.raises(InvalidParameterError, match="top prize"):
+        simulate_contest(profile, params, uniform, SimulationConfig(10, SEED),
+                         prizes=PrizeSchedule((0.0, 0.0)))
+
+
+@pytest.mark.parametrize("exponent", [600, -600])
+def test_report_scales_with_the_prize(uniform, exponent):
+    # a power of two rescales exactly, so payoffs and costs must be the prize-1
+    # figures times the prize, bit for bit, and draws, wins and dissipation
+    # must not move; sums of squares in absolute units overflow at 2^600 and
+    # underflow at 2^-600
+    def report(prize):
+        params = ContestParams(n_players=3, cost=0.1 * prize, prize=prize)
+        return simulate_contest(_symmetric_profile(params, uniform), params, uniform,
+                                SimulationConfig(70_000, 7))
+
+    w = 2.0**exponent
+    base, scaled = report(1.0), report(w)
+    money = ("mean_payoff", "se_payoff", "mean_cost", "se_cost")
+    unscaled = dataclasses.replace(
+        scaled, total_prize=scaled.total_prize / w,
+        **{name: tuple(v / w for v in getattr(scaled, name)) for name in money})
+    assert repr(unscaled) == repr(base)
 
 
 def test_profile_params_player_count_must_match(uniform):
