@@ -30,10 +30,17 @@ _TAG_SELF = 2
 _TAG_OPP = 3
 _TAG_DIST = 4
 _TAG_RECALL = 5
-# round-by-round play draws a full row of uniforms per round, one for every
-# replication, and examines only the live columns; the rows alone would take
-# hours past this cap, so tiny acceptance probabilities are refused instead
+# round-by-round play reads, for round r and replication j, stream word
+# (r - 1) * size + j: the word a full row of uniforms per round would give it.
+# Only the words of replications still searching are read and dead stretches
+# are skipped, but every search still takes one word per round, so past this
+# cap play would take hours and tiny acceptance probabilities are refused
 _MAX_ROUNDS = 100_000
+# a dead stretch longer than this many words is skipped rather than read: a
+# skip (Philox.advance, about 3.5 us, a discard and one more read call, about
+# 1.3 us each, and the run's own indexing) costs about what reading ~1,000
+# words does at about 7 ns a word
+_GAP = 1024
 _MEMORY_BUDGET = 1 << 30  # bytes a simulation may hold at once; see _check_memory
 
 
@@ -195,22 +202,47 @@ def _play_rounds(
     block of replications.
 
     Returns the accepted quantile, the number of draws and the indices of the
-    replications the cap stopped. Every round draws a full row of uniforms,
-    however few replications still search, so the stream is consumed the same
-    way whatever the stopping pattern; only the live columns of the row are
-    examined. With recall a search stops once its running maximum reaches q,
-    and the cap keeps that maximum instead of the last draw.
+    replications the cap stopped. Draw (round r, replication j) is raw stream
+    word (r - 1) * size + j, the word a full row of uniforms per round gives
+    it, so the same words are read whatever the stopping pattern, and a
+    replication's draws do not depend on when the others stop. Only the words
+    of live replications are read: each round they are split into runs
+    wherever two lie more than _GAP words apart, each run is one read, and a
+    longer dead stretch before a run is skipped. A uniform is at or above q
+    exactly when its word is at or above ceil(q * 2^53) << 11, so words are
+    compared as integers and each accepted word is made a uniform once, at the
+    end. With recall a search stops once its running maximum, kept in words
+    since the map is monotone, reaches q, and the cap keeps that maximum
+    instead of the last draw.
     """
-    x = np.empty(size)
-    final = np.empty(size)
+    bits = rng.bit_generator
+    t = np.uint64(math.ceil(q * 2.0**53) << 11)
+    final = np.empty(size, dtype=np.uint64)  # the accepted words, made uniforms at the end
     draws = np.full(size, cap, dtype=np.int64)
     live = np.arange(size)
-    best = np.zeros(size)  # running maximum of each live column, with recall
+    best = np.zeros(size, dtype=np.uint64)  # running maximum of each live column, with recall
+    x = np.empty(size, dtype=np.uint64)  # this round's words of the live columns
     mask = np.empty(size, dtype=bool)  # one buffer: a fresh mask every round fragments the heap
+    pos = 0  # stream words consumed
     for r in range(1, cap + 1):
-        rng.random(out=x)
-        seen = np.maximum(best, x[live]) if recall else x[live]
-        stop = np.greater_equal(seen, q, out=mask[: live.size])
+        row = (r - 1) * size  # the stream word of column 0 this round
+        # x and mask are free until the read: the gaps between live columns go through them
+        gaps = np.subtract(live[1:], live[:-1], out=x.view(np.int64)[: live.size - 1])
+        cuts = (np.flatnonzero(np.greater(gaps, _GAP, out=mask[: gaps.size])) + 1).tolist()
+        for a, b in zip([0] + cuts, cuts + [live.size]):
+            first = row + int(live[a])
+            if first - pos > _GAP:  # advance moves whole 4-word blocks and empties the buffer
+                bits.advance(first // 4 - -(-pos // 4))
+                bits.random_raw(first % 4)
+                pos = first
+            run = live[a:b]
+            run += row - pos  # live's own storage indexes the read, then is restored
+            n_read = int(run[-1]) + 1
+            np.take(bits.random_raw(n_read), run, out=x[a:b], mode="clip")
+            run -= row - pos
+            pos += n_read
+        seen = np.maximum(best, x[: live.size]) if recall else x[: live.size]
+        stop = np.greater_equal(seen, t, out=mask[: live.size])
         done = live[stop]
         final[done] = seen[stop]
         draws[done] = r
@@ -220,8 +252,11 @@ def _play_rounds(
             best = seen[keep]
         if not live.size:
             break
-    final[live] = best if recall else x[live]  # cap reached
-    return final, draws, live
+    final[live] = best if recall else x[: keep.size][keep]  # cap reached
+    # Generator.random's double is (word >> 11) * 2^-53, made here in place and
+    # through int64, which numpy converts to float far faster than uint64
+    final >>= np.uint64(11)
+    return np.multiply(final.view(np.int64), 2.0**-53, out=final.view(np.float64)), draws, live
 
 
 def _simulate_chunk(
@@ -337,7 +372,7 @@ def simulate_contest(
     statistics with standard errors, plus the cost/prize dissipation ratio."""
     n = profile.n_players
     cost, prize_arr, top = _resolve_contest(params, prizes, n)
-    _check_memory(f"simulating {n} players", config, 72 * n)
+    _check_memory(f"simulating {n} players", config, 75 * n)  # 72.4-74.8 measured at N 10-60
     quantiles = [_threshold_quantiles(s, d) for s in profile.strategies]
     kinds = [isinstance(s, InfiniteThresholdStrategy) for s in profile.strategies]
     cap = _round_cap(quantiles, kinds)

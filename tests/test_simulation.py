@@ -3,6 +3,7 @@ import dataclasses
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from searchcontest import (
@@ -406,3 +407,102 @@ def test_memory_budget_refuses_before_allocating(uniform, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20  # one player's chunk alone is about 4.5 MB
+
+
+# The round-play kernel reads raw Philox words where Generator.random would
+# have drawn doubles, and skips dead stretches of the stream with advance.
+# These two tests pin the numpy behaviour that makes that byte-safe.
+
+
+def test_numpy_random_reads_one_philox_word_per_double():
+    words = np.random.Philox(SEED).random_raw(1001)
+    u = np.random.Generator(np.random.Philox(SEED)).random(1001)
+    assert np.array_equal(u, (words >> np.uint64(11)) * 2.0**-53)
+
+
+@pytest.mark.parametrize("consumed", range(8))
+def test_numpy_philox_advance_moves_whole_blocks_and_empties_the_buffer(consumed):
+    # from any position P, advance(d) lands on word 4 * (ceil(P / 4) + d)
+    words = np.random.Philox(SEED).random_raw(64)
+    for d in (0, 1, 2, 7):
+        bits = np.random.Philox(SEED)
+        bits.random_raw(consumed)
+        bits.advance(d)
+        assert bits.random_raw(1)[0] == words[4 * (-(-consumed // 4) + d)]
+
+
+def _full_row_play(rng, size, q, cap, recall=False):
+    """The round-play kernel as it was before it read raw words: every round
+    draws a full row of uniforms through Generator.random."""
+    x = np.empty(size)
+    final = np.empty(size)
+    draws = np.full(size, cap, dtype=np.int64)
+    live = np.arange(size)
+    best = np.zeros(size)  # running maximum of each live column, with recall
+    mask = np.empty(size, dtype=bool)  # one buffer: a fresh mask every round fragments the heap
+    for r in range(1, cap + 1):
+        rng.random(out=x)
+        seen = np.maximum(best, x[live]) if recall else x[live]
+        stop = np.greater_equal(seen, q, out=mask[: live.size])
+        done = live[stop]
+        final[done] = seen[stop]
+        draws[done] = r
+        keep = np.logical_not(stop, out=stop)
+        live = live[keep]
+        if recall:
+            best = seen[keep]
+        if not live.size:
+            break
+    final[live] = best if recall else x[live]  # cap reached
+    return final, draws, live
+
+
+def _assert_plays_equal(size, q, cap, recall, key=1):
+    import searchcontest.simulation as sim
+
+    got = sim._play_rounds(sim._stream(SEED, 0, key, size), size, q, cap, recall)
+    want = _full_row_play(sim._stream(SEED, 0, key, size), size, q, cap, recall)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.tobytes()) == (w.dtype, w.tobytes())
+    return want
+
+
+@pytest.mark.parametrize("recall", [False, True], ids=["no_recall", "recall"])
+@pytest.mark.parametrize("q", [0.0, 0.3, 0.97, 0.999])
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 4097, 65536])
+def test_play_rounds_reads_the_full_row_words(size, q, recall):
+    # odd sizes start rows off the 4-word block boundary; the default cap
+    # runs where the full-row reference stays cheap
+    import searchcontest.simulation as sim
+
+    caps = [1, 2, 3, 7]
+    if q <= 0.97 or size <= 7:
+        caps.append(sim._default_cap([np.array([q])], [True]))
+    for cap in caps:
+        _assert_plays_equal(size, q, cap, recall)
+
+
+def test_play_rounds_skips_and_reads_across_gaps():
+    # at q = 0.97 a full chunk thins out over ~380 rounds, so late rounds hold
+    # live columns both more and fewer than _GAP words apart
+    import searchcontest.simulation as sim
+
+    size, q = 65536, 0.97
+    cap = sim._default_cap([np.array([q])], [True])
+    _, draws, _ = _assert_plays_equal(size, q, cap, False)
+    straddled = 0
+    for r in range(2, int(draws.max()) + 1):
+        gaps = np.diff(np.flatnonzero(draws >= r))
+        straddled += bool((gaps > sim._GAP).any() and ((gaps > 1) & (gaps <= sim._GAP)).any())
+    assert straddled >= 10
+
+
+@pytest.mark.parametrize("gap", [3, 4, 5, 6, 7, 64])
+@pytest.mark.parametrize("size", [7, 4097])
+def test_play_rounds_matches_with_small_gaps(monkeypatch, gap, size):
+    # a small _GAP skips nearly every dead stretch, from every position mod 4
+    import searchcontest.simulation as sim
+
+    monkeypatch.setattr(sim, "_GAP", gap)
+    for q, recall in ((0.3, False), (0.9, True), (0.97, False)):
+        _assert_plays_equal(size, q, sim._default_cap([np.array([q])], [True]), recall)
