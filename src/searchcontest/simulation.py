@@ -30,11 +30,10 @@ _TAG_SELF = 2
 _TAG_OPP = 3
 _TAG_DIST = 4
 _TAG_RECALL = 5
-# round-by-round play reads, for round r and replication j, stream word
-# (r - 1) * size + j: the word a full row of uniforms per round would give it.
-# Only the words of replications still searching are read and dead stretches
-# are skipped, but every search still takes one word per round, so past this
-# cap play would take hours and tiny acceptance probabilities are refused
+# round-by-round play reads the words a full row of uniforms per round would,
+# skipping dead stretches, but every live search still takes one word per
+# round: past this cap it would take hours, so tiny acceptance probabilities
+# are refused instead
 _MAX_ROUNDS = 100_000
 # a dead stretch longer than this many words is skipped rather than read: a
 # skip (Philox.advance, about 3.5 us, a discard and one more read call, about
@@ -238,7 +237,7 @@ def _play_rounds(
             run = live[a:b]
             run += row - pos  # live's own storage indexes the read, then is restored
             n_read = int(run[-1]) + 1
-            np.take(bits.random_raw(n_read), run, out=x[a:b], mode="clip")
+            np.take(bits.random_raw(n_read), run, out=x[a:b], mode="clip")  # clip: unbuffered
             run -= row - pos
             pos += n_read
         seen = np.maximum(best, x[: live.size]) if recall else x[: live.size]
@@ -252,7 +251,7 @@ def _play_rounds(
             best = seen[keep]
         if not live.size:
             break
-    final[live] = best if recall else x[: keep.size][keep]  # cap reached
+    final[live] = seen[keep]  # cap reached: the last draw, or with recall the best
     # Generator.random's double is (word >> 11) * 2^-53, made here in place and
     # through int64, which numpy converts to float far faster than uint64
     final >>= np.uint64(11)
@@ -372,7 +371,9 @@ def simulate_contest(
     statistics with standard errors, plus the cost/prize dissipation ratio."""
     n = profile.n_players
     cost, prize_arr, top = _resolve_contest(params, prizes, n)
-    _check_memory(f"simulating {n} players", config, 75 * n)  # 72.4-74.8 measured at N 10-60
+    # per player, plus the round-play buffers of the chunk: 253 B measured at
+    # N=3, 748 at 10, 2,190 at 30 and 4,350 at 60
+    _check_memory(f"simulating {n} players", config, 75 * n + 40)
     quantiles = [_threshold_quantiles(s, d) for s in profile.strategies]
     kinds = [isinstance(s, InfiniteThresholdStrategy) for s in profile.strategies]
     cap = _round_cap(quantiles, kinds)

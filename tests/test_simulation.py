@@ -457,11 +457,11 @@ def _full_row_play(rng, size, q, cap, recall=False):
     return final, draws, live
 
 
-def _assert_plays_equal(size, q, cap, recall, key=1):
+def _assert_plays_equal(size, q, cap, recall):
     import searchcontest.simulation as sim
 
-    got = sim._play_rounds(sim._stream(SEED, 0, key, size), size, q, cap, recall)
-    want = _full_row_play(sim._stream(SEED, 0, key, size), size, q, cap, recall)
+    got = sim._play_rounds(sim._stream(SEED, 0, 1, size), size, q, cap, recall)
+    want = _full_row_play(sim._stream(SEED, 0, 1, size), size, q, cap, recall)
     for g, w in zip(got, want):
         assert (g.dtype, g.tobytes()) == (w.dtype, w.tobytes())
     return want
