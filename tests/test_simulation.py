@@ -310,6 +310,53 @@ def test_forced_stop_reports_frozen(uniform, monkeypatch):
     )
 
 
+def _mixed_profile():
+    return StrategyProfile((InfiniteThresholdStrategy(0.7), FiniteThresholdStrategy((0.6, 0.45)),
+                            FiniteThresholdStrategy((0.8, 0.6))))
+
+
+def test_deviation_scan_with_finite_strategies_frozen(uniform):
+    # a k=3 opponent and k=2 and k=3 candidates read pre-drawn uniforms as the
+    # draws themselves; pinned to the last bit over two chunks on two threads
+    candidates = [FiniteThresholdStrategy((0.5,)), FiniteThresholdStrategy((0.75, 0.55)),
+                  InfiniteThresholdStrategy(0.6)]
+    scan = deviation_scan(_mixed_profile(), 0, candidates, ContestParams(3, 0.05, 1.0), uniform,
+                          SimulationConfig(70_000, SEED, n_threads=2))
+    assert repr(scan) == (
+        "DeviationScanReport(player_index=0, equilibrium_payoff=0.3462357142857143, "
+        "se_equilibrium_payoff=0.0019645796289632198, "
+        "rows=(DeviationRow(strategy=FiniteThresholdStrategy(thresholds=(0.5,)), "
+        "mean_gain=-0.16139857142857142, se_gain=0.002247590714445342, flagged=False), "
+        "DeviationRow(strategy=FiniteThresholdStrategy(thresholds=(0.75, 0.55)), "
+        "mean_gain=-0.10959142857142856, se_gain=0.0022439564088986407, flagged=False), "
+        "DeviationRow(strategy=InfiniteThresholdStrategy(threshold=0.6), "
+        "mean_gain=-0.05475285714285714, se_gain=0.0011312462249065496, flagged=False)))"
+    )
+
+
+def test_mixed_horizon_report_with_schedule_frozen(uniform):
+    rep = simulate_contest(_mixed_profile(), ContestParams(3, 0.05, 1.0), uniform,
+                           SimulationConfig(70_000, SEED, n_threads=2),
+                           PrizeSchedule((0.6, 0.3, 0.1)))
+    assert repr(rep) == (
+        "SimulationReport(n_players=3, replications=70000, seed=20260814, max_draws_cap=134, "
+        "capped_replications=0, mean_payoff=(np.float64(0.26181), "
+        "np.float64(0.18246214285714282), np.float64(0.18048285714285714)), "
+        "se_payoff=(np.float64(0.0008756176062262339), np.float64(0.0007771276816531612), "
+        "np.float64(0.0008516366535494751)), mean_cost=(np.float64(0.1678342857142857), "
+        "np.float64(0.09353642857142858), np.float64(0.11387428571428572)), "
+        "se_cost=(np.float64(0.0005320494631521627), np.float64(0.00015313039563598794), "
+        "np.float64(0.000147085153801559)), mean_draws=(np.float64(3.3566857142857143), "
+        "np.float64(1.8707285714285715), np.float64(2.277485714285714)), "
+        "se_draws=(np.float64(0.010640989263043256), np.float64(0.003062607912719759), "
+        "np.float64(0.0029417030760311835)), win_frequency=(np.float64(0.5112714285714286), "
+        "np.float64(0.21801428571428572), np.float64(0.27071428571428574)), "
+        "se_win=(np.float64(0.0018893556141204627), np.float64(0.0015606156864707338), "
+        "np.float64(0.0016794169126968547)), dissipation_ratio=0.375245, "
+        "se_dissipation=0.0005725905593550523, total_prize=1.0)"
+    )
+
+
 def test_always_accept_uses_one_draw(uniform):
     params = ContestParams(n_players=2, cost=0.01, prize=1.0)
     profile = StrategyProfile((InfiniteThresholdStrategy(0.0),) * 2)
