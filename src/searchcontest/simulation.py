@@ -160,32 +160,25 @@ def _stream(seed: int, *tags: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed,) + tags)))
 
 
-def _threshold_quantiles(strategy: Strategy, d: Distribution) -> np.ndarray:
+def _plan(strategy: Strategy, d: Distribution) -> np.ndarray:
+    """The acceptance quantile of each round: [q] for an infinite horizon, and
+    [q_1, ..., q_(k-1), 0] for k draws, whose last draw accepts any uniform. A
+    plan is infinite exactly when it has one entry, since k is at least 2."""
     if isinstance(strategy, InfiniteThresholdStrategy):
-        qs = np.array([float(d.cdf(strategy.threshold))])
-        if qs[0] >= 1.0:
+        q = float(d.cdf(strategy.threshold))
+        if q >= 1.0:
             raise InvalidParameterError(
                 f"threshold {strategy.threshold} leaves no acceptance probability"
             )
-        return qs
-    return np.asarray([float(d.cdf(t)) for t in strategy.thresholds], dtype=float)
+        return np.array([q])
+    return np.array([float(d.cdf(t)) for t in strategy.thresholds] + [0.0])
 
 
-def _default_cap(quantiles: list[np.ndarray], kinds: list[bool]) -> int:
-    """The largest of ceil(40 / acceptance probability) over infinite-horizon
-    players and k over finite-horizon ones."""
-    cap = 1
-    for qs, infinite in zip(quantiles, kinds):
-        if infinite:
-            cap = max(cap, math.ceil(40.0 / (1.0 - qs[0])))
-        else:
-            cap = max(cap, qs.size + 1)
-    return cap
-
-
-def _round_cap(quantiles: list[np.ndarray], kinds: list[bool]) -> int:
-    """The draw cap of round-by-round play, refused past _MAX_ROUNDS."""
-    cap = _default_cap(quantiles, kinds)
+def _default_cap(plans: list[np.ndarray]) -> int:
+    """The draw cap of round-by-round play: the largest of ceil(40 /
+    acceptance probability) over infinite plans and k over k-draw ones,
+    refused past _MAX_ROUNDS."""
+    cap = max(math.ceil(40.0 / (1.0 - p[0])) if p.size == 1 else p.size for p in plans)
     if cap > _MAX_ROUNDS:
         raise InvalidParameterError(
             f"max_draws_cap {cap} exceeds {_MAX_ROUNDS} rounds: the acceptance "
@@ -256,51 +249,6 @@ def _play_rounds(
     # through int64, which numpy converts to float far faster than uint64
     final >>= np.uint64(11)
     return np.multiply(final.view(np.int64), 2.0**-53, out=final.view(np.float64)), draws, live
-
-
-def _simulate_chunk(
-    chunk_idx: int,
-    size: int,
-    seed: int,
-    quantiles: list[np.ndarray],
-    kinds: list[bool],
-    cap: int,
-    cost: float,
-    prize_arr: np.ndarray,
-) -> dict:
-    n = len(quantiles)
-    finals = np.empty((n, size))
-    draws = np.empty((n, size), dtype=np.int64)
-    forced_any = np.zeros(size, dtype=bool)
-    for i, qs in enumerate(quantiles):
-        rng = _stream(seed, _TAG_DRAW, i, chunk_idx)
-        if kinds[i]:
-            f, dr, capped = _play_rounds(rng, size, qs[0], cap)
-            forced_any[capped] = True
-        else:  # row r of the block is the stretch of stream that round r would draw
-            f, dr = _inverse_play(rng.random((qs.size + 1, size)).T, qs, False)
-        finals[i] = f
-        draws[i] = dr
-    order = np.argsort(finals, axis=0)  # ascending accepted value; exact ties have measure zero
-    asc_pos = np.empty((n, size), dtype=np.int64)
-    np.put_along_axis(asc_pos, order, np.arange(n, dtype=np.int64)[:, None], axis=0)
-    rank = n - 1 - asc_pos  # 0 = winner
-    prize = prize_arr[rank]
-    costs = cost * draws
-    payoff = prize - costs
-    diss = costs.sum(axis=0) / prize_arr.sum()
-    return {
-        "payoff1": payoff.sum(axis=1),
-        "payoff2": (payoff**2).sum(axis=1),
-        "cost1": costs.sum(axis=1),
-        "cost2": (costs**2).sum(axis=1),
-        "draws1": draws.sum(axis=1, dtype=np.float64),
-        "draws2": (draws.astype(np.float64) ** 2).sum(axis=1),
-        "win1": (rank == 0).sum(axis=1, dtype=np.float64),
-        "diss1": diss.sum(),
-        "diss2": (diss**2).sum(),
-        "capped": int(forced_any.sum()),
-    }
 
 
 def _check_memory(what: str, config: SimulationConfig, bytes_per_rep: int,
@@ -374,14 +322,41 @@ def simulate_contest(
     # per player, plus the round-play buffers of the chunk: 253 B measured at
     # N=3, 748 at 10, 2,190 at 30 and 4,350 at 60
     _check_memory(f"simulating {n} players", config, 75 * n + 40)
-    quantiles = [_threshold_quantiles(s, d) for s in profile.strategies]
-    kinds = [isinstance(s, InfiniteThresholdStrategy) for s in profile.strategies]
-    cap = _round_cap(quantiles, kinds)
+    plans = [_plan(s, d) for s in profile.strategies]
+    cap = _default_cap(plans)
 
     reps = config.replications
 
     def work(c: int, size: int) -> dict:
-        return _simulate_chunk(c, size, config.seed, quantiles, kinds, cap, cost, prize_arr)
+        finals = np.empty((n, size))
+        draws = np.empty((n, size), dtype=np.int64)
+        forced_any = np.zeros(size, dtype=bool)
+        for i, plan in enumerate(plans):
+            rng = _stream(config.seed, _TAG_DRAW, i, c)
+            if plan.size == 1:
+                finals[i], draws[i], capped = _play_rounds(rng, size, plan[0], cap)
+                forced_any[capped] = True
+            else:  # row r of the block is the stretch of stream that round r would draw
+                finals[i], draws[i] = _inverse_play(rng.random((plan.size, size)).T, plan)
+        order = np.argsort(finals, axis=0)  # ascending accepted value; exact ties have measure zero
+        asc_pos = np.empty((n, size), dtype=np.int64)
+        np.put_along_axis(asc_pos, order, np.arange(n, dtype=np.int64)[:, None], axis=0)
+        rank = n - 1 - asc_pos  # 0 = winner
+        costs = cost * draws
+        payoff = prize_arr[rank] - costs
+        diss = costs.sum(axis=0) / prize_arr.sum()
+        return {
+            "payoff1": payoff.sum(axis=1),
+            "payoff2": (payoff**2).sum(axis=1),
+            "cost1": costs.sum(axis=1),
+            "cost2": (costs**2).sum(axis=1),
+            "draws1": draws.sum(axis=1, dtype=np.float64),
+            "draws2": (draws.astype(np.float64) ** 2).sum(axis=1),
+            "win1": (rank == 0).sum(axis=1, dtype=np.float64),
+            "diss1": diss.sum(),
+            "diss2": (diss**2).sum(),
+            "capped": int(forced_any.sum()),
+        }
 
     acc = _sum_chunks(work, reps, config.n_threads)
 
@@ -389,7 +364,7 @@ def simulate_contest(
     mean_cost, se_cost = _mean_se(acc["cost1"], acc["cost2"], reps)
     mean_draws, se_draws = _mean_se(acc["draws1"], acc["draws2"], reps)
     mean_win, se_win = _mean_se(acc["win1"], acc["win1"], reps)  # Bernoulli: s2 == s1
-    mean_diss, se_diss = _mean_se(np.array([acc["diss1"]]), np.array([acc["diss2"]]), reps)
+    mean_diss, se_diss = _mean_se(acc["diss1"], acc["diss2"], reps)
     return SimulationReport(
         n_players=n,
         replications=reps,
@@ -404,36 +379,32 @@ def simulate_contest(
         se_draws=tuple(se_draws),
         win_frequency=tuple(mean_win),
         se_win=tuple(se_win),
-        dissipation_ratio=float(mean_diss[0]),
-        se_dissipation=float(se_diss[0]),
+        dissipation_ratio=float(mean_diss),
+        se_dissipation=float(se_diss),
         total_prize=float(prize_arr.sum() * top),
     )
 
 
-def _inverse_play(v: np.ndarray, qs: np.ndarray, infinite: bool) -> tuple[np.ndarray, np.ndarray]:
+def _inverse_play(v: np.ndarray, plan: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Accepted quantile and draw count from pre-drawn uniforms.
 
-    Infinite horizon uses two uniforms per replication: one through the
+    An infinite plan uses two uniforms per replication: one through the
     geometric draw-count inverse CDF, one for the accepted value above the
     threshold. A uniform is at most 1 - 2^-53, so a draw count is at most
     ceil(36.74 / -log q) <= ceil(40 / (1 - q)), the cap of round-by-round
-    play: no cap can bind. Finite horizon reads the uniforms as the draws
-    themselves. Sharing v across strategies yields common-random-number
-    comparisons.
+    play: no cap can bind. A k-draw plan reads the uniforms as the draws
+    themselves, and its last round accepts any. Sharing v across strategies
+    yields common-random-number comparisons.
     """
     size = v.shape[0]
-    if infinite:
-        q = qs[0]
+    if plan.size == 1:
+        q = plan[0]
         if q <= 0.0:
             return v[:, 1].copy(), np.ones(size, dtype=np.int64)
         draws = np.maximum(1, np.ceil(np.log1p(-v[:, 0]) / math.log(q))).astype(np.int64)
         return q + v[:, 1] * (1.0 - q), draws
-    k = qs.size + 1
-    acc = v[:, : k - 1] >= qs[None, :]
-    any_acc = acc.any(axis=1)
-    first = np.where(any_acc, acc.argmax(axis=1), k - 1)
-    draws = first.astype(np.int64) + 1
-    return v[np.arange(size), first], draws
+    first = (v[:, : plan.size] >= plan).argmax(axis=1)
+    return v[np.arange(size), first], first.astype(np.int64) + 1
 
 
 def deviation_scan(
@@ -456,31 +427,24 @@ def deviation_scan(
         raise InvalidParameterError(f"player_index {player_index} out of range")
     cost, prize_arr, top = _resolve_contest(params, None, n)
     opp_idx = [j for j in range(n) if j != player_index]
-    opp_q = [_threshold_quantiles(profile.strategies[j], d) for j in opp_idx]
-    opp_kind = [isinstance(profile.strategies[j], InfiniteThresholdStrategy) for j in opp_idx]
-    all_strats = [profile.strategies[player_index]] + list(candidates)
-    self_q = [_threshold_quantiles(s, d) for s in all_strats]
-    self_kind = [isinstance(s, InfiniteThresholdStrategy) for s in all_strats]
-    v_cols = max([2] + [q.size + 1 for q, inf in zip(self_q, self_kind) if not inf])
+    opp_plans = [_plan(profile.strategies[j], d) for j in opp_idx]
+    self_plans = [_plan(s, d) for s in (profile.strategies[player_index], *candidates)]
+    v_cols = max([2] + [p.size for p in self_plans])
     _check_memory(f"scanning {len(candidates)} deviations", config,
-                  9 * (n - 1 + len(all_strats) + v_cols))
+                  9 * (n - 1 + len(self_plans) + v_cols))
 
     reps = config.replications
 
     def work(c: int, size: int) -> dict:
         opp_final = np.empty((n - 1, size))
-        opp_cost_total = np.zeros(size)
-        for slot, j in enumerate(opp_idx):
-            rng = _stream(config.seed, _TAG_OPP, j, c)
-            cols = 2 if opp_kind[slot] else opp_q[slot].size + 1
-            f, dr = _inverse_play(rng.random((size, cols)), opp_q[slot], opp_kind[slot])
-            opp_final[slot] = f
-            opp_cost_total += cost * dr
+        for slot, (j, plan) in enumerate(zip(opp_idx, opp_plans)):
+            v = _stream(config.seed, _TAG_OPP, j, c).random((size, max(2, plan.size)))
+            opp_final[slot] = _inverse_play(v, plan)[0]
         v_self = _stream(config.seed, _TAG_SELF, player_index, c).random((size, v_cols))
 
         payoffs = []
-        for qs, infinite in zip(self_q, self_kind):
-            f, dr = _inverse_play(v_self, qs, infinite)
+        for plan in self_plans:
+            f, dr = _inverse_play(v_self, plan)
             rank = (opp_final > f[None, :]).sum(axis=0)  # exact ties have measure zero
             payoffs.append(prize_arr[rank] - cost * dr)
         base = payoffs[0]
@@ -492,7 +456,7 @@ def deviation_scan(
         }
 
     acc = _sum_chunks(work, reps, config.n_threads)
-    eq_mean, eq_se = _mean_se(np.array([acc["eq1"]]), np.array([acc["eq2"]]), reps)
+    eq_mean, eq_se = _mean_se(acc["eq1"], acc["eq2"], reps)
     gain_mean, gain_se = _mean_se(acc["gain1"], acc["gain2"], reps)
     rows = tuple(
         DeviationRow(
@@ -505,8 +469,8 @@ def deviation_scan(
     )
     return DeviationScanReport(
         player_index=player_index,
-        equilibrium_payoff=float(eq_mean[0] * top),
-        se_equilibrium_payoff=float(eq_se[0] * top),
+        equilibrium_payoff=float(eq_mean * top),
+        se_equilibrium_payoff=float(eq_se * top),
         rows=rows,
     )
 
@@ -581,7 +545,7 @@ def recall_irrelevance_check(
             f"the recall check needs at least 6 replications: at {reps} its KS "
             f"critical value {crit:.3g} is not below 1, so it cannot fail")
     q = 1.0 - solve_symmetric(params, d).acceptance_prob  # refused when it rounds to 1
-    cap = _round_cap([np.array([q])], [True])
+    cap = _default_cap([np.array([q])])
     _check_memory("the recall check", config, 112, reps)  # all kept for KS
 
     def work(c: int, size: int) -> tuple[np.ndarray, ...]:

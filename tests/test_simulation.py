@@ -266,7 +266,7 @@ def test_forced_stops_are_counted(uniform, monkeypatch):
 
     # round-by-round play stops at the cap, which a real contest reaches
     # with probability about e^-40; force it to one draw
-    monkeypatch.setattr(sim, "_default_cap", lambda quantiles, kinds: 1)
+    monkeypatch.setattr(sim, "_default_cap", lambda plans: 1)
     params = ContestParams(n_players=2, cost=0.01, prize=1.0)
     profile = StrategyProfile((InfiniteThresholdStrategy(0.9),) * 2)
     rep = simulate_contest(profile, params, uniform, SimulationConfig(20_000, SEED))
@@ -283,7 +283,7 @@ def test_forced_stop_reports_frozen(uniform, monkeypatch):
     # the no-recall side keeps its last draw, the with-recall side its best,
     # so the KS check fails; both reports are pinned to the last bit, over
     # one full chunk and a partial one on two threads
-    monkeypatch.setattr(sim, "_default_cap", lambda quantiles, kinds: 3)
+    monkeypatch.setattr(sim, "_default_cap", lambda plans: 3)
     params = ContestParams(n_players=3, cost=0.1, prize=1.0)
     config = SimulationConfig(70_000, SEED, n_threads=2)
     rep = simulate_contest(_symmetric_profile(params, uniform), params, uniform, config)
@@ -524,7 +524,7 @@ def test_play_rounds_reads_the_full_row_words(size, q, recall):
 
     caps = [1, 2, 3, 7]
     if q <= 0.97 or size <= 7:
-        caps.append(sim._default_cap([np.array([q])], [True]))
+        caps.append(sim._default_cap([np.array([q])]))
     for cap in caps:
         _assert_plays_equal(size, q, cap, recall)
 
@@ -535,7 +535,7 @@ def test_play_rounds_skips_and_reads_across_gaps():
     import searchcontest.simulation as sim
 
     size, q = 65536, 0.97
-    cap = sim._default_cap([np.array([q])], [True])
+    cap = sim._default_cap([np.array([q])])
     _, draws, _ = _assert_plays_equal(size, q, cap, False)
     straddled = 0
     for r in range(2, int(draws.max()) + 1):
@@ -552,4 +552,4 @@ def test_play_rounds_matches_with_small_gaps(monkeypatch, gap, size):
 
     monkeypatch.setattr(sim, "_GAP", gap)
     for q, recall in ((0.3, False), (0.9, True), (0.97, False)):
-        _assert_plays_equal(size, q, sim._default_cap([np.array([q])], [True]), recall)
+        _assert_plays_equal(size, q, sim._default_cap([np.array([q])]), recall)
