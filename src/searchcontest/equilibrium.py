@@ -33,7 +33,7 @@ class ContestParams:
     prize: float
 
     def __post_init__(self):
-        require_int("n_players", self.n_players, 2)
+        object.__setattr__(self, "n_players", require_int("n_players", self.n_players, 2))
         require_positive("cost", self.cost)
         require_positive("prize", self.prize)
 

@@ -36,14 +36,16 @@ class NumericFailureError(SearchContestError):
         self.diagnostics = diagnostics or {}
 
 
-def require_int(name: str, value, lo: int) -> None:
-    """Raise InvalidParameterError unless value is an integer >= lo."""
+def require_int(name: str, value, lo: int) -> int:
+    """Return value as an int; raise InvalidParameterError unless it is an
+    integer >= lo. Records store the int, so 3.0 serves wherever 3 does."""
     try:
         ok = int(value) == value and value >= lo
     except (TypeError, ValueError, OverflowError):  # int(nan), int(inf), int("x")
         ok = False
     if not ok:
         raise InvalidParameterError(f"{name} must be an integer >= {lo}, got {value}")
+    return int(value)
 
 
 def require_positive(name: str, value, zero_ok: bool = False) -> None:

@@ -35,9 +35,9 @@ class FiniteHorizonParams:
     n_draws: int  # k
 
     def __post_init__(self):
-        require_int("n_players", self.n_players, 2)
+        object.__setattr__(self, "n_players", require_int("n_players", self.n_players, 2))
         require_positive("cost_ratio", self.cost_ratio, zero_ok=True)
-        require_int("n_draws", self.n_draws, 2)
+        object.__setattr__(self, "n_draws", require_int("n_draws", self.n_draws, 2))
 
 
 @dataclass(frozen=True)
@@ -399,6 +399,7 @@ def threshold_profile(
     k: int, cost_ratio: float, n_range: Sequence[int]
 ) -> ThresholdProfile:
     """Sweep N, reusing each solution as the next N's starting point."""
+    k = require_int("n_draws", k, 2)
     rows = []
     prev: tuple[float, ...] | None = None
     for n in n_range:

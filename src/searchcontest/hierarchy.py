@@ -26,8 +26,8 @@ class DesignerParams:
     meta_prize: float
 
     def __post_init__(self):
-        require_int("n_designers", self.n_designers, 2)
-        require_int("team_size", self.team_size, 1)
+        for name, lo in (("n_designers", 2), ("team_size", 1)):
+            object.__setattr__(self, name, require_int(name, getattr(self, name), lo))
         require_positive("cost", self.cost)
         require_positive("meta_prize", self.meta_prize)
 

@@ -82,9 +82,8 @@ class SimulationConfig:
     n_threads: int = 1
 
     def __post_init__(self):
-        require_int("replications", self.replications, 2)
-        require_int("seed", self.seed, 0)
-        require_int("n_threads", self.n_threads, 1)
+        for name, lo in (("replications", 2), ("seed", 0), ("n_threads", 1)):
+            object.__setattr__(self, name, require_int(name, getattr(self, name), lo))
 
 
 @dataclass(frozen=True)
@@ -338,7 +337,7 @@ def simulate_contest(
                 forced_any[capped] = True
             else:  # row r of the block is the stretch of stream that round r would draw
                 finals[i], draws[i] = _inverse_play(rng.random((plan.size, size)).T, plan)
-        order = np.argsort(finals, axis=0)  # ascending accepted value; exact ties have measure zero
+        order = np.argsort(finals, axis=0)  # ascending value; exact ties have measure zero
         asc_pos = np.empty((n, size), dtype=np.int64)
         np.put_along_axis(asc_pos, order, np.arange(n, dtype=np.int64)[:, None], axis=0)
         rank = n - 1 - asc_pos  # 0 = winner
@@ -423,7 +422,8 @@ def deviation_scan(
     A candidate is flagged when its mean gain exceeds three standard errors.
     """
     n = profile.n_players
-    if not 0 <= player_index < n:
+    player_index = require_int("player_index", player_index, 0)
+    if player_index >= n:
         raise InvalidParameterError(f"player_index {player_index} out of range")
     cost, prize_arr, top = _resolve_contest(params, None, n)
     opp_idx = [j for j in range(n) if j != player_index]

@@ -8,19 +8,29 @@ from searchcontest import (
     ContestParams,
     DesignerParams,
     FiniteHorizonParams,
+    InfiniteThresholdStrategy,
     InvalidParameterError,
     PrizeSchedule,
     SimulationConfig,
+    StrategyProfile,
+    deviation_scan,
     make_exponential,
     make_pareto,
     make_uniform,
+    recall_irrelevance_check,
+    simulate_contest,
+    simulate_designer_dissipation,
+    solve_k_draw,
     solve_multiprize,
     solve_planner,
+    threshold_profile,
 )
 from searchcontest.errors import require_int, require_positive
 
 NAN, INF = math.nan, math.inf
 UNIFORM = make_uniform(0.0, 1.0)
+PROFILE = StrategyProfile((InfiniteThresholdStrategy(0.7),) * 3)
+CONTEST = ContestParams(3, 0.1, 1.0)
 
 BAD_CALLS = {
     "contest_cost_nan": lambda: ContestParams(3, NAN, 1.0),
@@ -46,6 +56,8 @@ BAD_CALLS = {
     "pareto_shape_nan": lambda: make_pareto(NAN, 1.0),
     "pareto_scale_inf": lambda: make_pareto(2.0, INF),
     "uniform_unbounded": lambda: make_uniform(0.0, INF),
+    "deviation_index_fractional": lambda: deviation_scan(
+        PROFILE, 1.5, [], CONTEST, UNIFORM, SimulationConfig(10, 1)),
 }
 
 
@@ -65,6 +77,26 @@ def test_require_int(value, ok):
     else:
         with pytest.raises(InvalidParameterError, match="n must be an integer >= 2"):
             require_int("n", value, 2)
+
+
+# each call with integral floats where ints go; they used to escape as a raw TypeError
+INTEGRAL_FLOAT_CALLS = {
+    "simulate_reps": lambda i: simulate_contest(PROFILE, CONTEST, UNIFORM,
+                                                SimulationConfig(i(1000), 1)),
+    "recall_reps": lambda i: recall_irrelevance_check(CONTEST, UNIFORM,
+                                                      SimulationConfig(i(1000), 1)),
+    "config_seed": lambda i: SimulationConfig(1000, i(1)),
+    "k_draw_k": lambda i: solve_k_draw(FiniteHorizonParams(3, 0.05, i(3))),
+    "profile_k": lambda i: threshold_profile(i(3), 0.05, range(2, 5)),
+    "designer_sizes": lambda i: simulate_designer_dissipation(
+        DesignerParams(i(2), i(2), 0.05, 1.0), UNIFORM, SimulationConfig(1000, 1)),
+}
+
+
+@pytest.mark.parametrize("call", list(INTEGRAL_FLOAT_CALLS.values()),
+                         ids=list(INTEGRAL_FLOAT_CALLS))
+def test_integral_float_acts_as_its_int(call):
+    assert repr(call(float)) == repr(call(int))
 
 
 @pytest.mark.parametrize("value, zero_ok, ok", [
