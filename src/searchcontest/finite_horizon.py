@@ -403,8 +403,9 @@ def threshold_profile(
     rows = []
     prev: tuple[float, ...] | None = None
     for n in n_range:
-        eq = solve_k_draw(FiniteHorizonParams(n, cost_ratio, k), init=prev)
-        rows.append(ProfileRow(n, eq.round_quantiles, eq.exists))
+        params = FiniteHorizonParams(n, cost_ratio, k)
+        eq = solve_k_draw(params, init=prev)
+        rows.append(ProfileRow(params.n_players, eq.round_quantiles, eq.exists))
         prev = eq.round_quantiles if eq.exists else prev
     existing = [r for r in rows if r.exists]
     peak_n = max(existing, key=lambda r: r.round_quantiles[0]).n_players if existing else None

@@ -88,6 +88,7 @@ INTEGRAL_FLOAT_CALLS = {
     "config_seed": lambda i: SimulationConfig(1000, i(1)),
     "k_draw_k": lambda i: solve_k_draw(FiniteHorizonParams(3, 0.05, i(3))),
     "profile_k": lambda i: threshold_profile(i(3), 0.05, range(2, 5)),
+    "profile_n": lambda i: threshold_profile(3, 0.05, [i(2), i(3)]),
     "designer_sizes": lambda i: simulate_designer_dissipation(
         DesignerParams(i(2), i(2), 0.05, 1.0), UNIFORM, SimulationConfig(1000, 1)),
 }
