@@ -357,6 +357,35 @@ def test_mixed_horizon_report_with_schedule_frozen(uniform):
     )
 
 
+def test_finite_plans_with_certain_and_impossible_rounds_frozen(uniform):
+    # a threshold at the top of the support makes a round's acceptance
+    # quantile exactly 1, so that round accepts no draw: the first player skips
+    # its first draw; one below the support makes it 0, so the second player
+    # keeps its second draw and never reaches its third round
+    profile = StrategyProfile((FiniteThresholdStrategy((1.0, 0.5)),
+                               FiniteThresholdStrategy((0.8, -1.0, 0.9)),
+                               InfiniteThresholdStrategy(0.7)))
+    rep = simulate_contest(profile, ContestParams(3, 0.05, 1.0), uniform,
+                           SimulationConfig(70_000, SEED, n_threads=2))
+    assert repr(rep) == (
+        "SimulationReport(n_players=3, replications=70000, seed=20260814, max_draws_cap=134, "
+        "capped_replications=0, mean_payoff=(np.float64(0.06034642857142857), "
+        "np.float64(0.12732142857142856), np.float64(0.43020928571428574)), "
+        "se_payoff=(np.float64(0.0014868830469215168), np.float64(0.0015935584956806755), "
+        "np.float64(0.0019278956810146529)), mean_cost=(np.float64(0.12509642857142858), "
+        "np.float64(0.08997857142857144), np.float64(0.16704785714285716)), "
+        "se_cost=(np.float64(9.449109029024638e-05), np.float64(7.565411154002879e-05), "
+        "np.float64(0.0005276909523266809)), mean_draws=(np.float64(2.5019285714285715), "
+        "np.float64(1.7995714285714286), np.float64(3.340957142857143)), "
+        "se_draws=(np.float64(0.0018898218058049135), np.float64(0.0015130822308005722), "
+        "np.float64(0.010553819046533618)), win_frequency=(np.float64(0.18544285714285713), "
+        "np.float64(0.2173), np.float64(0.5972571428571428)), "
+        "se_win=(np.float64(0.0014689936390986603), np.float64(0.0015587684688292476), "
+        "np.float64(0.00185373940421996)), dissipation_ratio=0.38212285714285715, "
+        "se_dissipation=0.000541336037429608, total_prize=1.0)"
+    )
+
+
 def test_always_accept_uses_one_draw(uniform):
     params = ContestParams(n_players=2, cost=0.01, prize=1.0)
     profile = StrategyProfile((InfiniteThresholdStrategy(0.0),) * 2)
