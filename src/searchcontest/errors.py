@@ -58,3 +58,14 @@ def require_positive(name: str, value, zero_ok: bool = False) -> None:
     if not ok:
         kind = "nonnegative" if zero_ok else "positive"
         raise InvalidParameterError(f"{name} must be finite and {kind}, got {value}")
+
+
+def require_real(name: str, value) -> None:
+    """Raise InvalidParameterError unless value is a real number other than
+    NaN; the infinities pass."""
+    try:
+        ok = not math.isnan(value)
+    except TypeError:  # a string, None, a complex number
+        ok = False
+    if not ok:
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")

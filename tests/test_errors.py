@@ -8,6 +8,7 @@ from searchcontest import (
     ContestParams,
     DesignerParams,
     FiniteHorizonParams,
+    FiniteThresholdStrategy,
     InfiniteThresholdStrategy,
     InvalidParameterError,
     PrizeSchedule,
@@ -58,6 +59,11 @@ BAD_CALLS = {
     "uniform_unbounded": lambda: make_uniform(0.0, INF),
     "deviation_index_fractional": lambda: deviation_scan(
         PROFILE, 1.5, [], CONTEST, UNIFORM, SimulationConfig(10, 1)),
+    "infinite_threshold_nan": lambda: InfiniteThresholdStrategy(NAN),
+    "infinite_threshold_str": lambda: InfiniteThresholdStrategy("x"),
+    "infinite_threshold_none": lambda: InfiniteThresholdStrategy(None),
+    "finite_threshold_nan": lambda: FiniteThresholdStrategy((0.5, NAN)),
+    "finite_threshold_str": lambda: FiniteThresholdStrategy(("x",)),
 }
 
 
@@ -65,6 +71,14 @@ BAD_CALLS = {
 def test_bad_parameter_is_invalid_parameter_error(call):
     with pytest.raises(InvalidParameterError):
         call()
+
+
+def test_infinite_thresholds_stay_legal():
+    # +inf accepts no draw and -inf every draw: the first player keeps its second
+    profile = StrategyProfile((FiniteThresholdStrategy((INF, -INF)),
+                               InfiniteThresholdStrategy(-INF)))
+    rep = simulate_contest(profile, ContestParams(2, 0.1, 1.0), UNIFORM, SimulationConfig(100, 1))
+    assert rep.mean_draws == (2.0, 1.0)
 
 
 @pytest.mark.parametrize("value, ok", [

@@ -467,9 +467,12 @@ def test_memory_budget_refuses_before_allocating(uniform, monkeypatch):
     small = ContestParams(n_players=3, cost=0.1, prize=1.0)
     config = SimulationConfig(200_000, SEED)
     candidates = [InfiniteThresholdStrategy(0.5)] * 2000  # ~1.2 GB of paired payoffs
+    wide = FiniteThresholdStrategy((0.5,) * 1999)  # ~1.2 GB of one opponent's uniforms
     calls = [
         lambda: simulate_contest(_symmetric_profile(big, uniform), big, uniform, config),
         lambda: deviation_scan(_symmetric_profile(small, uniform), 0, candidates, small,
+                               uniform, config),
+        lambda: deviation_scan(StrategyProfile((candidates[0], wide, wide)), 0, [], small,
                                uniform, config),
         # every replication is kept for the KS test: ~2.1 GB
         lambda: recall_irrelevance_check(small, uniform, SimulationConfig(20_000_000, SEED)),
