@@ -192,10 +192,11 @@ def _default_cap(plans: list[np.ndarray]) -> int:
 
 
 def _play_rounds(
-    rng: np.random.Generator, size: int, q: float, cap: int, recall: bool = False
+    rng: np.random.Generator, size: int, plan: np.ndarray, cap: int, recall: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate one player's infinite-horizon search, round by round, for a
-    block of replications.
+    """Simulate one player's search, round by round, for a block of
+    replications: round r accepts a draw at or above plan[min(r, len(plan)) - 1],
+    so a k-draw plan, whose last quantile 0 accepts any draw, ends by round k.
 
     Returns the accepted quantile, the number of draws and the indices of the
     replications the cap stopped. Draw (round r, replication j) is raw stream
@@ -205,14 +206,14 @@ def _play_rounds(
     of live replications are read: each round they are split into runs
     wherever two lie more than _GAP words apart, each run is one read, and a
     longer dead stretch before a run is skipped. A uniform is at or above q
-    exactly when its word is at or above ceil(q * 2^53) << 11, so words are
-    compared as integers and each accepted word is made a uniform once, at the
-    end. With recall a search stops once its running maximum, kept in words
-    since the map is monotone, reaches q, and the cap keeps that maximum
-    instead of the last draw.
+    exactly when its word is at or above ceil(q * 2^53) << 11 (for q = 1, 2^64:
+    a Python int no word reaches), so words are compared as integers and each
+    accepted word is made a uniform once, at the end. With recall a search
+    stops once its running maximum, kept in words since the map is monotone,
+    reaches the round's bound, and the cap keeps that maximum, not the last draw.
     """
     bits = rng.bit_generator
-    t = np.uint64(math.ceil(q * 2.0**53) << 11)
+    bounds = [math.ceil(q * 2.0**53) << 11 for q in plan]
     final = np.empty(size, dtype=np.uint64)  # the accepted words, made uniforms at the end
     draws = np.full(size, cap, dtype=np.int64)
     live = np.arange(size)
@@ -238,7 +239,7 @@ def _play_rounds(
             run -= row - pos
             pos += n_read
         seen = np.maximum(best, x[: live.size]) if recall else x[: live.size]
-        stop = np.greater_equal(seen, t, out=mask[: live.size])
+        stop = np.greater_equal(seen, bounds[min(r, len(bounds)) - 1], out=mask[: live.size])
         done = live[stop]
         final[done] = seen[stop]
         draws[done] = r
@@ -337,11 +338,8 @@ def simulate_contest(
         forced_any = np.zeros(size, dtype=bool)
         for i, plan in enumerate(plans):
             rng = _stream(config.seed, _TAG_DRAW, i, c)
-            if plan.size == 1:
-                finals[i], draws[i], capped = _play_rounds(rng, size, plan[0], cap)
-                forced_any[capped] = True
-            else:  # row r of the block is the stretch of stream that round r would draw
-                finals[i], draws[i] = _inverse_play(rng.random((plan.size, size)).T, plan)
+            finals[i], draws[i], capped = _play_rounds(rng, size, plan, cap)
+            forced_any[capped] = True  # a k-draw plan ends by round k <= cap
         order = np.argsort(finals, axis=0)  # ascending value; exact ties have measure zero
         asc_pos = np.empty((n, size), dtype=np.int64)
         np.put_along_axis(asc_pos, order, np.arange(n, dtype=np.int64)[:, None], axis=0)
@@ -390,15 +388,15 @@ def simulate_contest(
 
 
 def _inverse_play(v: np.ndarray, plan: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Accepted quantile and draw count from pre-drawn uniforms.
+    """Accepted quantile and draw count from pre-drawn uniforms, for
+    deviation_scan, whose candidates share one block v: common random numbers.
 
     An infinite plan uses two uniforms per replication: one through the
     geometric draw-count inverse CDF, one for the accepted value above the
     threshold. A uniform is at most 1 - 2^-53, so a draw count is at most
     ceil(36.74 / -log q) <= ceil(40 / (1 - q)), the cap of round-by-round
     play: no cap can bind. A k-draw plan reads the uniforms as the draws
-    themselves, and its last round accepts any. Sharing v across strategies
-    yields common-random-number comparisons.
+    themselves, and its last round accepts any.
     """
     size = v.shape[0]
     if plan.size == 1:
@@ -552,12 +550,12 @@ def recall_irrelevance_check(
         raise InvalidParameterError(
             f"the recall check needs at least 6 replications: at {reps} its KS "
             f"critical value {crit:.3g} is not below 1, so it cannot fail")
-    q = 1.0 - solve_symmetric(params, d).acceptance_prob  # refused when it rounds to 1
-    cap = _default_cap([np.array([q])])
+    plan = np.array([1.0 - solve_symmetric(params, d).acceptance_prob])  # refused if it is 1
+    cap = _default_cap([plan])
     _check_memory("the recall check", config, 112, reps)  # all kept for KS
 
     def work(c: int, size: int) -> tuple[np.ndarray, ...]:
-        return tuple(_play_rounds(_stream(config.seed, _TAG_RECALL, side, c), size, q, cap,
+        return tuple(_play_rounds(_stream(config.seed, _TAG_RECALL, side, c), size, plan, cap,
                                   recall=side == 1)[0] for side in (0, 1))
 
     # no name keeps the chunk pieces alive through the KS copies below

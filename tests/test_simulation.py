@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -488,6 +489,26 @@ def test_memory_budget_refuses_before_allocating(uniform, monkeypatch):
     assert peak < 4 << 20  # one player's chunk alone is about 4.5 MB
 
 
+def test_finite_players_stay_within_the_memory_estimate(uniform, monkeypatch):
+    # a k-draw player is played round by round, so its memory does not grow
+    # with k; a pre-drawn k x chunk block of uniforms would hold 105 MB here
+    import searchcontest.simulation as sim
+
+    profile = StrategyProfile((FiniteThresholdStrategy((0.99,) * 199),) * 3)
+    params, config = ContestParams(3, 0.001, 1.0), SimulationConfig(sim._CHUNK, SEED)
+    tracemalloc.start()
+    try:
+        rep = simulate_contest(profile, params, uniform, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.max_draws_cap == 200
+    # the estimate is above the peak exactly when a budget of the peak refuses
+    monkeypatch.setattr(sim, "_MEMORY_BUDGET", peak)
+    with pytest.raises(InvalidParameterError, match="memory budget"):
+        simulate_contest(profile, params, uniform, config)
+
+
 # The round-play kernel reads raw Philox words where Generator.random would
 # have drawn doubles, and skips dead stretches of the stream with advance.
 # These two tests pin the numpy behaviour that makes that byte-safe.
@@ -510,9 +531,10 @@ def test_numpy_philox_advance_moves_whole_blocks_and_empties_the_buffer(consumed
         assert bits.random_raw(1)[0] == words[4 * (-(-consumed // 4) + d)]
 
 
-def _full_row_play(rng, size, q, cap, recall=False):
+def _full_row_play(rng, size, plan, cap, recall=False):
     """The round-play kernel as it was before it read raw words: every round
-    draws a full row of uniforms through Generator.random."""
+    draws a full row of uniforms through Generator.random, and round r
+    accepts a uniform at or above plan[min(r, len(plan)) - 1]."""
     x = np.empty(size)
     final = np.empty(size)
     draws = np.full(size, cap, dtype=np.int64)
@@ -522,7 +544,7 @@ def _full_row_play(rng, size, q, cap, recall=False):
     for r in range(1, cap + 1):
         rng.random(out=x)
         seen = np.maximum(best, x[live]) if recall else x[live]
-        stop = np.greater_equal(seen, q, out=mask[: live.size])
+        stop = np.greater_equal(seen, plan[min(r, len(plan)) - 1], out=mask[: live.size])
         done = live[stop]
         final[done] = seen[stop]
         draws[done] = r
@@ -536,29 +558,37 @@ def _full_row_play(rng, size, q, cap, recall=False):
     return final, draws, live
 
 
-def _assert_plays_equal(size, q, cap, recall):
+def _assert_plays_equal(size, plan, cap, recall):
     import searchcontest.simulation as sim
 
-    got = sim._play_rounds(sim._stream(SEED, 0, 1, size), size, q, cap, recall)
-    want = _full_row_play(sim._stream(SEED, 0, 1, size), size, q, cap, recall)
+    got = sim._play_rounds(sim._stream(SEED, 0, 1, size), size, plan, cap, recall)
+    want = _full_row_play(sim._stream(SEED, 0, 1, size), size, plan, cap, recall)
     for g, w in zip(got, want):
         assert (g.dtype, g.tobytes()) == (w.dtype, w.tobytes())
     return want
 
 
 @pytest.mark.parametrize("recall", [False, True], ids=["no_recall", "recall"])
-@pytest.mark.parametrize("q", [0.0, 0.3, 0.97, 0.999])
+@pytest.mark.parametrize("plan", [
+    0.0, 0.3, 0.97, 0.999,
+    # k-draw plans: a 1.0 round accepts no draw, a 0.0 round every draw
+    pytest.param((0.5, 0.0), id="k2"),
+    pytest.param((1.0, 0.3, 0.0), id="k3"),
+    pytest.param((0.9, 0.0, 0.0), id="k3_zero"),
+    pytest.param((0.97, 0.97, 1.0, 0.3, 0.97, 0.0), id="k6"),
+])
 @pytest.mark.parametrize("size", [1, 2, 3, 7, 4097, 65536])
-def test_play_rounds_reads_the_full_row_words(size, q, recall):
+def test_play_rounds_reads_the_full_row_words(size, plan, recall):
     # odd sizes start rows off the 4-word block boundary; the default cap
     # runs where the full-row reference stays cheap
     import searchcontest.simulation as sim
 
+    plan = np.array(plan, ndmin=1)
     caps = [1, 2, 3, 7]
-    if q <= 0.97 or size <= 7:
-        caps.append(sim._default_cap([np.array([q])]))
+    if plan.size > 1 or plan[0] <= 0.97 or size <= 7:
+        caps.append(sim._default_cap([plan]))
     for cap in caps:
-        _assert_plays_equal(size, q, cap, recall)
+        _assert_plays_equal(size, plan, cap, recall)
 
 
 def test_play_rounds_skips_and_reads_across_gaps():
@@ -566,9 +596,8 @@ def test_play_rounds_skips_and_reads_across_gaps():
     # live columns both more and fewer than _GAP words apart
     import searchcontest.simulation as sim
 
-    size, q = 65536, 0.97
-    cap = sim._default_cap([np.array([q])])
-    _, draws, _ = _assert_plays_equal(size, q, cap, False)
+    size, plan = 65536, np.array([0.97])
+    _, draws, _ = _assert_plays_equal(size, plan, sim._default_cap([plan]), False)
     straddled = 0
     for r in range(2, int(draws.max()) + 1):
         gaps = np.diff(np.flatnonzero(draws >= r))
@@ -584,4 +613,18 @@ def test_play_rounds_matches_with_small_gaps(monkeypatch, gap, size):
 
     monkeypatch.setattr(sim, "_GAP", gap)
     for q, recall in ((0.3, False), (0.9, True), (0.97, False)):
-        _assert_plays_equal(size, q, sim._default_cap([np.array([q])]), recall)
+        plan = np.array([q])
+        _assert_plays_equal(size, plan, sim._default_cap([plan]), recall)
+
+
+def test_a_round_of_quantile_one_rejects_even_the_top_word():
+    # the top word, 2^64 - 1, makes the largest uniform, 1 - 2^-53: a round's
+    # bound of 2^64 clamped to fit a uint64 would accept it
+    import searchcontest.simulation as sim
+
+    top = types.SimpleNamespace(random_raw=lambda n: np.full(n, 2**64 - 1, dtype=np.uint64),
+                                advance=lambda d: None)
+    final, draws, capped = sim._play_rounds(types.SimpleNamespace(bit_generator=top), 5,
+                                            np.array([1.0, 0.0]), 3)
+    assert draws.tolist() == [2] * 5 and capped.size == 0
+    assert final.tolist() == [1.0 - 2.0**-53] * 5
