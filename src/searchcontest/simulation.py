@@ -443,7 +443,7 @@ def deviation_scan(
 
     def work(c: int, size: int) -> dict:
         opp_final = np.empty((n - 1, size))
-        for slot, (j, plan) in enumerate(zip(opp_idx, opp_plans)):  # no name keeps a block
+        for slot, (j, plan) in enumerate(zip(opp_idx, opp_plans)):  # no name keeps a block alive
             opp_final[slot] = _inverse_play(
                 _stream(config.seed, _TAG_OPP, j, c).random((size, max(2, plan.size))), plan)[0]
         v_self = _stream(config.seed, _TAG_SELF, player_index, c).random((size, v_cols))
