@@ -335,6 +335,26 @@ def test_deviation_scan_with_finite_strategies_frozen(uniform):
     )
 
 
+def test_deviation_scan_with_a_wide_opponent_frozen(uniform):
+    # a k=50 opponent's uniforms span 50 stream words per replication, so a
+    # chunk holds many rows of them; pinned to the last bit over a full chunk
+    # and a partial one on two threads
+    profile = StrategyProfile((InfiniteThresholdStrategy(0.7), FiniteThresholdStrategy((0.9,) * 49),
+                               InfiniteThresholdStrategy(0.65)))
+    candidates = [FiniteThresholdStrategy((0.8, 0.7, 0.6, 0.5, 0.4)),
+                  InfiniteThresholdStrategy(0.75)]
+    scan = deviation_scan(profile, 0, candidates, ContestParams(3, 0.05, 1.0), uniform,
+                          SimulationConfig(70_001, SEED, n_threads=2))
+    assert repr(scan) == (
+        "DeviationScanReport(player_index=0, equilibrium_payoff=-0.017358323452522122, "
+        "se_equilibrium_payoff=0.0014498793581523776, "
+        "rows=(DeviationRow(strategy=FiniteThresholdStrategy(thresholds=(0.8, 0.7, 0.6, 0.5, 0.4)), "
+        "mean_gain=0.004125655347780745, se_gain=0.0018729393006727327, flagged=False), "
+        "DeviationRow(strategy=InfiniteThresholdStrategy(threshold=0.75), "
+        "mean_gain=-0.0031492407251325016, se_gain=0.0006663381762951016, flagged=False)))"
+    )
+
+
 def test_mixed_horizon_report_with_schedule_frozen(uniform):
     rep = simulate_contest(_mixed_profile(), ContestParams(3, 0.05, 1.0), uniform,
                            SimulationConfig(70_000, SEED, n_threads=2),
