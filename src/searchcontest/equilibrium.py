@@ -19,6 +19,7 @@ from .errors import (
     NoSearchIncentiveError,
     NotViableError,
     NumericFailureError,
+    _as_tuple,
     require_int,
     require_positive,
 )
@@ -59,12 +60,13 @@ class PrizeSchedule:
     prizes: tuple[float, ...]
 
     def __post_init__(self):
-        p = tuple(float(v) for v in self.prizes)
+        p = _as_tuple("prizes", self.prizes)
+        for v in p:  # before float(), which reads "1" and refuses "x" with a raw ValueError
+            require_positive("prize", v, zero_ok=True)
+        p = tuple(float(v) for v in p)
         object.__setattr__(self, "prizes", p)
         if not p:
             raise InvalidParameterError("prize schedule cannot be empty")
-        for v in p:
-            require_positive("prize", v, zero_ok=True)
         if any(a < b for a, b in zip(p, p[1:])):
             raise InvalidParameterError("prizes must be sorted non-increasing")
 

@@ -69,3 +69,11 @@ def require_real(name: str, value) -> None:
         ok = False
     if not ok:
         raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+
+
+def _as_tuple(name: str, values) -> tuple:
+    """values as a tuple; InvalidParameterError if they are not iterable (a bare number)."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be a sequence, got {values!r}") from None

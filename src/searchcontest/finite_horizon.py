@@ -60,9 +60,13 @@ class OpponentFinalCdf:
     """
 
     def __init__(self, round_quantiles: Sequence[float]):
-        a = tuple(float(v) for v in round_quantiles)
-        if any(v < 0 or v >= 1 for v in a):
-            raise InvalidParameterError(f"round quantiles must lie in [0, 1), got {a}")
+        try:
+            a = tuple(float(v) for v in round_quantiles)
+            ok = all(0 <= v < 1 for v in a)  # NaN fails both comparisons
+        except (TypeError, ValueError):  # a bare number, or an item float() cannot read
+            ok = False
+        if not ok:
+            raise InvalidParameterError(f"round quantiles must lie in [0, 1): {round_quantiles!r}")
         self.round_quantiles = a
         reach = [1.0]  # prob of surviving to round j
         for v in a:
@@ -293,6 +297,8 @@ def _newton_polish(
         improved = False
         for halving in range(40):
             cand = np.clip(a + step * 0.5**halving, 1e-9, 1.0 - 1e-9)
+            if np.isnan(cand).any():  # a NaN step, from an overflowed Jacobian, improves nothing
+                break
             fc = _scaled_residuals(cand, n, r)
             nc = float(np.max(np.abs(fc)))
             if nc < norm:

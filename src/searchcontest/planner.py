@@ -216,19 +216,20 @@ def solve_planner(n_players: int, cost: float, d: Distribution) -> PlannerSoluti
     certify a sign. Each sign change is then polished by brentq on the adaptive
     _foc_residual, candidates are compared by adaptively integrated welfare,
     and the reported foc_residual is adaptive too, so the answer's digits come
-    from adaptive quadrature alone. A positive residual at the top grid point
-    means welfare still rises where the quantiles run out of float resolution;
-    that is refused rather than answered with the corner."""
+    from adaptive quadrature alone. The top grid point is evaluated first: a
+    positive residual there, where quantiles run out of float resolution, is
+    refused rather than answered with the corner, and no other point is evaluated."""
     _check_args(n_players, cost)
     _check_tail(d)
     n = n_players
     qs = np.linspace(0.0, 1.0 - 1e-9, _GRID)
-    vals = _bracket_residuals(qs, n, cost, d)
-    if vals[-1] > 0.0:  # heavy tails: the q = 0 corner would win by default
+    top = _bracket_residuals(qs[-1:], n, cost, d)  # first: a refusal needs no other point
+    if top[0] > 0.0:  # heavy tails: the q = 0 corner would win by default
         raise NumericFailureError(
             "welfare still rises at the top of the quantile grid: the optimal "
             "threshold lies past float resolution",
-            {"top_quantile": float(qs[-1]), "top_residual": float(vals[-1])})
+            {"top_quantile": float(qs[-1]), "top_residual": float(top[0])})
+    vals = np.concatenate((_bracket_residuals(qs[:-1], n, cost, d), top))
     roots = [0.0] + _grid_roots(_foc_residual, qs, vals, 1e-13, (n, cost, d))  # 0: the corner
     best_q, best_w = None, -math.inf
     for q in roots:

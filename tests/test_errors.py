@@ -27,6 +27,7 @@ from searchcontest import (
     threshold_profile,
 )
 from searchcontest.errors import require_int, require_positive
+from searchcontest.finite_horizon import OpponentFinalCdf
 
 NAN, INF = math.nan, math.inf
 UNIFORM = make_uniform(0.0, 1.0)
@@ -64,6 +65,21 @@ BAD_CALLS = {
     "infinite_threshold_none": lambda: InfiniteThresholdStrategy(None),
     "finite_threshold_nan": lambda: FiniteThresholdStrategy((0.5, NAN)),
     "finite_threshold_str": lambda: FiniteThresholdStrategy(("x",)),
+    # containers: a bare number where a sequence belongs, or items of the wrong kind
+    "finite_thresholds_bare_number": lambda: FiniteThresholdStrategy(0.5),
+    "profile_bare_number": lambda: StrategyProfile(5),
+    "profile_of_strings": lambda: simulate_contest(
+        StrategyProfile(("a", "b")), ContestParams(2, 0.1, 1.0), UNIFORM, SimulationConfig(10, 1)),
+    "deviation_candidates_bare_number": lambda: deviation_scan(
+        PROFILE, 0, 5, CONTEST, UNIFORM, SimulationConfig(10, 1)),
+    "deviation_candidate_number": lambda: deviation_scan(
+        PROFILE, 0, [5], CONTEST, UNIFORM, SimulationConfig(10, 1)),
+    "deviation_candidate_str": lambda: deviation_scan(
+        PROFILE, 0, ["x"], CONTEST, UNIFORM, SimulationConfig(10, 1)),
+    "prize_schedule_bare_number": lambda: PrizeSchedule(5),
+    "prize_schedule_str": lambda: PrizeSchedule(("a",)),
+    "opponent_cdf_str": lambda: OpponentFinalCdf("x"),
+    "opponent_cdf_nan": lambda: OpponentFinalCdf([NAN]),
 }
 
 

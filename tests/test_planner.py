@@ -140,6 +140,21 @@ def test_optimum_past_float_resolution_refused(shape, n, cost):
     assert info.value.diagnostics["top_residual"] > 0.0
 
 
+def test_refusal_evaluates_only_the_top_point(monkeypatch):
+    # the rest of the grid took about 4 s of adaptive fallbacks on this cell
+    evaluated = []
+
+    def spy(qs, *args):
+        evaluated.extend(qs.tolist())
+        return bracket(qs, *args)
+
+    bracket = planner._bracket_residuals
+    monkeypatch.setattr(planner, "_bracket_residuals", spy)
+    with pytest.raises(NumericFailureError):
+        solve_planner(20, 1.0, make_pareto(1.05, 1.0))
+    assert evaluated == [1.0 - 1e-9]
+
+
 def test_true_corner_still_returned():
     # crowded and costly: accepting every draw is optimal, and the top residual is negative
     sol = solve_planner(10, 0.3, make_pareto(2.0, 1.0))

@@ -487,15 +487,12 @@ def test_memory_budget_refuses_before_allocating(uniform, monkeypatch):
     big = ContestParams(n_players=1000, cost=0.0003, prize=1.0)  # ~4.5 GB of chunks
     small = ContestParams(n_players=3, cost=0.1, prize=1.0)
     config = SimulationConfig(200_000, SEED)
-    candidates = [InfiniteThresholdStrategy(0.5)] * 2000  # ~1.2 GB of paired payoffs
-    wide = FiniteThresholdStrategy((0.5,) * 1999)  # ~1.2 GB of one opponent's uniforms
+    wide = FiniteThresholdStrategy((0.5,) * 1999)  # ~1.2 GB of the deviator's uniforms
     calls = [
         lambda: simulate_contest(_symmetric_profile(big, uniform), big, uniform, config),
-        lambda: deviation_scan(_symmetric_profile(small, uniform), 0, candidates, small,
+        lambda: deviation_scan(_symmetric_profile(small, uniform), 0, [wide], small,
                                uniform, config),
-        lambda: deviation_scan(StrategyProfile((candidates[0], wide, wide)), 0, [], small,
-                               uniform, config),
-        # every replication is kept for the KS test: ~2.1 GB
+        # every replication is kept for the KS test: ~1.6 GB
         lambda: recall_irrelevance_check(small, uniform, SimulationConfig(20_000_000, SEED)),
     ]
     tracemalloc.start()
@@ -527,6 +524,41 @@ def test_finite_players_stay_within_the_memory_estimate(uniform, monkeypatch):
     monkeypatch.setattr(sim, "_MEMORY_BUDGET", peak)
     with pytest.raises(InvalidParameterError, match="memory budget"):
         simulate_contest(profile, params, uniform, config)
+
+
+WIDE_OPPONENTS = StrategyProfile((InfiniteThresholdStrategy(0.7),)
+                                 + (FiniteThresholdStrategy((0.99,) * 199),) * 2)
+MEMORY_CASES = {
+    # each opponent's uniforms are drawn in blocks of whole rows: a k x chunk block is 105 MB
+    "scan_k200_opponents": lambda d: deviation_scan(
+        WIDE_OPPONENTS, 0, [InfiniteThresholdStrategy(0.6)], ContestParams(3, 0.001, 1.0), d,
+        SimulationConfig(1 << 16, SEED)),
+    # one candidate's payoffs are held at a time: all 200 of them are 105 MB
+    "scan_200_candidates": lambda d: deviation_scan(
+        StrategyProfile((InfiniteThresholdStrategy(0.7),) * 3), 0,
+        [InfiniteThresholdStrategy(0.6)] * 200, ContestParams(3, 0.1, 1.0), d,
+        SimulationConfig(1 << 16, SEED)),
+    # the two samples hold 3.2 MB, and the KS statistic needs no pooled copy of them
+    "recall_200k": lambda d: recall_irrelevance_check(
+        ContestParams(3, 0.1, 1.0), d, SimulationConfig(200_000, SEED)),
+}
+
+
+@pytest.mark.parametrize("call", list(MEMORY_CASES.values()), ids=list(MEMORY_CASES))
+def test_scans_and_recall_stay_within_the_memory_estimate(uniform, monkeypatch, call):
+    import searchcontest.simulation as sim
+
+    tracemalloc.start()
+    try:
+        call(uniform)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 << 20
+    # the estimate is above the peak exactly when a budget of the peak refuses
+    monkeypatch.setattr(sim, "_MEMORY_BUDGET", peak)
+    with pytest.raises(InvalidParameterError, match="memory budget"):
+        call(uniform)
 
 
 # The round-play kernel reads raw Philox words where Generator.random would
