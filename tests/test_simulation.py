@@ -1,5 +1,6 @@
 """Monte Carlo engine: statistical agreement with theory and determinism."""
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 import types
@@ -405,6 +406,24 @@ def test_finite_plans_with_certain_and_impossible_rounds_frozen(uniform):
         "np.float64(0.00185373940421996)), dissipation_ratio=0.38212285714285715, "
         "se_dissipation=0.000541336037429608, total_prize=1.0)"
     )
+
+
+def test_thirty_player_report_with_schedule_frozen(uniform):
+    # 30-way ranks under a three-level schedule, one two-round player among 29
+    # infinite ones, over a full chunk and a partial one on two threads; the
+    # 8 kB repr is pinned by its digest, and a few fields are spelled out
+    profile = StrategyProfile((InfiniteThresholdStrategy(0.9),) * 29
+                              + (FiniteThresholdStrategy((0.8,)),))
+    rep = simulate_contest(profile, ContestParams(30, 0.002, 1.0), uniform,
+                           SimulationConfig(70_001, SEED, n_threads=2),
+                           PrizeSchedule((0.6, 0.3, 0.1) + (0.0,) * 27))
+    assert (rep.max_draws_cap, rep.capped_replications) == (401, 0)
+    assert (rep.dissipation_ratio, rep.se_dissipation) == (0.5830415565491922,
+                                                           0.000386272414095193)
+    assert (rep.mean_payoff[-1], rep.win_frequency[-1], rep.mean_draws[-1]) == (
+        0.0022616534049513574, 0.0057570606134198085, 1.801274267510464)
+    assert hashlib.sha256(repr(rep).encode()).hexdigest() == (
+        "6a35c4c056f4459ece210d08f836fa1eb0ee965a3de767d485597101e480ab0e")
 
 
 def test_always_accept_uses_one_draw(uniform):
