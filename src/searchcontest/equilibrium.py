@@ -8,7 +8,8 @@ arithmetic happens on u = F(x) and values appear only through quantile().
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 
 import numpy as np
 
@@ -19,10 +20,17 @@ from .errors import (
     NoSearchIncentiveError,
     NotViableError,
     NumericFailureError,
+    SearchContestError,
     _as_tuple,
     require_int,
     require_positive,
 )
+
+
+def _sum_left(values) -> float:
+    """Added left to right: from Python 3.12 on, builtin sum() of floats is
+    compensated, so its bits would depend on the Python version."""
+    return reduce(add, values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -72,7 +80,7 @@ class PrizeSchedule:
 
     @property
     def mean(self) -> float:
-        return sum(self.prizes) / len(self.prizes)
+        return _sum_left(self.prizes) / len(self.prizes)
 
     @property
     def last(self) -> float:
@@ -177,10 +185,18 @@ def _asym_high_indiff(s_l: float, s_h: float, n: int, c: float, w: float) -> flo
 
 
 def _brentq(f, lo: float, hi: float, xtol: float, args: tuple = ()) -> float:
-    """scipy's brentq, with a search that does not converge raised as
-    NumericFailureError instead of RuntimeError."""
+    """scipy's brentq, with a search that does not converge, or a bracket it refuses
+    (ends of one sign, a NaN), raised as NumericFailureError instead of RuntimeError
+    or ValueError; only on that path are the ends evaluated again, for diagnostics."""
     from scipy.optimize import brentq
-    root, info = brentq(f, lo, hi, args=args, xtol=xtol, full_output=True, disp=False)
+    try:
+        root, info = brentq(f, lo, hi, args=args, xtol=xtol, full_output=True, disp=False)
+    except SearchContestError:
+        raise
+    except ValueError as ex:
+        raise NumericFailureError(f"root search refused its bracket: {ex}", diagnostics={
+            "bracket": [float(lo), float(hi)],
+            "end_residuals": [float(f(x, *args)) for x in (lo, hi)]}) from None
     if not info.converged:
         raise NumericFailureError(
             f"root search did not converge: {info.flag}",

@@ -197,8 +197,9 @@ def _bracket_residuals(qs: np.ndarray, n_players: int, cost: float, d: Distribut
             inv_f[idx[keep]] = 1.0 / f[keep]
         vals = inv_f.reshape(q.shape[0], -1) * kernel
         scale = (1.0 - q[:, 0]) ** 2
-        r64 = scale * (vals @ w64) - cost
-        r128 = scale * (vals @ w128) - cost
+        # row sums: vals @ w takes another path for a partial block, moving a point's bits
+        r64 = scale * (vals * w64).sum(axis=1) - cost
+        r128 = scale * (vals * w128).sum(axis=1) - cost
         out[start:start + len(r128)] = r128
         # written so that a NaN from either rule also falls back
         unsure = ~(np.abs(r128) > _CERTIFY_FACTOR * np.abs(r64 - r128) + _CERTIFY_FLOOR)

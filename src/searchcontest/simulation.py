@@ -11,6 +11,7 @@ matter how many worker threads run the chunks.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .distributions import Distribution
-from .equilibrium import ContestParams, PrizeSchedule, solve_symmetric
+from .equilibrium import ContestParams, PrizeSchedule, _sum_left, solve_symmetric
 from .errors import InvalidParameterError, _as_tuple, require_int, require_real
 from .hierarchy import DesignerParams, solve_designer
 
@@ -286,15 +287,10 @@ def _map_chunks(work, reps: int, n_threads: int) -> list:
     return [work(c, size) for c, size in enumerate(sizes)]
 
 
-def _sum_chunks(work, reps: int, n_threads: int) -> dict:
-    """Key-wise sum of the dicts work(chunk, size) returns, in chunk order so
-    float sums do not depend on the thread count."""
-    partials = _map_chunks(work, reps, n_threads)
-    acc = {k: 0.0 if np.isscalar(v) else np.zeros_like(v) for k, v in partials[0].items()}
-    for p in partials:
-        for k, v in p.items():
-            acc[k] = acc[k] + v
-    return acc
+def _sum_chunks(work, reps: int, n_threads: int) -> list:
+    """Element-wise sum of the tuples work(chunk, size) returns, in chunk order
+    so float sums do not depend on the thread count."""
+    return [_sum_left(parts) for parts in zip(*_map_chunks(work, reps, n_threads))]
 
 
 def _resolve_contest(
@@ -328,63 +324,50 @@ def simulate_contest(
     statistics with standard errors, plus the cost/prize dissipation ratio."""
     n = profile.n_players
     cost, prize_arr, top = _resolve_contest(params, prizes, n)
-    # per player, plus the round-play buffers of the chunk: 253 B measured at
-    # N=3, 748 at 10, 2,190 at 30 and 4,350 at 60
+    # per player, plus the round-play buffers of the chunk: at most 253 B
+    # measured at N=3, 587 at 10, 1,546 at 30 and 2,987 at 60
     _check_memory(f"simulating {n} players", config, 75 * n + 40)
     plans = [_plan(s, d) for s in profile.strategies]
     cap = _default_cap(plans)
 
     reps = config.replications
 
-    def work(c: int, size: int) -> dict:
+    def work(c: int, size: int) -> tuple:
         finals = np.empty((n, size))
-        draws = np.empty((n, size), dtype=np.int64)
+        stats = np.empty((4, n, size))  # payoff, cost, draw count and win, the report's order
         forced_any = np.zeros(size, dtype=bool)
         for i, plan in enumerate(plans):
             rng = _stream(config.seed, _TAG_DRAW, i, c)
-            finals[i], draws[i], capped = _play_rounds(rng, size, plan, cap)
+            finals[i], stats[2, i], capped = _play_rounds(rng, size, plan, cap)
             forced_any[capped] = True  # a k-draw plan ends by round k <= cap
-        order = np.argsort(finals, axis=0)  # ascending value; exact ties have measure zero
-        asc_pos = np.empty((n, size), dtype=np.int64)
-        np.put_along_axis(asc_pos, order, np.arange(n, dtype=np.int64)[:, None], axis=0)
-        rank = n - 1 - asc_pos  # 0 = winner
-        costs = cost * draws
-        payoff = prize_arr[rank] - costs
-        diss = costs.sum(axis=0) / prize_arr.sum()
-        return {
-            "payoff1": payoff.sum(axis=1),
-            "payoff2": (payoff**2).sum(axis=1),
-            "cost1": costs.sum(axis=1),
-            "cost2": (costs**2).sum(axis=1),
-            "draws1": draws.sum(axis=1, dtype=np.float64),
-            "draws2": (draws.astype(np.float64) ** 2).sum(axis=1),
-            "win1": (rank == 0).sum(axis=1, dtype=np.float64),
-            "diss1": diss.sum(),
-            "diss2": (diss**2).sum(),
-            "capped": int(forced_any.sum()),
-        }
+        rank = finals.view(np.int64)  # the values are spent once sorted: their storage holds ranks
+        np.put_along_axis(rank, np.argsort(finals, axis=0),  # exact ties have measure zero
+                          np.arange(n - 1, -1, -1)[:, None], axis=0)  # 0 = winner
+        np.multiply(cost, stats[2], out=stats[1])
+        np.subtract(prize_arr[rank], stats[1], out=stats[0])
+        stats[3] = rank == 0
+        diss = stats[1].sum(axis=0) / prize_arr.sum()
+        # the sums, then those of the block squared in place: a win's square is itself
+        return (stats.sum(axis=2), np.square(stats, out=stats).sum(axis=2),
+                diss.sum(), (diss**2).sum(), int(forced_any.sum()))
 
-    acc = _sum_chunks(work, reps, config.n_threads)
-
-    mean_pay, se_pay = _mean_se(acc["payoff1"], acc["payoff2"], reps)
-    mean_cost, se_cost = _mean_se(acc["cost1"], acc["cost2"], reps)
-    mean_draws, se_draws = _mean_se(acc["draws1"], acc["draws2"], reps)
-    mean_win, se_win = _mean_se(acc["win1"], acc["win1"], reps)  # Bernoulli: s2 == s1
-    mean_diss, se_diss = _mean_se(acc["diss1"], acc["diss2"], reps)
+    sums, squares, diss1, diss2, n_capped = _sum_chunks(work, reps, config.n_threads)
+    mean, se = _mean_se(sums, squares, reps)  # rows: payoff, cost, draws, win
+    mean_diss, se_diss = _mean_se(diss1, diss2, reps)
     return SimulationReport(
         n_players=n,
         replications=reps,
         seed=config.seed,
         max_draws_cap=cap,
-        capped_replications=int(acc["capped"]),
-        mean_payoff=tuple(mean_pay * top),
-        se_payoff=tuple(se_pay * top),
-        mean_cost=tuple(mean_cost * top),
-        se_cost=tuple(se_cost * top),
-        mean_draws=tuple(mean_draws),
-        se_draws=tuple(se_draws),
-        win_frequency=tuple(mean_win),
-        se_win=tuple(se_win),
+        capped_replications=int(n_capped),
+        mean_payoff=tuple(mean[0] * top),
+        se_payoff=tuple(se[0] * top),
+        mean_cost=tuple(mean[1] * top),
+        se_cost=tuple(se[1] * top),
+        mean_draws=tuple(mean[2]),
+        se_draws=tuple(se[2]),
+        win_frequency=tuple(mean[3]),
+        se_win=tuple(se[3]),
         dissipation_ratio=float(mean_diss),
         se_dissipation=float(se_diss),
         total_prize=float(prize_arr.sum() * top),
@@ -441,7 +424,7 @@ def deviation_scan(
     # to 60, widths 2 to 400 for the deviator and its opponents, and 1 to 200 candidates
     _check_memory(f"scanning {len(candidates)} deviations", config, 9 * (n + v_cols) + 80)
 
-    def work(c: int, size: int) -> dict:
+    def work(c: int, size: int) -> tuple:
         opp_final = np.empty((n - 1, size))
         for slot, (j, plan) in enumerate(opp):
             rng, cols = _stream(config.seed, _TAG_OPP, j, c), max(2, plan.size)
@@ -456,10 +439,10 @@ def deviation_scan(
             gain = prize_arr[rank] - cost * dr - base  # payoff less the profile strategy's
             sums[:, i] = gain.sum(), (gain**2).sum()
             base = base if i else gain
-        return {"sums": sums}
+        return (sums,)
 
     reps = config.replications
-    mean, se = _mean_se(*_sum_chunks(work, reps, config.n_threads)["sums"], reps)
+    mean, se = _mean_se(*_sum_chunks(work, reps, config.n_threads)[0], reps)
     rows = tuple(DeviationRow(s, float(m * top), float(e * top), bool(m > 3.0 * e))
                  for s, m, e in zip(candidates, mean[1:], se[1:]))
     return DeviationScanReport(player_index, float(mean[0] * top), float(se[0] * top), rows)
@@ -488,10 +471,10 @@ def distribution_free_check(
             SimulationConfig(config.replications, child_seed, n_threads=config.n_threads),
         )
         n = params.n_players
-        draws = sum(rep.mean_draws) / n
-        se_draws = math.sqrt(sum(se**2 for se in rep.se_draws)) / n
-        cost = sum(rep.mean_cost) / n
-        se_cost = math.sqrt(sum((se / w) ** 2 for se in rep.se_cost)) / n * w
+        draws = _sum_left(rep.mean_draws) / n
+        se_draws = math.sqrt(_sum_left(se**2 for se in rep.se_draws)) / n
+        cost = _sum_left(rep.mean_cost) / n
+        se_cost = math.sqrt(_sum_left((se / w) ** 2 for se in rep.se_cost)) / n * w
         rows.append(
             DistributionRow(
                 spec=d.spec(),
@@ -507,16 +490,13 @@ def distribution_free_check(
             )
         )
     worst = 0.0
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            a, b = rows[i], rows[j]
-            for ma, sa, mb, sb in (
-                (a.mean_draws, a.se_draws, b.mean_draws, b.se_draws),
-                (a.mean_cost / w, a.se_cost / w, b.mean_cost / w, b.se_cost / w),
-                (a.dissipation_ratio, a.se_dissipation, b.dissipation_ratio, b.se_dissipation),
-            ):
-                sigma = abs(ma - mb) / max(math.hypot(sa, sb), 1e-300)
-                worst = max(worst, sigma)
+    for a, b in itertools.combinations(rows, 2):
+        for ma, sa, mb, sb in (
+            (a.mean_draws, a.se_draws, b.mean_draws, b.se_draws),
+            (a.mean_cost / w, a.se_cost / w, b.mean_cost / w, b.se_cost / w),
+            (a.dissipation_ratio, a.se_dissipation, b.dissipation_ratio, b.se_dissipation),
+        ):
+            worst = max(worst, abs(ma - mb) / max(math.hypot(sa, sb), 1e-300))
     return DistributionFreeReport(rows=tuple(rows), max_pairwise_sigma=worst, passed=worst <= 3.0)
 
 

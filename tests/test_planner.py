@@ -155,6 +155,39 @@ def test_refusal_evaluates_only_the_top_point(monkeypatch):
     assert evaluated == [1.0 - 1e-9]
 
 
+# grids whose 64/128-node sign certificate is wrong next to a kink, so the
+# bracket handed to brentq has adaptive residuals of one sign at both ends
+_UNSOUND_BRACKET_CELLS = [
+    (5, 0.1, [[0, 0], [0.2, 0.5], [0.5, 1], [0.9, 2], [1, 5]]),
+    (1, 0.1, [[0, 0], [0.85, 0.1], [1, 0.81]]),
+    (5, 0.1, [[0, 0], [0.25, 1.49], [0.79, 2.75], [0.8, 4.57], [1, 6.87]]),
+]
+
+
+@pytest.mark.parametrize("n, cost, grid", _UNSOUND_BRACKET_CELLS)
+def test_bracket_with_one_sign_is_a_numeric_failure(n, cost, grid):
+    with pytest.raises(NumericFailureError, match="refused its bracket") as info:
+        solve_planner(n, cost, from_quantile_grid(grid))
+    lo, hi = info.value.diagnostics["bracket"]
+    ends = info.value.diagnostics["end_residuals"]
+    assert lo < hi and ends == [planner._foc_residual(q, n, cost, from_quantile_grid(grid))
+                                for q in (lo, hi)]
+    assert np.sign(ends[0]) == np.sign(ends[1]) != 0
+
+
+@pytest.mark.parametrize("family,n,cost", [
+    ("uniform", 3, 0.1), ("exponential", 5, 0.01), ("pareto", 2, 0.05), ("grid", 2, 0.3),
+])
+def test_grid_residual_is_a_function_of_the_point_alone(family, n, cost, request):
+    # each point must come out the same evaluated alone as in the full pass,
+    # whatever other points share its block
+    d = from_quantile_grid(_GRID3) if family == "grid" else request.getfixturevalue(family)
+    qs = np.linspace(0.0, 1.0 - 1e-9, planner._GRID)
+    full = planner._bracket_residuals(qs, n, cost, d)
+    alone = [planner._bracket_residuals(qs[i:i + 1], n, cost, d)[0] for i in range(qs.size)]
+    assert full.tobytes() == np.array(alone).tobytes()
+
+
 def test_true_corner_still_returned():
     # crowded and costly: accepting every draw is optimal, and the top residual is negative
     sol = solve_planner(10, 0.3, make_pareto(2.0, 1.0))

@@ -426,6 +426,23 @@ def test_thirty_player_report_with_schedule_frozen(uniform):
         "6a35c4c056f4459ece210d08f836fa1eb0ee965a3de767d485597101e480ab0e")
 
 
+def test_float_sums_do_not_depend_on_builtin_sum(uniform, exponential, monkeypatch):
+    # builtin sum() of floats is compensated from Python 3.12 on; the package
+    # adds left to right, so a compensated sum() must change nothing
+    import searchcontest.equilibrium as eqm
+    import searchcontest.simulation as sim
+
+    params, config = ContestParams(3, 0.1, 1.0), SimulationConfig(2_000, SEED)
+    before = (PrizeSchedule((0.89, 0.7, 0.4)).mean,
+              repr(distribution_free_check(params, [uniform, exponential], config)))
+    for module in (eqm, sim):
+        monkeypatch.setattr(module, "sum", math.fsum, raising=False)
+    after = (PrizeSchedule((0.89, 0.7, 0.4)).mean,
+             repr(distribution_free_check(params, [uniform, exponential], config)))
+    assert before == after
+    assert before[0] == 1.9899999999999998 / 3
+
+
 def test_always_accept_uses_one_draw(uniform):
     params = ContestParams(n_players=2, cost=0.01, prize=1.0)
     profile = StrategyProfile((InfiniteThresholdStrategy(0.0),) * 2)
@@ -539,6 +556,27 @@ def test_finite_players_stay_within_the_memory_estimate(uniform, monkeypatch):
     finally:
         tracemalloc.stop()
     assert rep.max_draws_cap == 200
+    # the estimate is above the peak exactly when a budget of the peak refuses
+    monkeypatch.setattr(sim, "_MEMORY_BUDGET", peak)
+    with pytest.raises(InvalidParameterError, match="memory budget"):
+        simulate_contest(profile, params, uniform, config)
+
+
+def test_thirty_players_stay_within_the_memory_estimate(uniform, monkeypatch):
+    # a chunk holds one block of per-player statistics beside the accepted
+    # values, whose storage then takes the ranks: about 48 B per player and
+    # replication at the peak, 91 MiB here
+    import searchcontest.simulation as sim
+
+    params = ContestParams(30, 0.01, 1.0)
+    profile, config = _symmetric_profile(params, uniform), SimulationConfig(sim._CHUNK, SEED)
+    tracemalloc.start()
+    try:
+        simulate_contest(profile, params, uniform, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 << 20
     # the estimate is above the peak exactly when a budget of the peak refuses
     monkeypatch.setattr(sim, "_MEMORY_BUDGET", peak)
     with pytest.raises(InvalidParameterError, match="memory budget"):
