@@ -1,7 +1,9 @@
 """Finite-horizon equilibria: closed form, backward induction, sweeps."""
+import json
 import math
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from scipy.optimize import brentq
 from searchcontest import (
     FiniteHorizonParams,
     InvalidParameterError,
+    NumericFailureError,
     OpponentFinalCdf,
     SearchContestError,
     solve_k_draw,
@@ -20,6 +23,7 @@ from searchcontest import (
     threshold_profile,
 )
 from searchcontest.finite_horizon import _continuation_values, _two_draw_residual
+from searchcontest.serialize import canonical, to_json
 
 # Reference first-round quantiles (printed at 3 decimals) for N = 2..9.
 # None marks parameter cells where no symmetric equilibrium exists.
@@ -405,3 +409,41 @@ def test_k_draw_total_on_box(n, frac, k):
         except SearchContestError:
             return
     assert len(sol.round_quantiles) == (k - 1 if sol.exists else 0)
+
+
+# solve_k_draw outcomes pinned as canonical JSON, diagnostics and attempts
+# included; JSON rather than repr, so a residual's float type may change
+KDRAW_FROZEN_CALLS = {
+    "interior_k3": lambda: solve_k_draw(FiniteHorizonParams(3, 0.05, 3)),
+    "interior_k4": lambda: solve_k_draw(FiniteHorizonParams(5, 0.02, 4)),
+    "interior_k5": lambda: solve_k_draw(FiniteHorizonParams(2, 0.08, 5)),
+    "interior_k6": lambda: solve_k_draw(FiniteHorizonParams(4, 0.03, 6)),
+    "best_response_from_init_k3": lambda: solve_k_draw(FiniteHorizonParams(3, 0.05, 3),
+                                                       init=(0.7, 0.65)),
+    "best_response_from_init_k2": lambda: solve_k_draw(FiniteHorizonParams(5, 0.05, 2),
+                                                       init=(0.6,)),
+    "two_draw_interior": lambda: solve_k_draw(FiniteHorizonParams(5, 0.05, 2)),
+    "two_draw_unstable_root": lambda: solve_k_draw(FiniteHorizonParams(8, 0.10, 2)),
+    # a box cell that Newton solves from its 7th start
+    "newton_late_start": lambda: solve_k_draw(FiniteHorizonParams(4, 0.2136122336848066, 6)),
+    "frontier": lambda: solve_k_draw(FiniteHorizonParams(4, 0.3, 3)),
+    "degenerate_frontier": lambda: solve_k_draw(FiniteHorizonParams(4, 0.25, 3)),
+    # explore's overflow cell, which ends in NumericFailureError
+    "overflow_cell": lambda: solve_k_draw(FiniteHorizonParams(15, 0.06539, 4)),
+    "profile_k3": lambda: threshold_profile(3, 0.1, range(2, 10)),
+}
+_KDRAW_FROZEN = json.loads(Path(__file__).with_name("finite_frozen_outcomes.json").read_text())
+
+
+def _kdraw_outcome(call):
+    try:
+        return canonical(call())  # a result's diagnostics are one of its fields
+    except NumericFailureError as exc:
+        return {"error": type(exc).__name__, "message": str(exc),
+                "diagnostics": canonical(exc.diagnostics)}
+
+
+@pytest.mark.parametrize("name", list(KDRAW_FROZEN_CALLS))
+def test_k_draw_outcomes_frozen(name):
+    assert to_json(_kdraw_outcome(KDRAW_FROZEN_CALLS[name])) == json.dumps(
+        _KDRAW_FROZEN[name], sort_keys=True, indent=2)
