@@ -12,6 +12,7 @@ every equation O(1)-scaled.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass, field
@@ -56,12 +57,14 @@ class OpponentFinalCdf:
         h(u) = sum_j (prod_{i<j} a_i) * max(u - a_j, 0) + (prod_i a_i) * u.
 
     h is piecewise linear, convex, nondecreasing, h(0)=0 and h(1)=1, so
-    integrals of h^p have exact per-segment closed forms.
+    integrals of h^p have exact per-segment closed forms. Nodes and values
+    are lists of floats: the solver reads h one float at a time, through
+    _interp, and only arrays go through np.interp.
     """
 
     def __init__(self, round_quantiles: Sequence[float]):
         try:
-            a = tuple(float(v) for v in round_quantiles)
+            a = tuple(map(float, round_quantiles))
             ok = all(0 <= v < 1 for v in a)  # NaN fails both comparisons
         except (TypeError, ValueError):  # a bare number, or an item float() cannot read
             ok = False
@@ -82,21 +85,23 @@ class OpponentFinalCdf:
                     slope += reach[j]
             ys.append(ys[-1] + (reach[-1] + slope) * (x1 - x0))
         ys[-1] = 1.0  # exact by construction; pin against rounding
-        self._at = dict(zip(nodes, ys))  # h at its nodes, for scalar reads
-        self._xs = np.array(nodes)
-        self._ys = np.array(ys)
+        self._xs = nodes
+        self._ys = ys
+        self._node = {x: i for i, x in enumerate(nodes)}  # position of each node
 
     def __call__(self, u):
+        if type(u) is float:
+            return _interp(u, self._xs, self._ys)
         return np.interp(u, self._xs, self._ys)
 
     def inverse(self, y):
+        if type(y) is float:
+            return _interp(y, self._ys, self._xs)
         return np.interp(y, self._ys, self._xs)
 
     def _value(self, u: float) -> float:
-        """h(u) as a float: a table read at a node, where np.interp returns
-        the node's value exactly, and np.interp elsewhere."""
-        y = self._at.get(u)
-        return float(np.interp(u, self._xs, self._ys)) if y is None else y
+        """h(u) as a float."""
+        return _interp(float(u), self._xs, self._ys)
 
     def integral_power(
         self, p: float, lo: float = 0.0, hi: float = 1.0, ref: float = 1.0
@@ -106,17 +111,37 @@ class OpponentFinalCdf:
         if hi <= lo or ref <= 0.0:
             return 0.0
         lo, hi = float(lo), float(hi)
-        cuts = sorted({min(max(x, lo), hi) for x in self._at} | {lo, hi})
+        i, j = self._node.get(lo), self._node.get(hi)
+        if i is not None and j is not None:  # the solver's case: the nodes in [lo, hi] are the cuts
+            cuts, ys = self._xs[i:j + 1], self._ys[i:j + 1]
+        else:
+            cuts = sorted({min(max(x, lo), hi) for x in self._xs} | {lo, hi})
+            ys = [self._value(x) for x in cuts]
         total = 0.0
-        y0 = self._value(cuts[0]) / ref
-        for x0, x1 in zip(cuts[:-1], cuts[1:]):
-            y1 = self._value(x1) / ref
+        y0 = ys[0] / ref
+        for x0, x1, y in zip(cuts[:-1], cuts[1:], ys[1:]):
+            y1 = y / ref
             if y1 == y0:
                 total += y0**p * (x1 - x0)
             else:
                 total += (y1 ** (p + 1) - y0 ** (p + 1)) / (y1 - y0) * (x1 - x0) / (p + 1)
             y0 = y1
         return total
+
+
+def _interp(x: float, xp: list[float], fp: list[float]) -> float:
+    """float(np.interp(x, xp, fp)) for one float, by np.interp's operations in
+    its order: the segment starts at the last node at or below x, and a node
+    returns its own value. numpy's NaN fallbacks are left out: with finite fp
+    and x strictly inside a segment, slope * (x - xp[j]) + fp[j] is never NaN."""
+    if x != x:
+        return x
+    j = bisect.bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j == len(xp) - 1 or xp[j] == x:
+        return fp[j]
+    return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +207,15 @@ def solve_two_draw(n_players: int, cost_ratio: float) -> FiniteHorizonEquilibriu
 
 
 def _continuation_values(
-    a: np.ndarray, n: int, r: float, last: int = 1
-) -> tuple[np.ndarray, OpponentFinalCdf]:
+    a: Sequence[float], n: int, r: float, last: int = 1
+) -> tuple[list[float], OpponentFinalCdf]:
     """V[j] = value of entering round j (1-indexed; V[k] is the forced draw),
     by backward induction from round k down to round `last`; V below it is 0."""
     k = len(a) + 1
     p = n - 1
     h = OpponentFinalCdf(a)
-    v = np.zeros(k + 1)
+    a = h.round_quantiles
+    v = [0.0] * (k + 1)
     v[k] = -r + h.integral_power(p)
     for j in range(k - 1, last - 1, -1):
         aj = a[j - 1]
@@ -201,15 +227,14 @@ def _best_response(a: Sequence[float], j: int, n: int, r: float) -> float:
     """Undamped best round-j quantile against opponents using quantiles a:
     the quantile whose win probability h^(N-1) equals the value of going on."""
     v, h = _continuation_values(a, n, r, j + 1)
-    return float(h.inverse(max(v[j + 1], 0.0) ** (1.0 / (n - 1))))
+    return h.inverse(max(v[j + 1], 0.0) ** (1.0 / (n - 1)))
 
 
-def _best_response_sweep(a: np.ndarray, n: int, r: float) -> tuple[np.ndarray, float]:
+def _best_response_sweep(a: list[float], n: int, r: float) -> tuple[list[float], float]:
     """One damped Gauss-Seidel sweep over rounds k-1..1; returns sup residual."""
-    k = len(a) + 1
     a = a.copy()
     resid = 0.0
-    for j in range(k - 1, 0, -1):
+    for j in range(len(a), 0, -1):
         b = _best_response(a, j, n, r)
         resid = max(resid, abs(b - a[j - 1]))
         a[j - 1] = min(max(a[j - 1] + _DAMPING * (b - a[j - 1]), 0.0), 1.0 - 1e-12)
@@ -217,9 +242,9 @@ def _best_response_sweep(a: np.ndarray, n: int, r: float) -> tuple[np.ndarray, f
 
 
 def _run_best_response(
-    a0: np.ndarray, n: int, r: float
-) -> tuple[np.ndarray | None, int, float]:
-    a = a0.copy()
+    a0: Sequence[float], n: int, r: float
+) -> tuple[list[float] | None, int, float]:
+    a = [float(x) for x in a0]
     resid = math.inf
     best = math.inf
     stall = 0

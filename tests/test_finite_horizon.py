@@ -158,6 +158,56 @@ def test_final_cdf_bitwise_equal_to_numpy_reference():
             assert got == _numpy_integral_power(xs, ys, *args), (a, args)
 
 
+def _scalar_path_cases(rng):
+    """Quantile lists with the edge cases the float path must keep: a zero
+    quantile, a repeated one, subnormal gaps between nodes, one next to 1,
+    and infinite slopes."""
+    for case in range(400):
+        a = [float(x) for x in rng.random(int(rng.integers(1, 6)))]
+        kind = case % 5
+        if kind == 1:
+            a[int(rng.integers(len(a)))] = 0.0
+        elif kind == 2 and len(a) > 1:
+            a[-1] = a[0]
+        elif kind == 3:  # nodes 0, 5e-324, 1e-310, ...: subnormal gaps and slopes
+            a[0] = float(rng.choice([5e-324, 1e-320, 1e-310, 2.2e-308]))
+            if len(a) > 1:
+                a[1] = a[0] * 2.0
+        elif kind == 4:
+            a[0] = 1.0 - 2.0**-53
+        yield a
+    # 155 draws at 0.01 leave a subnormal reach: inverse slopes overflow to inf
+    yield [0.01] * 155
+    yield [0.3] + [0.01] * 155
+
+
+def _probe_points(nodes, rng):
+    """Every node and its float neighbours, 0 and 1, points inside and
+    outside [0, 1], the infinities and NaN."""
+    points = [0.0, -0.0, 1.0, -0.5, 1.5, -math.inf, math.inf, math.nan, 5e-324]
+    for x in nodes:
+        points += [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+    return points + [float(x) for x in rng.random(8)]
+
+
+def test_final_cdf_scalar_path_bitwise_equal_to_np_interp():
+    rng = np.random.default_rng(20261019)
+    for a in _scalar_path_cases(rng):
+        h = OpponentFinalCdf(a)
+        xs, ys = np.array(h._xs), np.array(h._ys)
+        for x in _probe_points(h._xs, rng):
+            want = float(np.interp(x, xs, ys))
+            for got in (h(x), h._value(x)):
+                assert type(got) is float and got.hex() == want.hex(), (a, x, got, want)
+        for y in _probe_points(h._ys, rng):
+            got, want = h.inverse(y), float(np.interp(y, ys, xs))
+            assert type(got) is float and got.hex() == want.hex(), (a, y, got, want)
+        # arrays still go through np.interp, element by element
+        us = np.array(_probe_points(h._xs, rng))
+        assert np.array_equal(h(us), np.interp(us, xs, ys), equal_nan=True)
+        assert np.array_equal(h.inverse(us), np.interp(us, ys, xs), equal_nan=True)
+
+
 # ------------------------------------------------------------ two draws
 
 
