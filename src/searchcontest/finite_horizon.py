@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .equilibrium import _grid_roots
-from .errors import InvalidParameterError, NumericFailureError, require_int, require_positive
+from .errors import (InvalidParameterError, NumericFailureError, _as_tuple, require_int,
+                     require_positive)
 
 _BR_TOL = 1e-12
 _BR_MAX_ITER = 10_000
@@ -431,9 +432,10 @@ def threshold_profile(
 ) -> ThresholdProfile:
     """Sweep N, reusing each solution as the next N's starting point."""
     k = require_int("n_draws", k, 2)
+    require_positive("cost_ratio", cost_ratio, zero_ok=True)  # checked even with no rows
     rows = []
     prev: tuple[float, ...] | None = None
-    for n in n_range:
+    for n in _as_tuple("n_range", n_range):
         params = FiniteHorizonParams(n, cost_ratio, k)
         eq = solve_k_draw(params, init=prev)
         rows.append(ProfileRow(params.n_players, eq.round_quantiles, eq.exists))

@@ -80,6 +80,10 @@ BAD_CALLS = {
     "prize_schedule_str": lambda: PrizeSchedule(("a",)),
     "opponent_cdf_str": lambda: OpponentFinalCdf("x"),
     "opponent_cdf_nan": lambda: OpponentFinalCdf([NAN]),
+    # a sweep with no rows still checks its cost ratio
+    "profile_cost_negative_no_rows": lambda: threshold_profile(3, -1.0, []),
+    "profile_cost_nan_no_rows": lambda: threshold_profile(3, NAN, []),
+    "profile_n_range_bare_number": lambda: threshold_profile(3, 0.05, 5),
 }
 
 
