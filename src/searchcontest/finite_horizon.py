@@ -215,7 +215,7 @@ def _continuation_values(
     k = len(a) + 1
     p = n - 1
     h = OpponentFinalCdf(a)
-    a = h.round_quantiles
+    a = h.round_quantiles  # the floats h checked: no numpy scalar arithmetic below
     v = [0.0] * (k + 1)
     v[k] = -r + h.integral_power(p)
     for j in range(k - 1, last - 1, -1):
