@@ -1,5 +1,8 @@
 """Welfare optimum, efficient prize, prize classification, hazard ordering."""
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +16,15 @@ from searchcontest import (
     InvalidParameterError,
     NumericFailureError,
     OVERSEARCH,
+    SearchContestError,
     UNDERSEARCH,
     classify_prize,
     efficient_prize_integral,
     from_quantile_grid,
     hazard_order_check,
+    make_exponential,
     make_pareto,
+    make_uniform,
     planner_welfare,
     solve_planner,
     solve_symmetric,
@@ -317,3 +323,65 @@ def test_quantile_grid_planner():
     assert sol.efficient_prize == pytest.approx(0.5163977794943223, rel=1e-10)
     assert sol.acceptance_prob == pytest.approx(0.3872983346207417, rel=1e-10)
     assert abs(sol.foc_residual) < 1e-12
+
+
+# solve_planner outcomes pinned with every float as its hex: the solution, the
+# hazard-route prize, the prize classification at W* and 2 W*, and each
+# refusal's message and diagnostics
+_FROZEN_DISTS = {
+    "uniform": lambda: make_uniform(0.0, 1.0),
+    "exponential": lambda: make_exponential(1.0),
+    "pareto2": lambda: make_pareto(2.0, 1.0),
+    "pareto1.5": lambda: make_pareto(1.5, 1.0),
+    "pareto1.2": lambda: make_pareto(1.2, 1.0),
+    "grid3": lambda: from_quantile_grid(_GRID3),
+}
+_FROZEN_CELLS = [(name, n, cost) for name in _FROZEN_DISTS for n in (1, 2, 3, 5, 20)
+                 for cost in (0.001, 0.01, 0.1, 0.3)]
+_PLANNER_FROZEN = json.loads(Path(__file__).with_name("planner_frozen_outcomes.json").read_text())
+
+
+def _hexed(obj):
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _hexed(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {k: _hexed(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_hexed(v) for v in obj]
+    if isinstance(obj, float):
+        return float(obj).hex()
+    return obj
+
+
+def _error(exc):
+    return {"error": type(exc).__name__, "message": str(exc),
+            "diagnostics": _hexed(getattr(exc, "diagnostics", None))}
+
+
+def _attempt(call):
+    try:
+        return _hexed(call())
+    except SearchContestError as exc:
+        return _error(exc)
+
+
+def _planner_outcome(name, n, cost):
+    d = _FROZEN_DISTS[name]()
+    try:
+        sol = solve_planner(n, cost, d)
+    except SearchContestError as exc:
+        return _error(exc)
+    return {
+        "solution": _hexed(sol),
+        "prize_integral": _attempt(lambda: efficient_prize_integral(sol, n, d)),
+        # N = 1 has no contest to classify
+        "classified": [_attempt(lambda: classify_prize(k * sol.efficient_prize, sol, n, cost, d))
+                       for k in (1.0, 2.0)],
+    }
+
+
+@pytest.mark.parametrize("name, n, cost", _FROZEN_CELLS)
+def test_planner_outcomes_frozen(name, n, cost):
+    key = f"{name} n={n} c={cost}"
+    assert json.dumps(_planner_outcome(name, n, cost), sort_keys=True, indent=1) == json.dumps(
+        _PLANNER_FROZEN[key], sort_keys=True, indent=1)
