@@ -18,9 +18,17 @@ from .errors import InvalidParameterError, require_positive
 
 
 def _vectorized(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
-    """Wrap an array function so scalars come back as Python floats."""
+    """Wrap an array function so scalars come back as Python floats.
+
+    A float goes through fn as a np.float64 scalar: every ufunc on a 0-d array
+    already returns such a scalar, so the bits and warnings are those of the
+    0-d array call, without building the array (adaptive quadrature makes one
+    call per node). Python's math module and float ** are not used: their
+    results and errors differ from numpy's."""
 
     def wrapped(x):
+        if isinstance(x, float):
+            return float(fn(np.float64(x)))
         arr = np.asarray(x, dtype=float)
         out = fn(arr)
         if np.ndim(x) == 0:

@@ -231,7 +231,9 @@ def solve_planner(n_players: int, cost: float, d: Distribution) -> PlannerSoluti
             "threshold lies past float resolution",
             {"top_quantile": float(qs[-1]), "top_residual": float(top[0])})
     vals = np.concatenate((_bracket_residuals(qs[:-1], n, cost, d), top))
-    roots = [0.0] + _grid_roots(_foc_residual, qs, vals, 1e-13, (n, cost, d))  # 0: the corner
+    # brentq has evaluated the root it returns: its residual is not integrated again
+    foc = lru_cache(maxsize=None)(lambda q: _foc_residual(q, n, cost, d))
+    roots = [0.0] + _grid_roots(foc, qs, vals, 1e-13)  # 0: the corner
     best_q, best_w = None, -math.inf
     for q in roots:
         w = _expected_max(q, n, d) - n * cost / (1.0 - q)
@@ -244,7 +246,7 @@ def solve_planner(n_players: int, cost: float, d: Distribution) -> PlannerSoluti
         efficient_prize=n * cost / (1.0 - best_q),
         acceptance_prob=1.0 - best_q,
         interior=interior,
-        foc_residual=_foc_residual(best_q, n, cost, d),
+        foc_residual=foc(best_q),
     )
 
 

@@ -1,6 +1,7 @@
 """Distribution layer: closed-form families, quantile grids, JSON specs."""
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,50 @@ def test_vectorized_calls():
     xs = d.quantile(us)
     assert isinstance(xs, np.ndarray) and xs.shape == us.shape
     assert isinstance(d.quantile(0.5), float)
+
+
+_SCALAR_PATH = {
+    "uniform": make_uniform(-1.0, 2.0),
+    "exponential": make_exponential(3.0),
+    **{f"pareto{a}": make_pareto(a, 1.5) for a in (0.3, 0.5, 1.0, 1.5, 2.0)},
+    "grid3": from_quantile_grid([[0, 0], [0.5, 1], [1, 3]]),
+    "grid5": from_quantile_grid([[0, 0], [0.25, 1.49], [0.79, 2.75], [0.8, 4.57], [1, 6.87]]),
+}
+
+
+def _probes(d):
+    """Quantiles on two grids and up to 1, values across and past the support,
+    their float neighbours, and the special floats."""
+    us = [*np.linspace(0.0, 1.0, 129), *np.linspace(0.9, 1.0, 65),
+          *(1.0 - 2.0**-k for k in range(1, 60))]
+    lo, hi = d.support_lower, d.support_upper
+    top = hi if math.isfinite(hi) else lo + 1e3
+    xs = [*np.linspace(lo - 1.0, top + 1.0, 129), *(2.0**k for k in range(-1074, 1024, 16))]
+    xs += list(d.quantile(np.linspace(0.0, 1.0, 32, endpoint=False)))
+    specials = [0.0, -0.0, 1.0, -1.0, 1.5, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                2.2250738585072014e-308, 1e-300, 1.7976931348623157e308]
+    points = [float(p) for p in (*us, *xs, *specials, lo, hi)]
+    return points + [math.nextafter(p, t) for p in points for t in (-math.inf, math.inf)]
+
+
+def _with_warnings(fn, x):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(x)
+    return out, [w.category for w in caught]
+
+
+@pytest.mark.parametrize("name", list(_SCALAR_PATH))
+def test_scalar_calls_bitwise_equal_to_zero_d_arrays(name):
+    # a float skips the 0-d array but must keep its bits and its warnings
+    d = _SCALAR_PATH[name]
+    for field in ("cdf", "density", "quantile", "hazard"):
+        fn = getattr(d, field)
+        for x in _probes(d):
+            got, got_warnings = _with_warnings(fn, x)
+            want, want_warnings = _with_warnings(fn, np.array(x))
+            assert type(got) is float and got.hex() == want.hex(), (field, x, got, want)
+            assert got_warnings == want_warnings, (field, x, got_warnings, want_warnings)
 
 
 def test_from_quantile_grid_interpolates():
