@@ -66,7 +66,8 @@ class OpponentFinalCdf:
     def __init__(self, round_quantiles: Sequence[float]):
         try:
             a = tuple(map(float, round_quantiles))
-            ok = all(0 <= v < 1 for v in a)  # NaN fails both comparisons
+            # NaN fails both comparisons; math.isfinite refuses a string float() read
+            ok = all(0 <= v < 1 for v in a) and all(map(math.isfinite, round_quantiles))
         except (TypeError, ValueError):  # a bare number, or an item float() cannot read
             ok = False
         if not ok:
@@ -354,8 +355,9 @@ def solve_k_draw(
     n, r, k = params.n_players, params.cost_ratio, params.n_draws
     if init is not None:
         try:
-            init = np.asarray(init, dtype=float)
-            ok = init.shape == (k - 1,) and bool(np.all((init >= 0) & (init < 1)))
+            raw, init = init, np.asarray(init, dtype=float)
+            ok = (init.shape == (k - 1,) and bool(np.all((init >= 0) & (init < 1)))
+                  and all(map(math.isfinite, raw)))  # refuses a string, as ContestParams does
         except (TypeError, ValueError):
             ok = False
         if not ok:

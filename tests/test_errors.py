@@ -80,6 +80,10 @@ BAD_CALLS = {
     "prize_schedule_str": lambda: PrizeSchedule(("a",)),
     "opponent_cdf_str": lambda: OpponentFinalCdf("x"),
     "opponent_cdf_nan": lambda: OpponentFinalCdf([NAN]),
+    # float() reads a numeric string; ContestParams refuses one, and so do these
+    "opponent_cdf_numeric_str": lambda: OpponentFinalCdf(["0.5"]),
+    "k_draw_init_numeric_str": lambda: solve_k_draw(FiniteHorizonParams(3, 0.05, 3),
+                                                    init=["0.7", "0.6"]),
     # a sweep with no rows still checks its cost ratio
     "profile_cost_negative_no_rows": lambda: threshold_profile(3, -1.0, []),
     "profile_cost_nan_no_rows": lambda: threshold_profile(3, NAN, []),
