@@ -13,6 +13,7 @@ from operator import add
 
 import numpy as np
 
+from ._numerics import brentq, lgam, xlogy
 from .distributions import Distribution
 from .errors import (
     InvalidParameterError,
@@ -152,17 +153,15 @@ def solve_multiprize(
 
 @lru_cache(maxsize=8)
 def _log_binom_coefficients(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """i = 0..m and log C(m, i), from lgamma."""
-    from scipy.special import gammaln
-    i = np.arange(m + 1)
-    return i, gammaln(m + 1) - gammaln(i + 1) - gammaln(m - i + 1)
+    """i = 0..m and log C(m, i), from cephes' lgam (math.lgamma's bits differ)."""
+    log_fact = np.array([lgam(k + 1) for k in range(m + 1)])
+    return np.arange(m + 1), lgam(m + 1) - log_fact - log_fact[::-1]
 
 
 def _binom_pmf(m: int, s_h: float, s_l: float) -> tuple[np.ndarray, np.ndarray]:
     """i and Binom(i; m, delta) with delta = s_h/s_l, summed in log space so
     no power of a tail underflows on its own; beta = 1 - delta is formed from
     the tails, not by subtraction from 1."""
-    from scipy.special import xlogy
     i, log_comb = _log_binom_coefficients(m)
     log_pmf = log_comb + xlogy(i, s_h / s_l) + xlogy(m - i, (s_l - s_h) / s_l)
     return i, np.exp(log_pmf)
@@ -185,22 +184,22 @@ def _asym_high_indiff(s_l: float, s_h: float, n: int, c: float, w: float) -> flo
 
 
 def _brentq(f, lo: float, hi: float, xtol: float, args: tuple = ()) -> float:
-    """scipy's brentq, with a search that does not converge, or a bracket it refuses
-    (ends of one sign, a NaN), raised as NumericFailureError instead of RuntimeError
-    or ValueError; only on that path are the ends evaluated again, for diagnostics."""
-    from scipy.optimize import brentq
+    """Brent's method (scipy's brentq, ported), with a search that does not converge,
+    or a bracket it refuses (ends of one sign, a NaN), raised as NumericFailureError
+    instead of ValueError; only on that path are the ends evaluated again, for
+    diagnostics."""
     try:
-        root, info = brentq(f, lo, hi, args=args, xtol=xtol, full_output=True, disp=False)
+        root, iterations, _, converged = brentq(f, lo, hi, xtol, args=args)
     except SearchContestError:
         raise
     except ValueError as ex:
         raise NumericFailureError(f"root search refused its bracket: {ex}", diagnostics={
             "bracket": [float(lo), float(hi)],
             "end_residuals": [float(f(x, *args)) for x in (lo, hi)]}) from None
-    if not info.converged:
+    if not converged:
         raise NumericFailureError(
-            f"root search did not converge: {info.flag}",
-            diagnostics={"bracket": [lo, hi], "iterations": info.iterations, "last": root})
+            "root search did not converge: convergence error",
+            diagnostics={"bracket": [lo, hi], "iterations": iterations, "last": root})
     return root
 
 

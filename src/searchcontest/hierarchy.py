@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._numerics import qagpe, qagse
 from .distributions import Distribution
 from .errors import InvalidParameterError, NotViableError, require_int, require_positive
 
@@ -86,8 +87,6 @@ def _win_probability(q_dev: float, q_eq: float, m: int, n: int) -> float:
     other teams stop at q_eq. Parameterized by the deviator's truncated
     quantile t; other teams' best-of-N CDF enters as a power of the base
     truncated quantile."""
-    from scipy.integrate import quad
-
     def integrand(t: float) -> float:
         qx = q_dev + t * (1.0 - q_dev)
         g_others = (qx - q_eq) / (1.0 - q_eq)
@@ -95,11 +94,9 @@ def _win_probability(q_dev: float, q_eq: float, m: int, n: int) -> float:
             return 0.0
         return g_others ** (n * (m - 1)) * n * t ** (n - 1)
 
-    pieces = [0.0, 1.0]
-    if q_dev < q_eq:
-        pieces.insert(1, (q_eq - q_dev) / (1.0 - q_dev))  # kink where teams overlap
-    val, _ = quad(integrand, 0.0, 1.0, points=pieces[1:-1] or None, epsabs=_QUAD_TOL, epsrel=0.0)
-    return val
+    if q_dev < q_eq:  # kink where teams overlap
+        return qagpe(integrand, 0.0, 1.0, [(q_eq - q_dev) / (1.0 - q_dev)], _QUAD_TOL, 0.0, 50)[0]
+    return qagse(integrand, 0.0, 1.0, _QUAD_TOL, 0.0, 50)[0]
 
 
 def verify_designer_foc(

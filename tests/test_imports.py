@@ -1,6 +1,7 @@
-"""Import footprint: scipy's solvers load on first use, in a fresh interpreter.
+"""Import footprint: no command loads scipy, in a fresh interpreter.
 
-The test modules import scipy themselves, so every check here runs in its own
+The package runs on numpy alone; scipy is the tests' oracle. The test modules
+import scipy themselves, so every check here runs in its own
 `sys.executable` subprocess.
 """
 import json
@@ -14,27 +15,27 @@ import pytest
 from searchcontest import __version__
 
 SRC = Path(__file__).parents[1] / "src"
-DEFERRED = ("scipy.optimize", "scipy.integrate", "scipy.special")
 
-# import the CLI, run main on argv, report what it printed and which of the
-# deferred modules the process then holds
-_PROBE = f"""
+# run an optional set-up statement, import the CLI, run main on argv, report
+# what it printed and which scipy modules the process then holds
+_PROBE = """
 import contextlib, io, json, sys
+exec(sys.argv[2])
 import searchcontest, searchcontest.cli
 argv = json.loads(sys.argv[1])
 out, err = io.StringIO(), io.StringIO()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     code = searchcontest.cli.main(argv) if argv else None
-print(json.dumps({{"code": code, "out": out.getvalue(), "err": err.getvalue(),
-                  "loaded": [m for m in {DEFERRED!r} if m in sys.modules]}}))
+print(json.dumps({"code": code, "out": out.getvalue(), "err": err.getvalue(),
+                  "loaded": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
 
-def _fresh(argv: list[str]) -> dict:
+def _fresh(argv: list[str], setup: str = "") -> dict:
     env = {k: v for k, v in os.environ.items() if k != "SEARCHCONTEST_SEED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", _PROBE,
-                           json.dumps(argv)], env=env, capture_output=True, text=True)
+                           json.dumps(argv), setup], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -47,7 +48,7 @@ def test_import_loads_no_scipy_solver():
     assert _fresh([])["loaded"] == []
 
 
-# closed forms and simulation: none needs a root finder or quadrature
+# closed forms and simulation, and the commands that find roots and integrate
 _SCIPY_FREE = [
     "solve symmetric --n 3 --cost 0.1",
     "solve multiprize --n 3 --cost 0.05 --prizes 0.6,0.3,0.1",
@@ -55,25 +56,40 @@ _SCIPY_FREE = [
     "verify dissipation --reps 2000 --seed 7",
     "verify recall --reps 2000 --seed 7",
     "verify distribution_free --reps 2000 --seed 7",
+    "solve planner --n 2 --cost 0.1",
+    "solve finite --n 3 --k 3 --cost-ratio 0.05",
+    "solve asymmetric --n 4 --cost 0.05",
+    "verify designer_foc --designers 2 --team-size 2 --cost 0.05",
+    "table finite_k2 --out {tmp}/finite_k2.csv",
+    "table welfare_examples --n 2 --cost 0.1 --out {tmp}/welfare_examples.csv",
 ]
 
 
 @pytest.mark.parametrize("argv", _SCIPY_FREE)
-def test_command_loads_no_scipy_solver(argv):
-    run = _fresh(argv.split())
+def test_command_loads_no_scipy_solver(argv, tmp_path):
+    run = _fresh(argv.format(tmp=tmp_path).split())
     assert run["code"] == 0, run["err"]
     assert run["loaded"] == []
 
 
-def test_planner_loads_quad_and_brentq():
-    # positive control: the probe does see a module a command imports on use
-    run = _fresh("solve planner --n 2 --cost 0.1".split())
+def test_probe_sees_module_loaded_on_use():
+    # positive control: a planner whose quadrature imports scipy.integrate on
+    # its first call, after the package's import, shows in the probe's list
+    setup = """
+import searchcontest.planner as planner
+quad = planner._quad
+def _quad(*args):
+    import scipy.integrate
+    return quad(*args)
+planner._quad = _quad
+"""
+    run = _fresh("solve planner --n 2 --cost 0.1".split(), setup)
     assert run["code"] == 0, run["err"]
-    assert {"scipy.integrate", "scipy.optimize"} <= set(run["loaded"])
+    assert "scipy.integrate" in run["loaded"]
 
 
-# each frozen argv in a process of its own, so every deferred import is that
-# process's first use of scipy; the frozen entries are the in-process test's
+# each frozen argv in a process of its own, from a fresh import of the package;
+# the frozen entries are the in-process test's
 _FROZEN = json.loads(Path(__file__).with_name("cli_frozen_payloads.json").read_text())
 
 
