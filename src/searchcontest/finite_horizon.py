@@ -65,9 +65,10 @@ class OpponentFinalCdf:
 
     def __init__(self, round_quantiles: Sequence[float]):
         try:
-            a = tuple(map(float, round_quantiles))
+            items = tuple(round_quantiles)  # read once: an iterator is spent after one pass
+            a = tuple(map(float, items))
             # NaN fails both comparisons; math.isfinite refuses a string float() read
-            ok = all(0 <= v < 1 for v in a) and all(map(math.isfinite, round_quantiles))
+            ok = all(0 <= v < 1 for v in a) and all(map(math.isfinite, items))
         except (TypeError, ValueError):  # a bare number, or an item float() cannot read
             ok = False
         if not ok:
@@ -97,9 +98,13 @@ class OpponentFinalCdf:
         return np.interp(u, self._xs, self._ys)
 
     def inverse(self, y):
+        """The quantile u with h(u) = y, clamped to [0, 1]: where the reach of the
+        last round is subnormal, the first segment's inverse slope overflows and
+        interpolation alone gives inf."""
         if type(y) is float:
-            return _interp(y, self._ys, self._xs)
-        return np.interp(y, self._ys, self._xs)
+            u = _interp(y, self._ys, self._xs)
+            return 1.0 if u > 1.0 else 0.0 if u < 0.0 else u  # NaN and -0.0 pass as they are
+        return np.clip(np.interp(y, self._ys, self._xs), 0.0, 1.0)
 
     def _value(self, u: float) -> float:
         """h(u) as a float."""

@@ -82,6 +82,7 @@ BAD_CALLS = {
     "opponent_cdf_nan": lambda: OpponentFinalCdf([NAN]),
     # float() reads a numeric string; ContestParams refuses one, and so do these
     "opponent_cdf_numeric_str": lambda: OpponentFinalCdf(["0.5"]),
+    "opponent_cdf_numeric_str_iterator": lambda: OpponentFinalCdf(iter(["0.5"])),
     "k_draw_init_numeric_str": lambda: solve_k_draw(FiniteHorizonParams(3, 0.05, 3),
                                                     init=["0.7", "0.6"]),
     # a sweep with no rows still checks its cost ratio

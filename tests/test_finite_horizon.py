@@ -199,13 +199,35 @@ def test_final_cdf_scalar_path_bitwise_equal_to_np_interp():
             want = float(np.interp(x, xs, ys))
             for got in (h(x), h._value(x)):
                 assert type(got) is float and got.hex() == want.hex(), (a, x, got, want)
+        # the inverse is clamped to [0, 1], where an overflowing slope gives inf
         for y in _probe_points(h._ys, rng):
-            got, want = h.inverse(y), float(np.interp(y, ys, xs))
+            got, want = h.inverse(y), float(np.clip(np.interp(y, ys, xs), 0.0, 1.0))
             assert type(got) is float and got.hex() == want.hex(), (a, y, got, want)
         # arrays still go through np.interp, element by element
         us = np.array(_probe_points(h._xs, rng))
         assert np.array_equal(h(us), np.interp(us, xs, ys), equal_nan=True)
-        assert np.array_equal(h.inverse(us), np.interp(us, ys, xs), equal_nan=True)
+        assert np.array_equal(h.inverse(us), np.clip(np.interp(us, ys, xs), 0.0, 1.0),
+                              equal_nan=True)
+
+
+def test_final_cdf_inverse_stays_in_unit_interval():
+    # 155 rounds at 0.01 leave a subnormal reach; np.interp's inverse gives inf here
+    h = OpponentFinalCdf([0.01] * 155)
+    assert math.isinf(float(np.interp(5e-313, h._ys, h._xs)))
+    assert h.inverse(5e-313) == 1.0
+    assert h.inverse(np.array([5e-313, 0.5]))[0] == 1.0
+    # an in-range value keeps every bit, on the float path and the array path
+    rng = np.random.default_rng(7)
+    for a in ([0.3, 0.6], [0.01] * 155, list(rng.random(5))):
+        h = OpponentFinalCdf(a)
+        ys = [float(y) for y in rng.random(2000)] + h._ys + [-0.0, 0.0, 1.0]
+        want = np.interp(ys, h._ys, h._xs)
+        keep = (want >= 0.0) & (want <= 1.0)
+        got = np.array([h.inverse(y) for y in ys])
+        assert np.array_equal(np.signbit(got[keep]), np.signbit(want[keep]))
+        assert np.array_equal(got[keep], want[keep])
+        assert np.array_equal(h.inverse(np.array(ys))[keep], want[keep])
+        assert ((got >= 0.0) & (got <= 1.0)).all()
 
 
 # ------------------------------------------------------------ two draws
