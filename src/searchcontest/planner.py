@@ -15,17 +15,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._numerics import qagse
+from ._numerics import lgam, qagse
 from .distributions import Distribution
-from .equilibrium import solve_symmetric, ContestParams, _grid_roots
+from .equilibrium import solve_symmetric, ContestParams, _grid_roots, _sum_left
 from .errors import (DivergentObjectiveError, InvalidParameterError, NumericFailureError,
                      require_int, require_positive)
 
 _QUAD_TOL = 1e-11
 _GRID = 256
-_BLOCK_ROWS = 32  # grid points per vectorized block; bounds temporary memory
-_CERTIFY_FACTOR = 10.0
-_CERTIFY_FLOOR = 1e-12
+_ROOT_TOL = 1e-6  # largest |closed-form residual| / cost an interior answer may carry
 _EFFICIENT_TOL = 1e-9  # relative threshold gap classify_prize calls efficient
 _HAZARD_GRID = 1000  # points on which hazard_order_check compares hazards
 
@@ -70,9 +68,9 @@ def _quad(fn, lo: float, hi: float) -> float:
 def _inverse_density(v: float, d: Distribution) -> float:
     """1/f(quantile(v)), hard zero once v is inside float resolution of 1.
 
-    Quantile-space integrands lose the tail when q + u*(1-q) rounds to 1;
-    truncating there discards mass far below the quadrature tolerance for
-    any distribution with a finite mean."""
+    Quantile-space integrands lose the tail when q + u*(1-q) rounds to 1.
+    For a Pareto shape near 1 and 1 - q below about 1e-7 the cut tail holds
+    mass of order one; solve_planner's closed-form check refuses such roots."""
     if v >= 1.0:
         return 0.0
     x = float(d.quantile(v))
@@ -132,102 +130,56 @@ def _foc_residual(q: float, n_players: int, cost: float, d: Distribution) -> flo
     return (1.0 - q) ** 2 * _quad(integrand, 0.0, 1.0) - cost
 
 
-def _legendre(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_m(x) and its derivative by the three-term recurrence."""
-    p0, p1 = np.ones_like(x), x
-    for k in range(2, m + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    return p1, m * (x * p1 - p0) / (x * x - 1.0)
-
-
-def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m-point Gauss-Legendre rule on [0, 1]. Newton's method from the
-    asymptotic roots converges in a few steps and, unlike
-    np.polynomial.legendre.leggauss, needs no LAPACK eigenvalue workspace,
-    which would add about 1 MB to peak memory."""
-    x = np.cos(np.pi * (np.arange(m) + 0.75) / (m + 0.5))
-    for _ in range(8):
-        p, dp = _legendre(m, x)
-        x = x - p / dp
-    _, dp = _legendre(m, x)
-    return 0.5 * (1.0 - x), 1.0 / ((1.0 - x * x) * dp * dp)
-
-
-@lru_cache(maxsize=1)
-def _bracket_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes in s on [0, 1] (u = 1 - s^2) of the 64- and 128-point rules side
-    by side, and each rule's weights zero-padded to that joint node set.
-    Built on first use, not at import."""
-    s64, w64 = _gauss_legendre(64)
-    s128, w128 = _gauss_legendre(128)
-    return (np.concatenate((s64, s128)), np.concatenate((w64, np.zeros(128))),
-            np.concatenate((np.zeros(64), w128)))
-
-
-def _bracket_residuals(qs: np.ndarray, n_players: int, cost: float, d: Distribution) -> np.ndarray:
-    """_foc_residual on a grid of quantiles, signs certified, in one vectorized pass.
-
-    Substituting u = 1 - s^2 cancels the tail singularity of 1/f(quantile(v))
-    at v -> 1 for uniform, exponential and Pareto shape >= 2 and weakens it
-    for Pareto shapes below 2, so fixed Gauss-Legendre rules integrate it.
-    Each grid point is evaluated at 64 and 128 nodes; where the two rules
-    disagree by more than a tenth of the 128-node value (kinks, fat tails,
-    near-roots) its sign is not certain and the point is recomputed with the
-    adaptive _foc_residual. Only signs matter here: brentq polishes
-    every bracket with the adaptive residual."""
-    s, w64, w128 = _bracket_nodes()
-    u = 1.0 - s * s
-    # integrand of _foc_residual times the Jacobian 2s of u = 1 - s^2
-    kernel = 2.0 * s**3 * u ** (n_players - 1)
-    out = np.empty(len(qs))
-    for start in range(0, len(qs), _BLOCK_ROWS):
-        q = qs[start:start + _BLOCK_ROWS, None]
-        v = (q + u * (1.0 - q)).ravel()
-        # the hard-zero rules of _inverse_density, applied elementwise
-        inv_f = np.zeros_like(v)
-        with np.errstate(all="ignore"):
-            idx = np.flatnonzero(v < 1.0)
-            x = np.asarray(d.quantile(v[idx]), dtype=float)
-            idx, x = idx[np.isfinite(x)], x[np.isfinite(x)]
-            f = np.asarray(d.density(x), dtype=float)
-            keep = np.isfinite(f) & (f > 0.0)
-            inv_f[idx[keep]] = 1.0 / f[keep]
-        vals = inv_f.reshape(q.shape[0], -1) * kernel
-        scale = (1.0 - q[:, 0]) ** 2
-        # row sums: vals @ w takes another path for a partial block, moving a point's bits
-        r64 = scale * (vals * w64).sum(axis=1) - cost
-        r128 = scale * (vals * w128).sum(axis=1) - cost
-        out[start:start + len(r128)] = r128
-        # written so that a NaN from either rule also falls back
-        unsure = ~(np.abs(r128) > _CERTIFY_FACTOR * np.abs(r64 - r128) + _CERTIFY_FLOOR)
-        for i in np.nonzero(unsure)[0]:
-            out[start + i] = _foc_residual(float(q[i, 0]), n_players, cost, d)
-    return out
+def _closed_residual(q: float, n_players: int, cost: float, d: Distribution) -> float:
+    """_foc_residual in closed form, (1-q)^2 times the integral over [0, 1] of
+    u^(N-1) (1-u) Q'(q + u(1-q)), minus cost, for Q the quantile function; no
+    tail is cut where q + u(1-q) rounds to 1. The Pareto integral is the Beta
+    function B(N, 1 - 1/shape) (Abramowitz & Stegun 6.2.1); a quantile grid's
+    Q' is constant on each segment. Other families get _foc_residual."""
+    n, t = n_players, 1.0 - q
+    if d.name == "uniform":
+        return t * t * (d.params[1] - d.params[0]) / (n * (n + 1)) - cost
+    if d.name == "exponential":
+        return t / (d.params[0] * n) - cost
+    if d.name == "pareto":
+        shape, scale = d.params
+        a = 1.0 - 1.0 / shape
+        return scale / shape * t**a * math.exp(lgam(n) + lgam(a) - lgam(n + a)) - cost
+    if d.name == "custom":
+        # P(u) = u^N/N - u^(N+1)/(N+1) at each node mapped to u = (v - q)/(1 - q),
+        # clamped at 0, written so that it keeps its digits as u -> 1
+        us, xs = d.params[::2], d.params[1::2]
+        p = [u**n * (1.0 + n * (1.0 - u)) / (n * (n + 1))
+             for u in (max(v - q, 0.0) / t for v in us)]
+        return t * t * _sum_left((xs[j + 1] - xs[j]) / (us[j + 1] - us[j]) * (p[j + 1] - p[j])
+                                 for j in range(len(p) - 1)) - cost
+    return _foc_residual(q, n_players, cost, d)
 
 
 def solve_planner(n_players: int, cost: float, d: Distribution) -> PlannerSolution:
     """Globally optimal common threshold: all first-order roots on a quantile
     grid are compared by welfare, along with the no-selectivity corner q=0.
 
-    The grid's residual signs come from one vectorized fixed-node pass
-    (_bracket_residuals), with adaptive quadrature only where that pass cannot
-    certify a sign. Each sign change is then polished by brentq on the adaptive
-    _foc_residual, candidates are compared by adaptively integrated welfare,
-    and the reported foc_residual is adaptive too, so the answer's digits come
-    from adaptive quadrature alone. The top grid point is evaluated first: a
-    positive residual there, where quantiles run out of float resolution, is
-    refused rather than answered with the corner, and no other point is evaluated."""
+    The grid's residual signs come from the closed form (_closed_residual).
+    Each sign change is polished by brentq on the adaptive _foc_residual, and
+    candidates are compared by adaptively integrated welfare, so the answer's
+    digits, its foc_residual among them, come from adaptive quadrature alone.
+    The top grid point is evaluated first: a positive residual there, where
+    quantiles run out of float resolution, is refused rather than answered
+    with the corner. So is an interior answer whose closed-form residual
+    exceeds _ROOT_TOL * cost: the adaptive integrand is cut to 0 where
+    q + u(1-q) rounds to 1, and for Pareto shapes near 1 that moves the root."""
     _check_args(n_players, cost)
     _check_tail(d)
     n = n_players
     qs = np.linspace(0.0, 1.0 - 1e-9, _GRID)
-    top = _bracket_residuals(qs[-1:], n, cost, d)  # first: a refusal needs no other point
-    if top[0] > 0.0:  # heavy tails: the q = 0 corner would win by default
+    top = _closed_residual(float(qs[-1]), n, cost, d)  # first: a refusal needs no other point
+    if top > 0.0:  # heavy tails: the q = 0 corner would win by default
         raise NumericFailureError(
             "welfare still rises at the top of the quantile grid: the optimal "
             "threshold lies past float resolution",
-            {"top_quantile": float(qs[-1]), "top_residual": float(top[0])})
-    vals = np.concatenate((_bracket_residuals(qs[:-1], n, cost, d), top))
+            {"top_quantile": float(qs[-1]), "top_residual": top})
+    vals = np.array([_closed_residual(q, n, cost, d) for q in qs[:-1].tolist()] + [top])
     # brentq has evaluated the root it returns: its residual is not integrated again
     foc = lru_cache(maxsize=None)(lambda q: _foc_residual(q, n, cost, d))
     roots = [0.0] + _grid_roots(foc, qs, vals, 1e-13)  # 0: the corner
@@ -237,6 +189,12 @@ def solve_planner(n_players: int, cost: float, d: Distribution) -> PlannerSoluti
         if w > best_w:
             best_q, best_w = q, w
     interior = best_q > 0.0
+    closed = _closed_residual(best_q, n, cost, d) if interior else 0.0
+    if not abs(closed) <= _ROOT_TOL * cost:
+        raise NumericFailureError(
+            "the adaptive root fails the closed-form first-order condition: its "
+            "integrand lost the tail past float resolution",
+            {"root_quantile": best_q, "closed_residual": closed, "foc_residual": foc(best_q)})
     return PlannerSolution(
         threshold=float(d.quantile(best_q)),
         welfare=best_w,
@@ -276,10 +234,11 @@ def efficient_prize_integral(sol: PlannerSolution, n_players: int, d: Distributi
     sol = solve_planner(n_players, cost, d). Independent of the
     acceptance-probability formula, so the two routes cross-check each other.
 
-    Known limit: like the planner's residual, the integrand is cut to 0 once
-    v = q + u(1 - q) rounds to 1. For a Pareto shape near 1 with 1 - q below
-    about 1e-7 the cut tail holds mass of order one, so both routes can agree
-    on a wrong value, and this check cannot see the planner's error there."""
+    Known limit: like the planner's adaptive residual, the integrand is cut to
+    0 once v = q + u(1 - q) rounds to 1. For a Pareto shape near 1 with 1 - q
+    below about 1e-7 the cut tail holds mass of order one, so both routes could
+    agree on a wrong value; solve_planner's closed-form check now refuses such
+    roots before this integral is taken."""
     q = 1.0 - sol.acceptance_prob
     n = n_players
 

@@ -289,19 +289,18 @@ def test_solve_planner_past_float_resolution_exits_two(capsys):
     assert json.loads(lines[1])["top_residual"] > 0.0
 
 
-def test_solve_planner_unsound_bracket_exits_two(capsys, tmp_path):
-    # a quantile grid whose fixed-rule sign next to a kink hands brentq a
-    # bracket with one sign: a numeric failure, not a traceback
-    spec = tmp_path / "grid.json"
-    spec.write_text(json.dumps({"family": "custom", "quantile_grid":
-                                [[0, 0], [0.85, 0.1], [1, 0.81]]}))
-    code, out, err = _run(capsys, ["solve", "planner", "--n", "1", "--cost", "0.1",
-                                   "--dist-file", str(spec)])
+def test_solve_planner_unsound_bracket_exits_two(capsys):
+    # a root that fails the closed-form first-order condition (here the
+    # adaptive integrand lost a heavy tail) is refused like a bracket of one
+    # sign once was: a numeric failure with its diagnostics, not a traceback
+    code, out, err = _run(capsys, ["solve", "planner", "--n", "100", "--cost", "0.1",
+                                   "--dist", "pareto:1.2,1"])
     assert code == 2 and out == ""
     assert "Traceback" not in err
     lines = err.splitlines()
-    assert len(lines) == 2 and "error:" in lines[0] and "refused its bracket" in lines[0]
-    assert len(json.loads(lines[1])["end_residuals"]) == 2
+    assert len(lines) == 2 and "error:" in lines[0] and "closed-form" in lines[0]
+    diag = json.loads(lines[1])
+    assert abs(diag["closed_residual"]) > 1e-6 * 0.1 and diag["root_quantile"] < 1.0
 
 
 def test_solve_finite_k2_refuses_init(capsys):

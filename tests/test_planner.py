@@ -6,8 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from searchcontest import (
     ContestParams,
@@ -30,6 +31,7 @@ from searchcontest import (
     solve_symmetric,
 )
 from searchcontest import planner
+from searchcontest.equilibrium import _brentq
 
 # interior of 0..1: integral of (1-t^2)^(n-1) dt drives the pareto(2,1) optimum
 _PARETO_FACTOR = {2: 2.0 / 3.0, 3: 8.0 / 15.0, 5: 128.0 / 315.0}
@@ -40,7 +42,7 @@ def _uniform_oracle(n, c):
     return (1.0 - math.sqrt(s), math.sqrt(n * c / (n + 1))) if s < 1.0 else None
 
 
-# kinked piecewise-linear quantile function: fixed nodes cannot certify every sign
+# kinked piecewise-linear quantile function
 _GRID3 = [[0.0, 0.0], [0.5, 1.0], [1.0, 3.0]]
 
 
@@ -147,51 +149,53 @@ def test_optimum_past_float_resolution_refused(shape, n, cost):
 
 
 def test_refusal_evaluates_only_the_top_point(monkeypatch):
-    # the rest of the grid took about 4 s of adaptive fallbacks on this cell
+    # a refusal reads one closed-form residual, at the top point, and integrates nothing
     evaluated = []
 
-    def spy(qs, *args):
-        evaluated.extend(qs.tolist())
-        return bracket(qs, *args)
+    def spy(name):
+        original = getattr(planner, name)
 
-    bracket = planner._bracket_residuals
-    monkeypatch.setattr(planner, "_bracket_residuals", spy)
+        def call(q, *args):
+            evaluated.append((name, q))
+            return original(q, *args)
+
+        monkeypatch.setattr(planner, name, call)
+
+    spy("_closed_residual")
+    spy("_foc_residual")
     with pytest.raises(NumericFailureError):
         solve_planner(20, 1.0, make_pareto(1.05, 1.0))
-    assert evaluated == [1.0 - 1e-9]
+    assert evaluated == [("_closed_residual", 1.0 - 1e-9)]
 
 
-# grids whose 64/128-node sign certificate is wrong next to a kink, so the
-# bracket handed to brentq has adaptive residuals of one sign at both ends
+# grids on which a 64/128-node sign certificate was wrong next to a kink: it
+# handed brentq the grid interval (qs[i], qs[i + 1]), whose adaptive residuals
+# share a sign. The closed-form signs bracket the root next to it.
 _UNSOUND_BRACKET_CELLS = [
     (5, 0.1, [[0, 0], [0.2, 0.5], [0.5, 1], [0.9, 2], [1, 5]]),
     (1, 0.1, [[0, 0], [0.85, 0.1], [1, 0.81]]),
     (5, 0.1, [[0, 0], [0.25, 1.49], [0.79, 2.75], [0.8, 4.57], [1, 6.87]]),
 ]
+_UNSOUND_BRACKETS = [(128, 0.498927), (23, 0.095981), (140, 0.548788)]  # (i, root quantile)
+_GRIDS = {"grid": _GRID3, "grid5": _UNSOUND_BRACKET_CELLS[0][2]}
 
 
 @pytest.mark.parametrize("n, cost, grid", _UNSOUND_BRACKET_CELLS)
 def test_bracket_with_one_sign_is_a_numeric_failure(n, cost, grid):
+    i, root = _UNSOUND_BRACKETS[_UNSOUND_BRACKET_CELLS.index((n, cost, grid))]
+    d = from_quantile_grid(grid)
+    lo, hi = np.linspace(0.0, 1.0 - 1e-9, planner._GRID)[i:i + 2]
     with pytest.raises(NumericFailureError, match="refused its bracket") as info:
-        solve_planner(n, cost, from_quantile_grid(grid))
-    lo, hi = info.value.diagnostics["bracket"]
+        _brentq(planner._foc_residual, lo, hi, 1e-13, (n, cost, d))
     ends = info.value.diagnostics["end_residuals"]
-    assert lo < hi and ends == [planner._foc_residual(q, n, cost, from_quantile_grid(grid))
-                                for q in (lo, hi)]
     assert np.sign(ends[0]) == np.sign(ends[1]) != 0
-
-
-@pytest.mark.parametrize("family,n,cost", [
-    ("uniform", 3, 0.1), ("exponential", 5, 0.01), ("pareto", 2, 0.05), ("grid", 2, 0.3),
-])
-def test_grid_residual_is_a_function_of_the_point_alone(family, n, cost, request):
-    # each point must come out the same evaluated alone as in the full pass,
-    # whatever other points share its block
-    d = from_quantile_grid(_GRID3) if family == "grid" else request.getfixturevalue(family)
-    qs = np.linspace(0.0, 1.0 - 1e-9, planner._GRID)
-    full = planner._bracket_residuals(qs, n, cost, d)
-    alone = [planner._bracket_residuals(qs[i:i + 1], n, cost, d)[0] for i in range(qs.size)]
-    assert full.tobytes() == np.array(alone).tobytes()
+    closed = [planner._closed_residual(q, n, cost, d) for q in (lo, hi)]
+    assert list(np.sign(closed)) == list(np.sign(ends))
+    sol = solve_planner(n, cost, d)
+    q = 1.0 - sol.acceptance_prob
+    assert sol.interior and q == pytest.approx(root, abs=1e-6)
+    assert abs(planner._closed_residual(q, n, cost, d)) <= planner._ROOT_TOL * cost
+    assert abs(sol.foc_residual) < 1e-12
 
 
 def test_true_corner_still_returned():
@@ -290,27 +294,89 @@ def test_solution_identities_uniform(n, cost, uniform):
         assert sol.threshold == pytest.approx(oracle[0], rel=1e-7, abs=1e-9)
 
 
+def _oracle_residual(t, n, cost, d):
+    """The first-order residual at acceptance probability t = 1 - q, from the
+    closed forms of the integral of u^(N-1) (1 - u) Q'(1 - t + u t)."""
+    if d.name == "uniform":
+        return t * t / (n * (n + 1)) - cost
+    if d.name == "exponential":
+        return t / n - cost
+    if d.name == "pareto":
+        shape = d.params[0]
+        a = 1.0 - 1.0 / shape
+        return t**a * math.exp(math.lgamma(n) + math.lgamma(a) - math.lgamma(n + a)) / shape - cost
+    us, xs = d.params[::2], d.params[1::2]
+    ends = [min(max((u - 1.0 + t) / t, 0.0), 1.0) for u in us]
+    return t * t * sum((xs[j + 1] - xs[j]) / (us[j + 1] - us[j])
+                       * (ends[j + 1]**n / n - ends[j + 1]**(n + 1) / (n + 1)
+                          - ends[j]**n / n + ends[j]**(n + 1) / (n + 1))
+                       for j in range(len(us) - 1)) - cost
+
+
+def _oracle_roots(n, cost, d):
+    """Acceptance probabilities in (0, 1) where the closed-form residual changes sign."""
+    if d.name == "uniform":
+        roots = [math.sqrt(cost * n * (n + 1))]
+    elif d.name == "exponential":
+        roots = [cost * n]
+    elif d.name == "pareto":
+        a = 1.0 - 1.0 / d.params[0]
+        roots = [(cost * d.params[0] / math.exp(math.lgamma(n) + math.lgamma(a)
+                                                - math.lgamma(n + a))) ** (1.0 / a)]
+    else:
+        ts = np.linspace(1e-9, 1.0, 4097)
+        rs = [_oracle_residual(t, n, cost, d) for t in ts]
+        roots = [brentq(_oracle_residual, ts[i], ts[i + 1], args=(n, cost, d), xtol=1e-15)
+                 for i in range(len(ts) - 1) if (rs[i] < 0.0) != (rs[i + 1] < 0.0)]
+    return [t for t in roots if t < 1.0]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(family=st.sampled_from(["uniform", "exponential", "pareto", "grid", "grid5"]),
+       shape=st.floats(1.05, 4.0), n=st.integers(1, 500),
+       cost=st.floats(math.log(1e-3), 0.0).map(math.exp))
+@example(family="pareto", shape=1.1, n=500, cost=1.0)
+@example(family="pareto", shape=1.1, n=507, cost=1.0)
+@example(family="pareto", shape=1.2, n=100, cost=0.1)
+@example(family="pareto", shape=1.5, n=100, cost=0.001)
+def test_answer_is_the_closed_form_root(family, shape, n, cost):
+    # an answer lies at a root of the closed-form residual, to 3e-5 in
+    # acceptance probability: the certificate |residual| <= 1e-6 c allows
+    # 1e-6 / (1 - 1/shape) <= 2.1e-5 on a Pareto tail, 1e-6 on the others
+    d = (make_uniform(0.0, 1.0) if family == "uniform" else make_exponential(1.0)
+         if family == "exponential" else make_pareto(shape, 1.0) if family == "pareto"
+         else from_quantile_grid(_GRIDS[family]))
+    roots = _oracle_roots(n, cost, d)
+    try:
+        sol = solve_planner(n, cost, d)
+    except NumericFailureError:
+        # refused only on a heavy tail whose optimum accepts less than 1e-4,
+        # where the adaptive integrand's tail cut moves the root
+        assert family == "pareto" and roots and max(roots) < 1e-4, roots
+        return
+    if not sol.interior:
+        # the corner: no root, or none of them with more welfare
+        assert all(planner_welfare(float(d.quantile(1.0 - t)), n, cost, d) <= sol.welfare + 1e-12
+                   for t in roots)
+        assert family in _GRIDS or not roots
+        return
+    t = sol.acceptance_prob
+    assert abs(_oracle_residual(t, n, cost, d)) <= 1e-6 * cost
+    assert min(abs(t - r) / r for r in roots) <= 3e-5
+
+
 @pytest.mark.parametrize("family,n,cost", [
     ("uniform", 3, 0.1), ("exponential", 3, 0.1), ("pareto", 3, 0.1), ("grid", 2, 0.3),
+    ("grid5", 5, 0.1),
 ])
-def test_bracket_pass_signs_match_adaptive(family, n, cost, request, monkeypatch):
-    d = from_quantile_grid(_GRID3) if family == "grid" else request.getfixturevalue(family)
-    calls = []
-    adaptive = planner._foc_residual
-
-    def counted(q, *args):
-        calls.append(q)
-        return adaptive(q, *args)
-
-    monkeypatch.setattr(planner, "_foc_residual", counted)
-    qs = np.linspace(0.0, 1.0 - 1e-9, planner._GRID)
-    fast = planner._bracket_residuals(qs, n, cost, d)
-    if family == "grid":
-        assert calls  # the kinks force the adaptive fallback somewhere
-    for q in calls:  # an uncertified point carries the adaptive value itself
-        assert fast[np.searchsorted(qs, q)] == adaptive(q, n, cost, d)
-    for i in range(0, planner._GRID, 15):
-        assert np.sign(fast[i]) == np.sign(adaptive(qs[i], n, cost, d)), qs[i]
+def test_bracket_pass_signs_match_adaptive(family, n, cost, request):
+    d = from_quantile_grid(_GRIDS[family]) if family in _GRIDS else request.getfixturevalue(family)
+    qs = np.linspace(0.0, 1.0 - 1e-9, planner._GRID).tolist()
+    closed = np.array([planner._closed_residual(q, n, cost, d) for q in qs])
+    adaptive = np.array([planner._foc_residual(q, n, cost, d) for q in qs])
+    assert (np.sign(closed) == np.sign(adaptive)).all()
+    # 1.5e-7 on the 3-point grid, where the adaptive rule meets a kink
+    assert np.abs(closed - adaptive).max() < 1e-6
 
 
 def test_quantile_grid_planner():
