@@ -98,13 +98,24 @@ class OpponentFinalCdf:
         return np.interp(u, self._xs, self._ys)
 
     def inverse(self, y):
-        """The quantile u with h(u) = y, clamped to [0, 1]: where the reach of the
-        last round is subnormal, the first segment's inverse slope overflows and
-        interpolation alone gives inf."""
+        """The quantile u with h(u) = y, clamped to [0, 1]. It is np.interp's
+        inverse except where the reach of the last round is subnormal: there the
+        first segments' inverse slope Δu/Δh overflows, interpolation gives inf,
+        and u is taken as u_j + (y - h_j) / Δh * Δu instead."""
+        ys, xs = self._ys, self._xs
         if type(y) is float:
-            u = _interp(y, self._ys, self._xs)
+            u = _interp(y, ys, xs)
+            if u > 1.0 and u == math.inf:  # y is inside a segment whose inverse slope overflows
+                j = bisect.bisect_right(ys, y) - 1
+                u = _rise_first(y, ys[j], ys[j + 1], xs[j], xs[j + 1])
             return 1.0 if u > 1.0 else 0.0 if u < 0.0 else u  # NaN and -0.0 pass as they are
-        return np.clip(np.interp(y, self._ys, self._xs), 0.0, 1.0)
+        u = np.interp(y, ys, xs)
+        steep = u == math.inf
+        if steep.any():
+            u, y, ys, xs = np.array(u), np.asarray(y)[steep], np.array(ys), np.array(xs)
+            j = np.searchsorted(ys, y, side="right") - 1
+            u[steep] = _rise_first(y, ys[j], ys[j + 1], xs[j], xs[j + 1])
+        return np.clip(u, 0.0, 1.0)
 
     def _value(self, u: float) -> float:
         """h(u) as a float."""
@@ -149,6 +160,13 @@ def _interp(x: float, xp: list[float], fp: list[float]) -> float:
     if j == len(xp) - 1 or xp[j] == x:
         return fp[j]
     return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
+
+
+def _rise_first(y, y0: float, y1: float, x0: float, x1: float):
+    """Inverse interpolation on the segment from (x0, y0) to (x1, y1) that
+    divides by its rise y1 - y0 first, for a segment whose slope
+    (x1 - x0) / (y1 - y0) overflows."""
+    return (y - y0) / (y1 - y0) * (x1 - x0) + x0
 
 
 # ---------------------------------------------------------------------------

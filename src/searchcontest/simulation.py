@@ -31,16 +31,26 @@ _TAG_SELF = 2
 _TAG_OPP = 3
 _TAG_DIST = 4
 _TAG_RECALL = 5
-# round-by-round play reads the words a full row of uniforms per round would,
-# skipping dead stretches, but every live search still takes one word per
-# round: past this cap it would take hours, so tiny acceptance probabilities
-# are refused instead
+# round-by-round play takes the words a full row of uniforms per round would,
+# but every live search still takes one word per round: past this cap it would
+# take hours, so tiny acceptance probabilities are refused instead
 _MAX_ROUNDS = 100_000
-# a dead stretch longer than this many words is skipped rather than read: a
-# skip (Philox.advance, about 3.5 us, a discard and one more read call, about
-# 1.3 us each, and the run's own indexing) costs about what reading ~1,000
-# words does at about 7 ns a word
+# a dense round skips a dead stretch longer than this many words before its
+# first live word rather than read it: a skip (Philox.advance, about 3.5 us, a
+# discard and one more read call, about 1.3 us each) costs about what reading
+# ~1,000 words does at about 7 ns a word
 _GAP = 1024
+# once the live columns lie more than this many words apart on average, their
+# words are computed from their positions (about 250 ns a word) rather than
+# read with the dead words between them (about 9 ns a word)
+_SPARSE = 128
+# Philox4x64-10 (Salmon et al., SC'11; Random123's constants): each round
+# multiplier with its high and low 32 bits, and the key's Weyl increments. The
+# multipliers are numpy scalars: numpy < 2 makes uint64 mixed with a Python
+# int a float64
+_PHILOX_M = tuple((np.uint64(m), np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF))
+                  for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _MEMORY_BUDGET = 1 << 30  # bytes a simulation may hold at once; see _check_memory
 
 
@@ -196,6 +206,56 @@ def _default_cap(plans: list[np.ndarray]) -> int:
     return cap
 
 
+def _philox_words(key: tuple[int, int], words: np.ndarray, workspace: np.ndarray) -> np.ndarray:
+    """Word w of a fresh Philox stream with this key, for each uint64 w in
+    words, computed from its position alone: numpy increments the 4-word
+    counter before it fills its buffer, so word w is lane w % 4 of
+    Philox4x64-10 at counter (w // 4 + 1, 0, 0, 0). workspace is a
+    (10, words.size) uint64 array, words is overwritten, and the words are
+    returned in a row of workspace. Each 128-bit product is formed from 32-bit
+    halves in uint64 arithmetic, which wraps."""
+    ctr, out = list(workspace[:4]), list(workspace[4:8])
+    a, b = workspace[8], workspace[9]
+    np.right_shift(words, np.uint64(2), out=ctr[0])
+    ctr[0] += np.uint64(1)
+    workspace[1:4] = 0
+    low, half = np.uint64(0xFFFFFFFF), np.uint64(32)
+    k0, k1 = key
+    for _ in range(10):
+        # (hi, lo) = m * x, with x's halves xh, xl and m's mh, ml
+        for x, hi, lo, (m, mh, ml) in zip(ctr[::2], out[::2], out[1::2], _PHILOX_M):
+            np.multiply(x, m, out=lo)
+            np.bitwise_and(x, low, out=a)
+            x >>= half
+            np.multiply(x, mh, out=hi)
+            x *= ml
+            np.multiply(a, mh, out=b)
+            a *= ml
+            a >>= half
+            x += a  # t = xh * ml + (xl * ml >> 32) < 2^64
+            np.bitwise_and(x, low, out=a)
+            x >>= half
+            hi += x
+            a += b
+            a >>= half
+            hi += a  # xh * mh + (t >> 32) + ((t & low) + xl * mh >> 32)
+        # the round's output: (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
+        out[2] ^= ctr[1]
+        out[2] ^= np.uint64(k0)
+        out[0] ^= ctr[3]
+        out[0] ^= np.uint64(k1)
+        ctr, out = [out[2], out[3], out[0], out[1]], ctr
+        # the key in Python ints: a numpy scalar's overflow warns
+        k0, k1 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFFFFFFFFFF, (k1 + _PHILOX_W[1]) & 0xFFFFFFFFFFFFFFFF
+    words &= np.uint64(3)
+    lane = b.view(bool)[: words.size]
+    np.copyto(a, ctr[0])
+    for i in (1, 2, 3):
+        np.equal(words, np.uint64(i), out=lane)
+        np.copyto(a, ctr[i], where=lane)
+    return a
+
+
 def _play_rounds(
     rng: np.random.Generator, size: int, plan: np.ndarray, cap: int, recall: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,57 +264,83 @@ def _play_rounds(
     so a k-draw plan, whose last quantile 0 accepts any draw, ends by round k.
 
     Returns the accepted quantile, the number of draws and the indices of the
-    replications the cap stopped. Draw (round r, replication j) is raw stream
-    word (r - 1) * size + j, the word a full row of uniforms per round gives
-    it, so the same words are read whatever the stopping pattern, and a
-    replication's draws do not depend on when the others stop. Only the words
-    of live replications are read: each round they are split into runs
-    wherever two lie more than _GAP words apart, each run is one read, and a
-    longer dead stretch before a run is skipped. A uniform is at or above q
-    exactly when its word is at or above ceil(q * 2^53) << 11 (for q = 1, 2^64:
-    a Python int no word reaches), so words are compared as integers and each
-    accepted word is made a uniform once, at the end. With recall a search
-    stops once its running maximum, kept in words since the map is monotone,
-    reaches the round's bound, and the cap keeps that maximum, not the last draw.
+    replications the cap stopped. Draw (round r, replication j) is word
+    (r - 1) * size + j of the fresh stream rng, the word a full row of uniforms
+    per round gives it, so a replication's draws do not depend on when the
+    others stop. A dense round reads its words from the first live column's to
+    the last's in one call, after skipping a dead stretch of more than _GAP
+    words before them. Once the live columns lie more than _SPARSE words apart
+    on average, their words are computed from their positions instead
+    (_philox_words), the next rounds of every live column in one block, down
+    which each column's first hit is found; the words are the same, so the
+    bits are. A uniform is at or above q exactly when its word is at or above
+    ceil(q * 2^53) << 11 (for q = 1, 2^64: a Python int no word reaches), so
+    words are compared as integers and each accepted word is made a uniform
+    once, at the end. With recall a search stops once its running maximum,
+    kept in words since the map is monotone, reaches the round's bound, and
+    the cap keeps that maximum, not the last draw.
     """
     bits = rng.bit_generator
     bounds = [math.ceil(q * 2.0**53) << 11 for q in plan]
     final = np.empty(size, dtype=np.uint64)  # the accepted words, made uniforms at the end
     draws = np.full(size, cap, dtype=np.int64)
     live = np.arange(size)
-    best = np.zeros(size, dtype=np.uint64)  # running maximum of each live column, with recall
-    x = np.empty(size, dtype=np.uint64)  # this round's words of the live columns
-    mask = np.empty(size, dtype=bool)  # one buffer: a fresh mask every round fragments the heap
-    pos = 0  # stream words consumed
-    for r in range(1, cap + 1):
-        row = (r - 1) * size  # the stream word of column 0 this round
-        # x and mask are free until the read: the gaps between live columns go through them
-        gaps = np.subtract(live[1:], live[:-1], out=x.view(np.int64)[: live.size - 1])
-        cuts = (np.flatnonzero(np.greater(gaps, _GAP, out=mask[: gaps.size])) + 1).tolist()
-        for a, b in zip([0] + cuts, cuts + [live.size]):
-            first = row + int(live[a])
-            if first - pos > _GAP:  # advance moves whole 4-word blocks and empties the buffer
-                bits.advance(first // 4 - -(-pos // 4))
-                bits.random_raw(first % 4)
-                pos = first
-            run = live[a:b]
-            run += row - pos  # live's own storage indexes the read, then is restored
-            n_read = int(run[-1]) + 1
-            np.take(bits.random_raw(n_read), run, out=x[a:b], mode="clip")  # clip: unbuffered
-            run -= row - pos
+    # the running maximum of each live column, with recall
+    best = np.zeros(size if recall else 0, dtype=np.uint64)
+    # x holds a dense round's words of the live columns, and later a block's
+    # positions and workspace, 11 words a live column a round: fewer than
+    # size / _SPARSE columns are live then, so it holds at least 5 rounds
+    room = max(size // 11, -(-5 * size // _SPARSE))  # words a block may hold
+    x = np.empty(max(size, 11 * room), dtype=np.uint64)
+    # one buffer: a fresh mask every round fragments the heap
+    mask = np.empty(max(size, room), dtype=bool)
+    pos, key, r = 0, None, 1  # stream words read; the key once words are computed
+    while live.size and r <= cap:
+        n = live.size
+        if key is None and live[-1] - live[0] > _SPARSE * n:
+            key = tuple(int(k) for k in bits.state["state"]["key"])
+        if key is None:  # one read, from the first live column's word to the last's
+            m, row = 1, (r - 1) * size  # row: the stream word of column 0 this round
+            start = row + int(live[0])
+            if start - pos > _GAP:  # advance moves whole 4-word blocks and empties the buffer
+                bits.advance(start // 4 - -(-pos // 4))
+                bits.random_raw(start % 4)
+                pos = start
+            live += row - pos  # live's own storage indexes the read, then is restored
+            n_read = int(live[-1]) + 1
+            block = np.take(bits.random_raw(n_read), live, out=x[:n], mode="clip")  # unbuffered
+            live -= row - pos
             pos += n_read
-        seen = np.maximum(best, x[: live.size]) if recall else x[: live.size]
-        stop = np.greater_equal(seen, bounds[min(r, len(bounds)) - 1], out=mask[: live.size])
+            block = block.reshape(1, n)
+        else:  # the next m rounds of every live column, computed
+            q = plan[min(r, plan.size) - 1]
+            m = min(cap - r + 1, room // n, math.ceil(1.0 / (1.0 - q)) if q < 1.0 else cap)
+            words = x[: m * n]
+            rows = np.arange(r - 1, r - 1 + m)[:, None] * size
+            np.add(rows, live, out=words.view(np.int64).reshape(m, n))
+            block = _philox_words(key, words, x[m * n: 11 * m * n].reshape(10, -1))
+            block = block.reshape(m, n)
+        if recall:
+            np.maximum(block[0], best, out=block[0])
+            if m > 1:
+                np.maximum.accumulate(block, axis=0, out=block)
+        hits = mask[: m * n].reshape(m, n)
+        for i in range(m):
+            np.greater_equal(block[i], bounds[min(r + i, len(bounds)) - 1], out=hits[i])
+        if m == 1:  # one round: no search down the block, and no n-word index array
+            stop, first = hits[0], 0
+        else:  # each column's first hit down the block
+            stop = hits.any(axis=0)
+            first = hits.argmax(axis=0)[stop]
         done = live[stop]
-        final[done] = seen[stop]
-        draws[done] = r
+        final[done] = block[first, stop]
+        draws[done] = r + first
         keep = np.logical_not(stop, out=stop)
         live = live[keep]
         if recall:
-            best = seen[keep]
-        if not live.size:
-            break
-    final[live] = seen[keep]  # cap reached: the last draw, or with recall the best
+            best = block[m - 1, keep]
+        r += m
+    final[live] = block[m - 1, keep]  # cap reached: the last draw, or with recall the best
     # Generator.random's double is (word >> 11) * 2^-53, made here in place and
     # through int64, which numpy converts to float far faster than uint64
     final >>= np.uint64(11)

@@ -1,4 +1,5 @@
 """Finite-horizon equilibria: closed form, backward induction, sweeps."""
+import bisect
 import json
 import math
 import time
@@ -190,8 +191,19 @@ def _probe_points(nodes, rng):
     return points + [float(x) for x in rng.random(8)]
 
 
+def _steep_inverse(y, ys, xs):
+    """Where y lies inside a segment whose inverse slope overflows, the mended
+    inverse (y - y_j) / Δy * Δx + x_j; elsewhere None."""
+    j = bisect.bisect_right(ys, y) - 1
+    if 0 <= j < len(ys) - 1 and ys[j] < y < ys[j + 1] \
+            and math.isinf((xs[j + 1] - xs[j]) / (ys[j + 1] - ys[j])):
+        return (y - ys[j]) / (ys[j + 1] - ys[j]) * (xs[j + 1] - xs[j]) + xs[j]
+    return None
+
+
 def test_final_cdf_scalar_path_bitwise_equal_to_np_interp():
     rng = np.random.default_rng(20261019)
+    steep = 0
     for a in _scalar_path_cases(rng):
         h = OpponentFinalCdf(a)
         xs, ys = np.array(h._xs), np.array(h._ys)
@@ -199,23 +211,31 @@ def test_final_cdf_scalar_path_bitwise_equal_to_np_interp():
             want = float(np.interp(x, xs, ys))
             for got in (h(x), h._value(x)):
                 assert type(got) is float and got.hex() == want.hex(), (a, x, got, want)
-        # the inverse is clamped to [0, 1], where an overflowing slope gives inf
-        for y in _probe_points(h._ys, rng):
-            got, want = h.inverse(y), float(np.clip(np.interp(y, ys, xs), 0.0, 1.0))
+        # the inverse is clamped to [0, 1]; it is np.interp's except inside a
+        # segment whose inverse slope overflows
+        ps = _probe_points(h._ys, rng)
+        wants = []
+        for y in ps:
+            mended = _steep_inverse(y, h._ys, h._xs)
+            steep += mended is not None
+            want = float(np.clip(np.interp(y, ys, xs) if mended is None else mended, 0.0, 1.0))
+            got = h.inverse(y)
             assert type(got) is float and got.hex() == want.hex(), (a, y, got, want)
+            wants.append(want)
         # arrays still go through np.interp, element by element
         us = np.array(_probe_points(h._xs, rng))
         assert np.array_equal(h(us), np.interp(us, xs, ys), equal_nan=True)
-        assert np.array_equal(h.inverse(us), np.clip(np.interp(us, ys, xs), 0.0, 1.0),
-                              equal_nan=True)
+        assert np.array_equal(h.inverse(np.array(ps)), wants, equal_nan=True)
+    assert steep > 0
 
 
 def test_final_cdf_inverse_stays_in_unit_interval():
-    # 155 rounds at 0.01 leave a subnormal reach; np.interp's inverse gives inf here
+    # 155 rounds at 0.01 leave a subnormal reach; np.interp's inverse gives inf
+    # here, and the mended one the true value 5e-313 / 0.01^155 = 0.005
     h = OpponentFinalCdf([0.01] * 155)
     assert math.isinf(float(np.interp(5e-313, h._ys, h._xs)))
-    assert h.inverse(5e-313) == 1.0
-    assert h.inverse(np.array([5e-313, 0.5]))[0] == 1.0
+    assert h.inverse(5e-313) == pytest.approx(0.005, rel=1e-9)
+    assert h.inverse(np.array([5e-313, 0.5]))[0] == h.inverse(5e-313)
     # an in-range value keeps every bit, on the float path and the array path
     rng = np.random.default_rng(7)
     for a in ([0.3, 0.6], [0.01] * 155, list(rng.random(5))):

@@ -619,8 +619,9 @@ def test_scans_and_recall_stay_within_the_memory_estimate(uniform, monkeypatch, 
 
 
 # The round-play kernel reads raw Philox words where Generator.random would
-# have drawn doubles, and skips dead stretches of the stream with advance.
-# These two tests pin the numpy behaviour that makes that byte-safe.
+# have drawn doubles, skips a dead stretch of the stream with advance, and in
+# sparse rounds computes the words from their positions. These tests pin the
+# numpy behaviour that makes that byte-safe.
 
 
 def test_numpy_random_reads_one_philox_word_per_double():
@@ -638,6 +639,54 @@ def test_numpy_philox_advance_moves_whole_blocks_and_empties_the_buffer(consumed
         bits.random_raw(consumed)
         bits.advance(d)
         assert bits.random_raw(1)[0] == words[4 * (-(-consumed // 4) + d)]
+
+
+PHILOX_KEYS = [
+    (SEED, 0, 0, 0), (SEED, 5, 1, 3), (1, 3, 29, 0), (12345, 2, 0, 17),  # _stream's tags
+    (2**64 - 1, 2**64 - 1), (2**63, 2**63 + 1), (0, 2**64 - 1), (0xFFFFFFFF00000000, 1 << 32),
+]
+
+
+@pytest.mark.parametrize("source", PHILOX_KEYS, ids=lambda t: "-".join(f"{k:x}" for k in t))
+def test_philox_words_equal_random_raw(source):
+    # a stream's key, or a key with its top bits set: every lane of the first
+    # 1,025 counter blocks, then positions up to 2^40, where the counter's high
+    # 32 bits are nonzero, against numpy's own words
+    import searchcontest.simulation as sim
+
+    key = source if len(source) == 2 else tuple(
+        int(k) for k in sim._stream(*source).bit_generator.state["state"]["key"])
+
+    def fresh():
+        return np.random.Philox(key=np.array(key, dtype=np.uint64))
+
+    positions = np.arange(4100, dtype=np.uint64)
+    want = fresh().random_raw(4100)
+    far = np.random.default_rng(key[0] % 1000).integers(0, 2**40, 300, dtype=np.uint64)
+    far[:3] = [2**33, 2**34 - 1, 2**34 + 6]
+    far_want = []
+    for w in far.tolist():
+        bits = fresh()
+        bits.advance(w // 4)
+        far_want.append(bits.random_raw(w % 4 + 1)[-1])
+    positions = np.concatenate([positions, far])
+    want = np.concatenate([want, np.array(far_want, dtype=np.uint64)])
+    got = sim._philox_words(key, positions.copy(), np.empty((10, positions.size), dtype=np.uint64))
+    assert got.dtype == np.uint64 and np.array_equal(got, want)
+
+
+def _spy_counter_phase(monkeypatch):
+    """The word positions of every block _play_rounds computes rather than reads."""
+    import searchcontest.simulation as sim
+
+    calls, real = [], sim._philox_words
+
+    def spy(key, words, workspace):
+        calls.append(words.copy())
+        return real(key, words, workspace)
+
+    monkeypatch.setattr(sim, "_philox_words", spy)
+    return calls
 
 
 def _full_row_play(rng, size, plan, cap, recall=False):
@@ -687,43 +736,81 @@ def _assert_plays_equal(size, plan, cap, recall):
     pytest.param((0.97, 0.97, 1.0, 0.3, 0.97, 0.0), id="k6"),
 ])
 @pytest.mark.parametrize("size", [1, 2, 3, 7, 4097, 65536])
-def test_play_rounds_reads_the_full_row_words(size, plan, recall):
+def test_play_rounds_reads_the_full_row_words(monkeypatch, size, plan, recall):
     # odd sizes start rows off the 4-word block boundary; the default cap
     # runs where the full-row reference stays cheap
     import searchcontest.simulation as sim
 
+    calls = _spy_counter_phase(monkeypatch)
     plan = np.array(plan, ndmin=1)
     caps = [1, 2, 3, 7]
     if plan.size > 1 or plan[0] <= 0.97 or size <= 7:
         caps.append(sim._default_cap([plan]))
     for cap in caps:
         _assert_plays_equal(size, plan, cap, recall)
+    if size == 65536:  # a full chunk thins out past _SPARSE before the cap at q = 0.3 and 0.97
+        assert bool(calls) == (plan.size == 1 and 0.0 < plan[0] < 0.999)
 
 
-def test_play_rounds_skips_and_reads_across_gaps():
-    # at q = 0.97 a full chunk thins out over ~380 rounds, so late rounds hold
-    # live columns both more and fewer than _GAP words apart
+def _block_rounds(words, size):
+    """The rounds a computed block holds, from its word positions."""
+    return sorted({int(w) // size + 1 for w in words})
+
+
+@pytest.mark.parametrize("recall", [False, True], ids=["no_recall", "recall"])
+def test_play_rounds_cap_inside_a_counter_block(monkeypatch, recall):
+    # at q = 0.97 blocks hold ceil(1 / 0.03) = 34 rounds: the cap cuts the last one short
+    calls = _spy_counter_phase(monkeypatch)
+    size, cap = 65536, 200
+    _, _, capped = _assert_plays_equal(size, np.array([0.97]), cap, recall)
+    last = _block_rounds(calls[-1], size)
+    assert last[-1] == cap and len(last) < 34 and capped.size > 0
+
+
+@pytest.mark.parametrize("recall", [False, True], ids=["no_recall", "recall"])
+def test_play_rounds_counter_block_spans_the_k_draw_rounds(monkeypatch, recall):
+    # _SPARSE = 1 starts the counter phase at round 2 of the k6 plan, in one
+    # block through its 1.0 round, which accepts no draw, to its 0.0 round
     import searchcontest.simulation as sim
 
+    monkeypatch.setattr(sim, "_SPARSE", 1)
+    calls = _spy_counter_phase(monkeypatch)
+    plan = np.array([0.97, 0.97, 1.0, 0.3, 0.97, 0.0])
+    _assert_plays_equal(65536, plan, plan.size, recall)
+    assert [_block_rounds(w, 65536) for w in calls] == [[2, 3, 4, 5, 6]]
+
+
+def test_play_rounds_skips_and_reads_across_gaps(monkeypatch):
+    # at q = 0.97 a full chunk thins out over ~380 rounds: the early rounds are
+    # read from the stream, and once the live columns lie more than _SPARSE
+    # words apart the later ones are computed, block after block to the last
+    import searchcontest.simulation as sim
+
+    calls = _spy_counter_phase(monkeypatch)
     size, plan = 65536, np.array([0.97])
     _, draws, _ = _assert_plays_equal(size, plan, sim._default_cap([plan]), False)
-    straddled = 0
-    for r in range(2, int(draws.max()) + 1):
-        gaps = np.diff(np.flatnonzero(draws >= r))
-        straddled += bool((gaps > sim._GAP).any() and ((gaps > 1) & (gaps <= sim._GAP)).any())
-    assert straddled >= 10
+    rounds = [r for w in calls for r in _block_rounds(w, size)]
+    assert 100 < rounds[0] and rounds == list(range(rounds[0], rounds[-1] + 1))
+    assert rounds[-1] >= draws.max()
+    live = np.count_nonzero(draws >= rounds[0])
+    span = np.flatnonzero(draws >= rounds[0])[[0, -1]]
+    assert span[1] - span[0] > sim._SPARSE * live
 
 
 @pytest.mark.parametrize("gap", [3, 4, 5, 6, 7, 64])
 @pytest.mark.parametrize("size", [7, 4097])
 def test_play_rounds_matches_with_small_gaps(monkeypatch, gap, size):
-    # a small _GAP skips nearly every dead stretch, from every position mod 4
+    # a small _GAP skips nearly every dead stretch before a round's first live
+    # word, from every position mod 4; a small _SPARSE starts the counter phase
+    # at every round and every word position mod 4
     import searchcontest.simulation as sim
 
     monkeypatch.setattr(sim, "_GAP", gap)
-    for q, recall in ((0.3, False), (0.9, True), (0.97, False)):
-        plan = np.array([q])
-        _assert_plays_equal(size, plan, sim._default_cap([plan]), recall)
+    for sparse in (sim._SPARSE, 1, 2, 3, 5):
+        monkeypatch.setattr(sim, "_SPARSE", sparse)
+        for q, recall in ((0.3, False), (0.9, True), (0.97, False)):
+            plan = np.array([q])
+            _assert_plays_equal(size, plan, sim._default_cap([plan]), recall)
 
 
 def test_a_round_of_quantile_one_rejects_even_the_top_word():
