@@ -35,15 +35,22 @@ _TAG_RECALL = 5
 # but every live search still takes one word per round: past this cap it would
 # take hours, so tiny acceptance probabilities are refused instead
 _MAX_ROUNDS = 100_000
-# a dense round skips a dead stretch longer than this many words before its
-# first live word rather than read it: a skip (Philox.advance, about 3.5 us, a
-# discard and one more read call, about 1.3 us each) costs about what reading
-# ~1,000 words does at about 7 ns a word
+# Costs below were measured on a 2-core Xeon with numpy 2.4. A dense round
+# skips a dead stretch longer than this many words before its first live word
+# rather than read it: a skip (Philox.advance, about 2 us, a discard and one
+# more read call, about 0.7 us each) costs about what reading ~1,000 words does
+# at about 4 ns a word
 _GAP = 1024
 # once the live columns lie more than this many words apart on average, their
-# words are computed from their positions (about 250 ns a word) rather than
-# read with the dead words between them (about 9 ns a word)
-_SPARSE = 128
+# words are computed from their positions (_philox_words, about 110-150 ns a
+# word in blocks of 4,096 words or more) rather than read with the dead words
+# between them (about 4 ns a word, plus the round's own passes over its listed
+# columns); 16 to 64 took the same CPU time, 128 about 9% more
+_SPARSE = 32
+# a dense round only marks its stops dead in the list of columns, and the list
+# is compacted once this share of it is dead: a compaction is several passes
+# over the list, about as costly as the round's read at density 1
+_COMPACT_AT = 0.25
 # Philox4x64-10 (Salmon et al., SC'11; Random123's constants): each round
 # multiplier with its high and low 32 bits, and the key's Weyl increments. The
 # multipliers are numpy scalars: numpy < 2 makes uint64 mixed with a Python
@@ -213,7 +220,9 @@ def _philox_words(key: tuple[int, int], words: np.ndarray, workspace: np.ndarray
     Philox4x64-10 at counter (w // 4 + 1, 0, 0, 0). workspace is a
     (10, words.size) uint64 array, words is overwritten, and the words are
     returned in a row of workspace. Each 128-bit product is formed from 32-bit
-    halves in uint64 arithmetic, which wraps."""
+    halves in uint64 arithmetic, which wraps. A word costs about 110-150 ns in
+    blocks of 4,096 words or more, and numpy's per-call overhead makes small
+    blocks dearer: about 300 ns a word at 1,024 and 870 at 256."""
     ctr, out = list(workspace[:4]), list(workspace[4:8])
     a, b = workspace[8], workspace[9]
     np.right_shift(words, np.uint64(2), out=ctr[0])
@@ -267,39 +276,51 @@ def _play_rounds(
     replications the cap stopped. Draw (round r, replication j) is word
     (r - 1) * size + j of the fresh stream rng, the word a full row of uniforms
     per round gives it, so a replication's draws do not depend on when the
-    others stop. A dense round reads its words from the first live column's to
-    the last's in one call, after skipping a dead stretch of more than _GAP
-    words before them. Once the live columns lie more than _SPARSE words apart
-    on average, their words are computed from their positions instead
-    (_philox_words), the next rounds of every live column in one block, down
-    which each column's first hit is found; the words are the same, so the
-    bits are. A uniform is at or above q exactly when its word is at or above
-    ceil(q * 2^53) << 11 (for q = 1, 2^64: a Python int no word reaches), so
-    words are compared as integers and each accepted word is made a uniform
-    once, at the end. With recall a search stops once its running maximum,
-    kept in words since the map is monotone, reaches the round's bound, and
-    the cap keeps that maximum, not the last draw.
+    others stop. A dense round reads its words from the first listed column's
+    to the last's in one call, after skipping a dead stretch of more than _GAP
+    words before them. Its stops are recorded at once and only marked dead in
+    the list of columns, which is compacted once a _COMPACT_AT share of it is
+    dead, at the cap, and before the switch: once the live columns lie more
+    than _SPARSE words apart on average, their words are computed from their
+    positions instead (_philox_words), the next rounds of every live column in
+    one block, down which each column's first hit is found; the words are the
+    same, so the bits are. A uniform is at or above q exactly when its word is
+    at or above ceil(q * 2^53) << 11 (for q = 1, 2^64: a Python int no word
+    reaches), so words are compared as integers and each accepted word is made
+    a uniform once, at the end. With recall a search stops once its running
+    maximum, kept in words since the map is monotone, reaches the round's
+    bound, and the cap keeps that maximum, not the last draw.
     """
     bits = rng.bit_generator
     bounds = [math.ceil(q * 2.0**53) << 11 for q in plan]
     final = np.empty(size, dtype=np.uint64)  # the accepted words, made uniforms at the end
     draws = np.full(size, cap, dtype=np.int64)
-    live = np.arange(size)
-    # the running maximum of each live column, with recall
+    live = np.arange(size)  # the listed columns: the live ones and those stopped since compaction
+    alive = np.ones(size, dtype=bool)  # which listed columns are live
+    # the running maximum of each listed column, with recall
     best = np.zeros(size if recall else 0, dtype=np.uint64)
-    # x holds a dense round's words of the live columns, and later a block's
+    # x holds a dense round's words of the listed columns, and later a block's
     # positions and workspace, 11 words a live column a round: fewer than
     # size / _SPARSE columns are live then, so it holds at least 5 rounds
     room = max(size // 11, -(-5 * size // _SPARSE))  # words a block may hold
     x = np.empty(max(size, 11 * room), dtype=np.uint64)
     # one buffer: a fresh mask every round fragments the heap
     mask = np.empty(max(size, room), dtype=bool)
-    pos, key, r = 0, None, 1  # stream words read; the key once words are computed
-    while live.size and r <= cap:
-        n = live.size
+    # stream words read; the key once words are computed; listed columns stopped
+    pos, key, r, dead = 0, None, 1, 0
+    while r <= cap and live.size > dead:
+        n = live.size - dead
+        if dead and (key is not None or dead >= _COMPACT_AT * live.size
+                     or live[-1] - live[0] > _SPARSE * n):  # whenever the switch's test would
+            keep = alive[: live.size]
+            live = live[keep]
+            if recall:
+                best = best[keep]
+            alive[:n], dead = True, 0
         if key is None and live[-1] - live[0] > _SPARSE * n:
             key = tuple(int(k) for k in bits.state["state"]["key"])
-        if key is None:  # one read, from the first live column's word to the last's
+        n = live.size
+        if key is None:  # one read, from the first listed column's word to the last's
             m, row = 1, (r - 1) * size  # row: the stream word of column 0 this round
             start = row + int(live[0])
             if start - pos > _GAP:  # advance moves whole 4-word blocks and empties the buffer
@@ -311,6 +332,8 @@ def _play_rounds(
             block = np.take(bits.random_raw(n_read), live, out=x[:n], mode="clip")  # unbuffered
             live -= row - pos
             pos += n_read
+            if recall:  # best is the round's own row
+                block = np.maximum(best, block, out=best)
             block = block.reshape(1, n)
         else:  # the next m rounds of every live column, computed
             q = plan[min(r, plan.size) - 1]
@@ -320,26 +343,28 @@ def _play_rounds(
             np.add(rows, live, out=words.view(np.int64).reshape(m, n))
             block = _philox_words(key, words, x[m * n: 11 * m * n].reshape(10, -1))
             block = block.reshape(m, n)
-        if recall:
-            np.maximum(block[0], best, out=block[0])
-            if m > 1:
+            if recall:
+                np.maximum(block[0], best, out=block[0])
                 np.maximum.accumulate(block, axis=0, out=block)
+                best[:] = block[m - 1]
         hits = mask[: m * n].reshape(m, n)
         for i in range(m):
             np.greater_equal(block[i], bounds[min(r + i, len(bounds)) - 1], out=hits[i])
-        if m == 1:  # one round: no search down the block, and no n-word index array
-            stop, first = hits[0], 0
+        if m == 1:  # one round: no search down the block
+            if dead:
+                hits &= alive[:n]
+            stop, first = np.flatnonzero(hits[0]), 0
         else:  # each column's first hit down the block
-            stop = hits.any(axis=0)
+            stop = np.flatnonzero(hits.any(axis=0))
             first = hits.argmax(axis=0)[stop]
         done = live[stop]
         final[done] = block[first, stop]
         draws[done] = r + first
-        keep = np.logical_not(stop, out=stop)
-        live = live[keep]
-        if recall:
-            best = block[m - 1, keep]
+        alive[stop] = False
+        dead += stop.size
         r += m
+    keep = alive[: live.size]
+    live = live[keep]
     final[live] = block[m - 1, keep]  # cap reached: the last draw, or with recall the best
     # Generator.random's double is (word >> 11) * 2^-53, made here in place and
     # through int64, which numpy converts to float far faster than uint64
@@ -410,8 +435,9 @@ def simulate_contest(
     statistics with standard errors, plus the cost/prize dissipation ratio."""
     n = profile.n_players
     cost, prize_arr, top = _resolve_contest(params, prizes, n)
-    # per player, plus the round-play buffers of the chunk: at most 253 B
-    # measured at N=3, 587 at 10, 1,546 at 30 and 2,987 at 60
+    # per player, plus the round-play buffers of the chunk: at most 178 B
+    # measured at N=3, 489 at 10, 1,449 at 30 and 2,898 at 60 (peak RSS and
+    # tracemalloc)
     _check_memory(f"simulating {n} players", config, 75 * n + 40)
     plans = [_plan(s, d) for s in profile.strategies]
     cap = _default_cap(plans)
@@ -460,7 +486,8 @@ def simulate_contest(
     )
 
 
-def _inverse_play(v: np.ndarray, plan: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _inverse_play(v: np.ndarray, plan: np.ndarray,
+                  log0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Accepted quantile and draw count from pre-drawn uniforms, for
     deviation_scan, whose candidates share one block v: common random numbers.
 
@@ -469,14 +496,17 @@ def _inverse_play(v: np.ndarray, plan: np.ndarray) -> tuple[np.ndarray, np.ndarr
     threshold. A uniform is at most 1 - 2^-53, so a draw count is at most
     ceil(36.74 / -log q) <= ceil(40 / (1 - q)), the cap of round-by-round
     play: no cap can bind. A k-draw plan reads the uniforms as the draws
-    themselves, and its last round accepts any.
+    themselves, and its last round accepts any. log0 is np.log1p(-v[:, 0]),
+    when the caller has it.
     """
     size = v.shape[0]
     if plan.size == 1:
         q = plan[0]
         if q <= 0.0:
             return v[:, 1].copy(), np.ones(size, dtype=np.int64)
-        draws = np.maximum(1, np.ceil(np.log1p(-v[:, 0]) / math.log(q))).astype(np.int64)
+        if log0 is None:
+            log0 = np.log1p(-v[:, 0])
+        draws = np.maximum(1, np.ceil(log0 / math.log(q))).astype(np.int64)
         return q + v[:, 1] * (1.0 - q), draws
     first = (v[:, : plan.size] >= plan).argmax(axis=1)
     return v[np.arange(size), first], first.astype(np.int64) + 1
@@ -518,9 +548,10 @@ def deviation_scan(
             for out in np.split(opp_final[slot], range(step, size, step)):
                 out[:] = _inverse_play(rng.random((out.size, cols)), plan)[0]
         v_self = _stream(config.seed, _TAG_SELF, player_index, c).random((size, v_cols))
+        log0 = np.log1p(-v_self[:, 0])  # every infinite candidate's, once a chunk
         sums, base = np.empty((2, len(self_plans))), 0.0  # column 0: the profile strategy's
         for i, plan in enumerate(self_plans):
-            f, dr = _inverse_play(v_self, plan)
+            f, dr = _inverse_play(v_self, plan, log0)
             rank = (opp_final > f[None, :]).sum(axis=0)  # exact ties have measure zero
             gain = prize_arr[rank] - cost * dr - base  # payoff less the profile strategy's
             sums[:, i] = gain.sum(), (gain**2).sum()
@@ -602,8 +633,8 @@ def recall_irrelevance_check(
             f"critical value {crit:.3g} is not below 1, so it cannot fail")
     plan = np.array([1.0 - solve_symmetric(params, d).acceptance_prob])  # refused if it is 1
     cap = _default_cap([plan])
-    # all kept for KS: 40 B measured at a million replications, up to 71 while
-    # the play buffers of one or two chunks are live beside them
+    # all kept for KS: 40 B measured at a million replications (48 of peak
+    # RSS), up to 72 while the play buffers of one or two chunks are live beside them
     _check_memory("the recall check", config, 80, reps)
 
     def work(c: int, size: int) -> tuple[np.ndarray, ...]:

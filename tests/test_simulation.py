@@ -748,8 +748,10 @@ def test_play_rounds_reads_the_full_row_words(monkeypatch, size, plan, recall):
         caps.append(sim._default_cap([plan]))
     for cap in caps:
         _assert_plays_equal(size, plan, cap, recall)
-    if size == 65536:  # a full chunk thins out past _SPARSE before the cap at q = 0.3 and 0.97
-        assert bool(calls) == (plan.size == 1 and 0.0 < plan[0] < 0.999)
+    if size == 65536:  # a full chunk thins out past _SPARSE before the cap at q = 0.3 and 0.97,
+        # and with recall the k6 plan's live columns lie about 120 words apart in round 6
+        assert bool(calls) == (plan.size == 1 and 0.0 < plan[0] < 0.999
+                               or recall and plan.size == 6)
 
 
 def _block_rounds(words, size):
@@ -824,3 +826,42 @@ def test_a_round_of_quantile_one_rejects_even_the_top_word():
                                             np.array([1.0, 0.0]), 3)
     assert draws.tolist() == [2] * 5 and capped.size == 0
     assert final.tolist() == [1.0 - 2.0**-53] * 5
+
+
+def test_play_rounds_matches_full_rows_at_random(monkeypatch):
+    # seeded random sizes, plans, caps and recall sides, with _SPARSE and the
+    # compaction share at their extremes: 1 computes words from the first
+    # sparse round, 10**9 never; a share of 0 compacts after every round with
+    # a stop, 1 only at the cap or the switch to computed words. seen counts
+    # the cases that reach the cap with stopped columns still listed, switch
+    # right after compacting away the previous round's stops, and play a
+    # k-draw round on a list that still holds the previous round's stops.
+    import searchcontest.simulation as sim
+
+    calls = _spy_counter_phase(monkeypatch)
+    rng = np.random.default_rng(SEED)
+    seen = dict.fromkeys(["cap", "switch", "k_draw"], 0)
+    for _ in range(200):
+        size = int(math.exp(rng.uniform(0.0, math.log(70_000))))
+        if rng.random() < 0.6:
+            plan = np.array([rng.choice([0.0, rng.uniform(0.0, 0.999)], p=[0.1, 0.9])])
+        else:
+            k = int(rng.integers(2, 9))
+            plan = np.array([rng.choice([0.0, 1.0, rng.uniform()]) for _ in range(k - 1)] + [0.0])
+        cap = int(rng.integers(1, sim._default_cap([plan]) + 1))
+        cap = min(cap, max(1, 3_000_000 // size))  # the full-row reference reads a row a round
+        recall = bool(rng.integers(2))
+        sparse = int(rng.choice([1, sim._SPARSE, 10**9]))
+        share = float(rng.choice([0.0, sim._COMPACT_AT, 1.0]))
+        monkeypatch.setattr(sim, "_SPARSE", sparse)
+        monkeypatch.setattr(sim, "_COMPACT_AT", share)
+        calls.clear()
+        _, draws, capped = _assert_plays_equal(size, plan, cap, recall)
+        switch = min(_block_rounds(calls[0], size)) if calls else cap + 1
+        seen["cap"] += bool(capped.size and np.count_nonzero(draws == cap) > capped.size)
+        # at share 1 only the switch compacts the previous round's stops; with
+        # _SPARSE at 10**9 nothing does
+        seen["switch"] += share == 1.0 and bool(calls) and bool((draws == switch - 1).any())
+        seen["k_draw"] += (share == 1.0 and sparse == 10**9 and plan.size > 1
+                           and bool((draws == 1).any() and (draws > 1).any()))
+    assert min(seen.values()) >= 3, seen
