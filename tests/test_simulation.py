@@ -23,6 +23,7 @@ from searchcontest import (
     recall_irrelevance_check,
     simulate_contest,
     simulate_designer_dissipation,
+    solve_asymmetric,
     solve_k_draw,
     solve_multiprize,
     solve_symmetric,
@@ -354,6 +355,31 @@ def test_deviation_scan_with_a_wide_opponent_frozen(uniform):
         "DeviationRow(strategy=InfiniteThresholdStrategy(threshold=0.75), "
         "mean_gain=-0.0031492407251325016, se_gain=0.0006663381762951016, flagged=False)))"
     )
+
+
+def test_best_response_scans_of_the_asymmetric_profile_frozen(uniform):
+    # `verify best_response --profile asymmetric`'s two scans: the 25-point
+    # grid of infinite candidates, one below the support (q = 0) and a k=3
+    # one, over a full chunk and a partial one on two threads; the 13 kB repr
+    # is pinned by its digest, and a few fields are spelled out
+    params = ContestParams(3, 0.1, 1.0)
+    eq = solve_asymmetric(params, uniform)
+    profile = StrategyProfile((InfiniteThresholdStrategy(eq.low_threshold),) * 2
+                              + (InfiniteThresholdStrategy(eq.high_threshold),))
+    candidates = ([InfiniteThresholdStrategy(float(uniform.quantile(q)))
+                   for q in np.linspace(0.02, 0.98, 25)]
+                  + [InfiniteThresholdStrategy(-1.0), FiniteThresholdStrategy((0.8, 0.6))])
+    config = SimulationConfig(70_000, SEED, n_threads=2)
+    scans = [deviation_scan(profile, i, candidates, params, uniform, config) for i in (0, 2)]
+    assert [(s.equilibrium_payoff, s.se_equilibrium_payoff) for s in scans] == [
+        (0.0009228571428571237, 0.0019017120932256076),
+        (0.06558142857142855, 0.0022228888733643835)]
+    assert [(r.mean_gain, r.se_gain) for r in scans[1].rows[-2:]] == [
+        (-0.0437385714285714, 0.00212165274018031),
+        (-0.03420428571428571, 0.0027518055204281324)]
+    assert [hashlib.sha256(repr(s).encode()).hexdigest() for s in scans] == [
+        "bc45bfa506be5bd8fe9e2197f438969cd75555ccd326fffad4c1eba3b16c785b",
+        "0b3bd7401b584fcd489eabaa9f584b380734057a745581b5e538f3e175cbd8c9"]
 
 
 def test_mixed_horizon_report_with_schedule_frozen(uniform):
