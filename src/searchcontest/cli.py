@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as _dt
+import functools
 import json
 import os
 import sys
@@ -440,9 +441,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(seed: int) -> argparse.ArgumentParser:
+    """build_parser's parser, built once a process (it makes about 600
+    add_argument calls) and again when the default seed changes: seed, read
+    from SEARCHCONTEST_SEED on each call of main, is the key, and
+    build_parser reads the same."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser(_default_seed()).parse_args(argv)
     try:
         for flag in ("output", "out"):
             if getattr(args, flag, None):

@@ -424,6 +424,37 @@ def _resolve_contest(
     return params.cost / top, np.asarray(prizes.prizes, dtype=float) / top, top
 
 
+def _pay_prizes(finals: np.ndarray, prizes: np.ndarray, paid: np.ndarray) -> np.ndarray:
+    """Pay the positive prizes prizes[0] >= prizes[1] >= ... down each column
+    of finals, players by replications, one level at a time: the best value
+    not yet paid takes the level's prize, and an exact tie goes to the lower
+    player index. paid gets each player's prize, 0.0 for none; the top prize's
+    winners are returned as a bool mask. A level costs a column maximum and
+    one comparison; the top level then pays by one multiplication, a later
+    one by writing at its winners, one a column, whose values become -inf.
+    A masked write or search costs up to 5 times a pass on a random mask, so
+    the winner-take-all contest makes none."""
+    size = finals.shape[1]
+    won = hit = np.empty(finals.shape, dtype=bool)
+    for level, prize in enumerate(prizes):
+        if level == 1:  # won is kept
+            hit = np.empty_like(won)
+        np.equal(finals, finals.max(axis=0), out=hit)
+        if np.count_nonzero(hit) > size:  # an exact tie: the lowest index takes the level
+            tied = np.flatnonzero(hit.sum(axis=0) > 1)
+            first = hit[:, tied].argmax(axis=0)
+            hit[:, tied] = False
+            hit[first, tied] = True
+        at = np.flatnonzero(hit) if prizes.size > 1 else None  # the level's winners
+        if level:
+            np.put(paid, at, prize)
+        else:
+            np.multiply(hit, prize, out=paid)
+        if level + 1 < prizes.size:  # out of the running at the later levels
+            np.put(finals, at, -np.inf)
+    return won
+
+
 def simulate_contest(
     profile: StrategyProfile,
     params: ContestParams,
@@ -432,13 +463,21 @@ def simulate_contest(
     prizes: PrizeSchedule | None = None,
 ) -> SimulationReport:
     """Replicate the contest and report per-player payoff, cost, draw and win
-    statistics with standard errors, plus the cost/prize dissipation ratio."""
+    statistics with standard errors, plus the cost/prize dissipation ratio.
+
+    Each replication pays its prizes by _pay_prizes, level by level: the
+    paper's winner-take-all contest costs one column maximum and one
+    comparison a replication, a schedule of m positive prizes m of them. The
+    winner is the player who takes the top prize; an exact tie, which has
+    measure zero, goes to the lower player index."""
     n = profile.n_players
     cost, prize_arr, top = _resolve_contest(params, prizes, n)
-    # per player, plus the round-play buffers of the chunk: at most 178 B
-    # measured at N=3, 489 at 10, 1,449 at 30 and 2,898 at 60 (peak RSS and
-    # tracemalloc)
-    _check_memory(f"simulating {n} players", config, 75 * n + 40)
+    levels = prize_arr[prize_arr > 0.0]  # a prefix: the schedule is non-increasing
+    # per player, plus the round-play buffers of the chunk: the tracemalloc
+    # peak of one chunk is at most 132 B at N=2, 171 at 3, 451 at 10, 1,277 at
+    # 30 and 2,537 at 60 (peak-RSS growth is lower), about 40 N + 52 with one
+    # prize and 42 N + 20 with every rank paid; this leaves 14% or more over both
+    _check_memory(f"simulating {n} players", config, 48 * n + 64)
     plans = [_plan(s, d) for s in profile.strategies]
     cap = _default_cap(plans)
 
@@ -452,12 +491,9 @@ def simulate_contest(
             rng = _stream(config.seed, _TAG_DRAW, i, c)
             finals[i], stats[2, i], capped = _play_rounds(rng, size, plan, cap)
             forced_any[capped] = True  # a k-draw plan ends by round k <= cap
-        rank = finals.view(np.int64)  # the values are spent once sorted: their storage holds ranks
-        np.put_along_axis(rank, np.argsort(finals, axis=0),  # exact ties have measure zero
-                          np.arange(n - 1, -1, -1)[:, None], axis=0)  # 0 = winner
+        stats[3] = _pay_prizes(finals, levels, stats[0])
         np.multiply(cost, stats[2], out=stats[1])
-        np.subtract(prize_arr[rank], stats[1], out=stats[0])
-        stats[3] = rank == 0
+        np.subtract(stats[0], stats[1], out=stats[0])
         diss = stats[1].sum(axis=0) / prize_arr.sum()
         # the sums, then those of the block squared in place: a win's square is itself
         return (stats.sum(axis=2), np.square(stats, out=stats).sum(axis=2),
@@ -487,7 +523,7 @@ def simulate_contest(
 
 
 def _inverse_play(v: np.ndarray, plan: np.ndarray,
-                  log0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  log0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Accepted quantile and draw count from pre-drawn uniforms, for
     deviation_scan, whose candidates share one block v: common random numbers.
 
@@ -496,20 +532,19 @@ def _inverse_play(v: np.ndarray, plan: np.ndarray,
     threshold. A uniform is at most 1 - 2^-53, so a draw count is at most
     ceil(36.74 / -log q) <= ceil(40 / (1 - q)), the cap of round-by-round
     play: no cap can bind. A k-draw plan reads the uniforms as the draws
-    themselves, and its last round accepts any. log0 is np.log1p(-v[:, 0]),
-    when the caller has it.
+    themselves, and its last round accepts any. The draw counts are float64,
+    and they are made only when log0, np.log1p(-v[:, 0]), is given: an
+    opponent's are never read, and None stands in for them.
     """
     size = v.shape[0]
     if plan.size == 1:
         q = plan[0]
         if q <= 0.0:
-            return v[:, 1].copy(), np.ones(size, dtype=np.int64)
-        if log0 is None:
-            log0 = np.log1p(-v[:, 0])
-        draws = np.maximum(1, np.ceil(log0 / math.log(q))).astype(np.int64)
+            return v[:, 1].copy(), None if log0 is None else np.ones(size)
+        draws = None if log0 is None else np.maximum(1.0, np.ceil(log0 / math.log(q)))
         return q + v[:, 1] * (1.0 - q), draws
     first = (v[:, : plan.size] >= plan).argmax(axis=1)
-    return v[np.arange(size), first], first.astype(np.int64) + 1
+    return v[np.arange(size), first], None if log0 is None else first + 1.0
 
 
 def deviation_scan(
@@ -522,16 +557,19 @@ def deviation_scan(
 ) -> DeviationScanReport:
     """Estimate the payoff gain from unilateral deviations.
 
-    Opponents are simulated once per chunk; each candidate strategy reuses
-    the deviator's own uniforms, so gains are paired differences against the
-    profile strategy and their standard errors shrink with the common noise.
-    A candidate is flagged when its mean gain exceeds three standard errors.
+    Opponents are simulated once per chunk and reduced to their best value
+    in each replication; each candidate strategy reuses the deviator's own
+    uniforms, so gains are paired differences against the profile strategy
+    and their standard errors shrink with the common noise. A candidate wins
+    the prize exactly when its value is at or above that best value, ties
+    included. A candidate is flagged when its mean gain exceeds three
+    standard errors.
     """
     n = profile.n_players
     player_index = require_int("player_index", player_index, 0)
     if player_index >= n:
         raise InvalidParameterError(f"player_index {player_index} out of range")
-    cost, prize_arr, top = _resolve_contest(params, None, n)
+    cost, _, top = _resolve_contest(params, None, n)  # the prize is 1.0 in units of top
     candidates = _as_tuple("candidates", candidates)
     opp = [(j, _plan(s, d)) for j, s in enumerate(profile.strategies) if j != player_index]
     self_plans = [_plan(s, d) for s in (profile.strategies[player_index], *candidates)]
@@ -547,13 +585,14 @@ def deviation_scan(
             step = max(1, _CHUNK // cols)  # whole rows in order: the words one block would read
             for out in np.split(opp_final[slot], range(step, size, step)):
                 out[:] = _inverse_play(rng.random((out.size, cols)), plan)[0]
+        opp_best = opp_final.max(axis=0)
         v_self = _stream(config.seed, _TAG_SELF, player_index, c).random((size, v_cols))
         log0 = np.log1p(-v_self[:, 0])  # every infinite candidate's, once a chunk
         sums, base = np.empty((2, len(self_plans))), 0.0  # column 0: the profile strategy's
         for i, plan in enumerate(self_plans):
             f, dr = _inverse_play(v_self, plan, log0)
-            rank = (opp_final > f[None, :]).sum(axis=0)  # exact ties have measure zero
-            gain = prize_arr[rank] - cost * dr - base  # payoff less the profile strategy's
+            # the prize to a value at or above every opponent's, less the profile strategy's payoff
+            gain = (f >= opp_best) - cost * dr - base
             sums[:, i] = gain.sum(), (gain**2).sum()
             base = base if i else gain
         return (sums,)

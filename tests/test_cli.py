@@ -529,6 +529,26 @@ def test_env_seed_default(capsys, monkeypatch):
     assert _payload(out)["manifest"]["seed"] == 777
 
 
+def test_main_builds_its_parser_once_per_default_seed(capsys, monkeypatch):
+    # the parser is built once a process, but SEARCHCONTEST_SEED is read on
+    # every call: a changed default seed builds a parser with it
+    import searchcontest.cli as cli
+
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda real=cli.build_parser: built.append(1) or real())
+    cli._parser.cache_clear()
+    argv = ["verify", "designer_foc"]
+    seeds = []
+    for env in ("777", "777", "778"):
+        monkeypatch.setenv("SEARCHCONTEST_SEED", env)
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        seeds.append(_payload(out)["manifest"]["seed"])
+    assert seeds == [777, 777, 778]
+    assert len(built) == 2
+
+
 def test_env_seed_garbage_falls_back(capsys, monkeypatch):
     monkeypatch.setenv("SEARCHCONTEST_SEED", "not-a-number")
     parser = build_parser()

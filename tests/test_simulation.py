@@ -313,6 +313,48 @@ def test_forced_stop_reports_frozen(uniform, monkeypatch):
     )
 
 
+def _pay_by_sorting(finals, schedule):
+    """Reference payment: a stable sort of the negated values ranks each
+    column, so an exact tie goes to the lower player index, and rank r gets
+    schedule[r]."""
+    order = np.argsort(-finals, axis=0, kind="stable")
+    paid, won = np.zeros(finals.shape), np.zeros(finals.shape, dtype=bool)
+    np.put_along_axis(paid, order, np.asarray(schedule)[:, None], axis=0)
+    np.put_along_axis(won, order[:1], True, axis=0)
+    return paid, won
+
+
+def _schedules(rng, n):
+    """Non-increasing schedules of n prizes with 1 to n positive ones, random
+    and with runs of equal prizes."""
+    for m in range(1, n + 1):
+        top = np.sort(rng.random(m))[::-1] + 0.1
+        yield np.r_[top, np.zeros(n - m)]
+        yield np.r_[np.repeat(top[: (m + 1) // 2], 2)[:m], np.zeros(n - m)]
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["random", "ties"])
+def test_pay_prizes_matches_a_stable_sort(ties):
+    import searchcontest.simulation as sim
+
+    rng = np.random.default_rng(SEED)
+    for n in range(2, 13):
+        # with ties, values from {0, 1/4, 1/2} tie at every level of most columns
+        finals = (rng.integers(0, 3, (n, 3_000)) / 4.0 if ties
+                  else rng.random((n, 3_000)))
+        if ties:
+            finals[:, :10] = 0.5  # every player tied
+        for schedule in _schedules(rng, n):
+            paid = np.empty(finals.shape)
+            won = sim._pay_prizes(finals.copy(), schedule[schedule > 0.0], paid)
+            want_paid, want_won = _pay_by_sorting(finals, schedule)
+            assert np.array_equal(paid, want_paid)
+            assert np.array_equal(won, want_won)
+            assert (won.sum(axis=0) == 1).all()
+            assert np.allclose(paid.sum(axis=0), schedule.sum(), rtol=1e-14, atol=0.0)
+            assert (np.sort(paid, axis=0)[::-1] == schedule[:, None]).all()
+
+
 def _mixed_profile():
     return StrategyProfile((InfiniteThresholdStrategy(0.7), FiniteThresholdStrategy((0.6, 0.45)),
                             FiniteThresholdStrategy((0.8, 0.6))))
@@ -568,6 +610,26 @@ def test_memory_budget_refuses_before_allocating(uniform, monkeypatch):
     assert peak < 4 << 20  # one player's chunk alone is about 4.5 MB
 
 
+@pytest.mark.parametrize("n", [218, 340])
+def test_memory_budget_admits_what_fits(uniform, monkeypatch, n):
+    # one 65,536-replication chunk of 218 to 340 players holds about 0.6 to
+    # 0.9 GB at its peak: under the 1 GB budget, so the memory check must let
+    # the simulation start
+    import searchcontest.simulation as sim
+
+    class Started(Exception):
+        pass
+
+    def started(*args, **kwargs):
+        raise Started
+
+    monkeypatch.setattr(sim, "_map_chunks", started)
+    params = ContestParams(n_players=n, cost=0.3 / n, prize=1.0)
+    with pytest.raises(Started):
+        simulate_contest(_symmetric_profile(params, uniform), params, uniform,
+                         SimulationConfig(200_000, SEED))
+
+
 def test_finite_players_stay_within_the_memory_estimate(uniform, monkeypatch):
     # a k-draw player is played round by round, so its memory does not grow
     # with k; a pre-drawn k x chunk block of uniforms would hold 105 MB here
@@ -590,8 +652,8 @@ def test_finite_players_stay_within_the_memory_estimate(uniform, monkeypatch):
 
 def test_thirty_players_stay_within_the_memory_estimate(uniform, monkeypatch):
     # a chunk holds one block of per-player statistics beside the accepted
-    # values, whose storage then takes the ranks: about 48 B per player and
-    # replication at the peak, 91 MiB here
+    # values and a mask of the winners: about 40 B per player and replication
+    # at the peak, 78 MiB here
     import searchcontest.simulation as sim
 
     params = ContestParams(30, 0.01, 1.0)
