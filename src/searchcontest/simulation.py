@@ -432,8 +432,9 @@ def _pay_prizes(finals: np.ndarray, prizes: np.ndarray, paid: np.ndarray) -> np.
     winners are returned as a bool mask. A level costs a column maximum and
     one comparison; the top level then pays by one multiplication, a later
     one by writing at its winners, one a column, whose values become -inf.
-    A masked write or search costs up to 5 times a pass on a random mask, so
-    the winner-take-all contest makes none."""
+    On a random mask a masked write or search costs several plain passes
+    (np.copyto with where= 1.0 ms against 0.12 for a multiplication at N=3),
+    so the winner-take-all contest makes none."""
     size = finals.shape[1]
     won = hit = np.empty(finals.shape, dtype=bool)
     for level, prize in enumerate(prizes):
