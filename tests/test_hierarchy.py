@@ -1,5 +1,8 @@
 """Designer-level competition: closed forms, FOC quadrature, market limits."""
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,9 @@ from searchcontest import (
     DesignerParams,
     InvalidParameterError,
     NotViableError,
+    make_exponential,
     make_pareto,
+    make_uniform,
     solve_designer,
     solve_symmetric,
     verify_designer_foc,
@@ -100,6 +105,32 @@ def test_foc_verification_grid(m, n, dist_name, request):
     assert abs(report.prob_at_equilibrium - 1.0 / m) < 1e-9
     assert report.deviation_gap <= 1e-9
     assert report.foc_gap_relative < 1e-3
+
+
+# full-bit FOC reports: every float by hex, so a change of quadrature route
+# that moves any bit of any integral shows; (2, 1, ...) reports passed=False
+_FOC_DISTS = {
+    "uniform": lambda: make_uniform(0.0, 1.0),
+    "exponential": lambda: make_exponential(1.0),
+    "pareto1.5": lambda: make_pareto(1.5, 1.0),
+}
+_FOC_CELLS = [(name, m, n, cost, step) for name in _FOC_DISTS
+              for m, n, cost in ((2, 1, 0.005), (3, 4, 0.01), (5, 11, 0.0005), (8, 2, 0.002),
+                                 (10, 20, 0.0001))
+              for step in (1e-5, 1e-4)]
+_FOC_FROZEN = json.loads(Path(__file__).with_name("designer_frozen_reports.json").read_text())
+
+
+def _foc_report(name, m, n, cost, step):
+    report = verify_designer_foc(DesignerParams(m, n, cost, 1.0), _FOC_DISTS[name](), step)
+    return {k: v.hex() if isinstance(v, float) else v
+            for k, v in dataclasses.asdict(report).items()}
+
+
+@pytest.mark.parametrize("name, m, n, cost, step", _FOC_CELLS)
+def test_foc_reports_frozen(name, m, n, cost, step):
+    key = f"{name} M={m} N={n} c={cost} step={step}"
+    assert _foc_report(name, m, n, cost, step) == _FOC_FROZEN[key]
 
 
 def test_foc_marginal_benefit_matches_marginal_cost(exponential):
