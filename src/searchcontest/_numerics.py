@@ -8,10 +8,10 @@ compiled code does.
 - `brentq`: scipy's `brentq.c` (R. P. Brent, *Algorithms for Minimization
   without Derivatives*, 1973, ch. 4), with its argument checks and its
   NaN guard.
-- `qagse` and `qagpe`: QUADPACK's `dqagse` and `dqagpe` (R. Piessens et al.,
-  *QUADPACK*, 1983) over one `_qk21`, `_qpsrt` and `_qelg` (P. Wynn's epsilon
-  algorithm). Their lists are 1-based, as in the Fortran, so each index
-  reads as it does there; slot 0 is unused.
+- `qagse`: QUADPACK's `dqagse` (R. Piessens et al., *QUADPACK*, 1983) over
+  `_qk21`, `_qpsrt` and `_qelg` (P. Wynn's epsilon algorithm). Its lists are
+  1-based, as in the Fortran, so each index reads as it does there; slot 0 is
+  unused.
 - `lgam`: cephes `lgam` (S. L. Moshier, *Methods and Programs for
   Mathematical Functions*, 1989), which scipy's `gammaln` is.
 - `xlogy`: scipy's `xlogy` over an integer array and a float.
@@ -250,53 +250,6 @@ def _qelg(n: int, epstab: list, res3la: list, nres: int) -> tuple[int, float, fl
     return n, result, max(abserr, 5.0 * _EPS * abs(result)), nres
 
 
-def _larger_interval(limit: int, last: int, iord: list, elist: list, nrmax: int, maxerr: int,
-                     errmax: float, larger) -> tuple[bool, int, float, int]:
-    """dqagse's loop 50 (dqagpe's 130): walk the error list down from nrmax to
-    the first interval that is larger than the smallest, by the test larger."""
-    jupbnd = limit + 3 - last if last > 2 + limit // 2 else last
-    for _ in range(nrmax, jupbnd + 1):
-        maxerr = iord[nrmax]
-        errmax = elist[maxerr]
-        if larger(maxerr):
-            return True, maxerr, errmax, nrmax
-        nrmax += 1
-    return False, maxerr, errmax, nrmax
-
-
-def _settle(summed: bool, result: float, abserr: float, area: float, errsum: float,
-            ier: int, ierro: int, correc: float, ksgn: int, defabs: float,
-            rlist: list, last: int) -> tuple[float, float, int]:
-    """The drivers' common ending (dqagse labels 100-130, dqagpe 170-210): the
-    extrapolated result or the sum of the intervals, the divergence test and
-    the shift of ier."""
-    divergence = True
-    if not summed and abserr == _OFLOW:
-        summed = True
-    elif not summed and ier + ierro != 0:
-        if ierro == 3:
-            abserr += correc
-        if ier == 0:
-            ier = 3
-        if result != 0.0 and area != 0.0:
-            summed = abserr / abs(result) > errsum / abs(area)
-        elif abserr > errsum:
-            summed = True
-        elif area == 0.0:
-            divergence = False
-    if summed:
-        result = 0.0
-        for k in range(1, last + 1):
-            result = result + rlist[k]
-        abserr = errsum
-    elif divergence and not (ksgn == -1 and max(abs(result), abs(area)) <= defabs * 0.01):
-        if area == 0.0:  # C's result/area is inf or NaN: the test fails unless both are 0
-            ier = 6 if result != 0.0 or errsum > 0.0 else ier
-        elif 0.01 > result / area or result / area > 100.0 or errsum > abs(area):
-            ier = 6
-    return result, abserr, ier - 1 if ier > 2 else ier
-
-
 def qagse(f, a: float, b: float, epsabs: float, epsrel: float,
           limit: int) -> tuple[float, float, int, int, int]:
     """dqagse: the integral of f over [a, b] by adaptive bisection and epsilon
@@ -390,10 +343,14 @@ def qagse(f, a: float, b: float, epsabs: float, epsrel: float,
         if not (ierro == 3 or erlarg <= ertest):
             # the smallest interval has the largest error: before bisecting,
             # work down the larger intervals, then extrapolate
-            found, maxerr, errmax, nrmax = _larger_interval(
-                limit, last, iord, elist, nrmax, maxerr, errmax,
-                lambda k: abs(blist[k] - alist[k]) > small)
-            if found:
+            jupbnd = limit + 3 - last if last > 2 + limit // 2 else last
+            while nrmax <= jupbnd:
+                maxerr = iord[nrmax]
+                errmax = elist[maxerr]
+                if abs(blist[maxerr] - alist[maxerr]) > small:
+                    break
+                nrmax += 1
+            if nrmax <= jupbnd:  # the loop broke at a larger interval: bisect it
                 continue
         numrl2 += 1
         rlist2[numrl2] = area
@@ -416,167 +373,33 @@ def qagse(f, a: float, b: float, epsabs: float, epsrel: float,
         extrap = False
         small = small * 0.5
         erlarg = errsum
-    result, abserr, ier = _settle(summed, result, abserr, area, errsum, ier, ierro, correc,
-                                  ksgn, defabs, rlist, last)
-    return result, abserr, 42 * last - 21, ier, last
-
-
-def qagpe(f, a: float, b: float, points, epsabs: float, epsrel: float,
-          limit: int) -> tuple[float, float, int, int, int]:
-    """dqagpe: qagse with break points, the ends of the first intervals, which
-    are never bisected across; a point outside (a, b) is dropped, as scipy's
-    quad drops it. Returns (result, abserr, neval, ier, last)."""
-    a, b = float(a), float(b)
-    inner = sorted({float(p) for p in points if a < p < b})
-    npts = len(inner)
-    npts2 = npts + 2
-    if limit <= npts or (epsabs <= 0.0 and epsrel < max(50.0 * _EPS, 0.5e-28)):
-        return 0.0, 0.0, 0, 6, 0
-    alist, blist = [0.0] * (limit + 1), [0.0] * (limit + 1)
-    rlist, elist, iord = [0.0] * (limit + 1), [0.0] * (limit + 1), [0] * (limit + 1)
-    level, ndin = [0] * (limit + 1), [0] * (npts2 + 1)
-    rlist2, res3la = [0.0] * 53, [0.0] * 4
-    sign = -1.0 if a > b else 1.0
-    pts = [0.0, min(a, b), *inner, max(a, b)]
-    nint = npts + 1
-    ier = 0
-    result = abserr = resabs = 0.0
-    a1 = pts[1]
-    for i in range(1, nint + 1):
-        b1 = pts[i + 1]
-        area1, error1, defabs, resa = _qk21(f, a1, b1)
-        abserr = abserr + error1
-        result = result + area1
-        ndin[i] = 1 if error1 == resa and error1 != 0.0 else 0
-        resabs = resabs + defabs
-        elist[i], alist[i], blist[i], rlist[i], iord[i] = error1, a1, b1, area1, i
-        a1 = b1
-    errsum = 0.0
-    for i in range(1, nint + 1):
-        if ndin[i] == 1:
-            elist[i] = abserr
-        errsum = errsum + elist[i]
-    last = nint
-    neval = 21 * nint
-    dres = abs(result)
-    errbnd = max(epsabs, epsrel * dres)
-    if abserr <= 100.0 * _EPS * resabs and abserr > errbnd:
-        ier = 2
-    if nint != 1:
-        for i in range(1, npts + 1):  # order the first intervals by error
-            ind1 = iord[i]
-            for j in range(i + 1, nint + 1):
-                ind2 = iord[j]
-                if elist[ind1] > elist[ind2]:
-                    continue
-                ind1, k = ind2, j
-            if ind1 != iord[i]:
-                iord[k], iord[i] = iord[i], ind1
-        if limit < npts2:
-            ier = 1
-    if ier != 0 or abserr <= errbnd:
-        return result * sign, abserr, neval, ier - 1 if ier > 2 else ier, last
-
-    rlist2[1] = result
-    maxerr = iord[1]
-    errmax, area = elist[maxerr], result
-    nrmax, nres, numrl2, ktmin = 1, 0, 1, 0
-    extrap = noext = False
-    erlarg, ertest, levmax = errsum, errbnd, 1
-    ierro = iroff1 = iroff2 = iroff3 = 0
-    abserr = _OFLOW
-    ksgn = 1 if dres >= (1.0 - 50.0 * _EPS) * resabs else -1
-    correc = 0.0
-    summed = False
-    for last in range(npts2, limit + 1):
-        # bisect the interval with the nrmax-th largest error
-        levcur = level[maxerr] + 1
-        a1 = alist[maxerr]
-        b1 = 0.5 * (alist[maxerr] + blist[maxerr])
-        a2, b2 = b1, blist[maxerr]
-        erlast = errmax
-        area1, error1, resa, defab1 = _qk21(f, a1, b1)
-        area2, error2, resa, defab2 = _qk21(f, a2, b2)
-        neval += 42
-        area12 = area1 + area2
-        erro12 = error1 + error2
-        errsum = errsum + erro12 - errmax
-        area = area + area12 - rlist[maxerr]
-        if defab1 != error1 and defab2 != error2:
-            if not (abs(rlist[maxerr] - area12) > 1.0e-5 * abs(area12)
-                    or erro12 < 0.99 * errmax):
-                if extrap:
-                    iroff2 += 1
-                else:
-                    iroff1 += 1
-            if last > 10 and erro12 > errmax:
-                iroff3 += 1
-        level[maxerr] = level[last] = levcur
-        rlist[maxerr], rlist[last] = area1, area2
-        errbnd = max(epsabs, epsrel * abs(area))
-        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
-            ier = 2
-        if iroff2 >= 5:
-            ierro = 3
-        if last == limit:
-            ier = 1
-        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPS) * (abs(a2) + 1000.0 * _UFLOW):
-            ier = 4
-        if error2 > error1:
-            alist[maxerr], alist[last], blist[last] = a2, a1, b1
-            rlist[maxerr], rlist[last] = area2, area1
-            elist[maxerr], elist[last] = error2, error1
-        else:
-            alist[last], blist[maxerr], blist[last] = a2, b1, b2
-            elist[maxerr], elist[last] = error1, error2
-        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
-        if errsum <= errbnd:
+    # the extrapolated result or the sum of the intervals, the divergence test
+    # and the shift of ier (labels 100-130)
+    divergence = True
+    if not summed and abserr == _OFLOW:
+        summed = True
+    elif not summed and ier + ierro != 0:
+        if ierro == 3:
+            abserr += correc
+        if ier == 0:
+            ier = 3
+        if result != 0.0 and area != 0.0:
+            summed = abserr / abs(result) > errsum / abs(area)
+        elif abserr > errsum:
             summed = True
-            break
-        if ier != 0:
-            break
-        if noext:
-            continue
-        erlarg = erlarg - erlast
-        if levcur + 1 <= levmax:
-            erlarg = erlarg + erro12
-        if not extrap:
-            # is the interval to bisect next the smallest one?
-            if level[maxerr] + 1 <= levmax:
-                continue
-            extrap = True
-            nrmax = 2
-        if not (ierro == 3 or erlarg <= ertest):
-            found, maxerr, errmax, nrmax = _larger_interval(
-                limit, last, iord, elist, nrmax, maxerr, errmax,
-                lambda k: level[k] + 1 <= levmax)
-            if found:
-                continue
-        numrl2 += 1
-        rlist2[numrl2] = area
-        if numrl2 > 2:
-            numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
-            ktmin += 1
-            if ktmin > 5 and abserr < 1.0e-3 * errsum:
-                ier = 5
-            if not abseps >= abserr:
-                ktmin, abserr, result, correc = 0, abseps, reseps, erlarg
-                ertest = max(epsabs, epsrel * abs(reseps))
-                if abserr < ertest:
-                    break
-            if numrl2 == 1:
-                noext = True
-            if ier >= 5:
-                break
-        maxerr = iord[1]
-        errmax = elist[maxerr]
-        nrmax = 1
-        extrap = False
-        levmax += 1
-        erlarg = errsum
-    result, abserr, ier = _settle(summed, result, abserr, area, errsum, ier, ierro, correc,
-                                  ksgn, resabs, rlist, last)
-    return result * sign, abserr, neval, ier, last
+        elif area == 0.0:
+            divergence = False
+    if summed:
+        result = 0.0
+        for k in range(1, last + 1):
+            result = result + rlist[k]
+        abserr = errsum
+    elif divergence and not (ksgn == -1 and max(abs(result), abs(area)) <= defabs * 0.01):
+        if area == 0.0:  # C's result/area is inf or NaN: the test fails unless both are 0
+            ier = 6 if result != 0.0 or errsum > 0.0 else ier
+        elif 0.01 > result / area or result / area > 100.0 or errsum > abs(area):
+            ier = 6
+    return result, abserr, 42 * last - 21, ier - 1 if ier > 2 else ier, last
 
 
 # ------------------------------------------------------------------ special functions

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._numerics import qagpe, qagse
+from ._numerics import qagse
 from .distributions import Distribution
 from .errors import InvalidParameterError, NotViableError, require_int, require_positive
 
@@ -94,9 +94,12 @@ def _win_probability(q_dev: float, q_eq: float, m: int, n: int) -> float:
             return 0.0
         return g_others ** (n * (m - 1)) * n * t ** (n - 1)
 
-    if q_dev < q_eq:  # kink where teams overlap
-        return qagpe(integrand, 0.0, 1.0, [(q_eq - q_dev) / (1.0 - q_dev)], _QUAD_TOL, 0.0, 50)[0]
-    return qagse(integrand, 0.0, 1.0, _QUAD_TOL, 0.0, 50)[0]
+    # The deviator cannot win while its value is below q_eq, so the integrand
+    # is 0 below the kink t = (q_eq - q_dev) / (1 - q_dev). Starting there, no
+    # Kronrod rule straddles the kink, and the result has the bits of
+    # QUADPACK's break-point driver over [0, 1] with the kink as its point.
+    lo = (q_eq - q_dev) / (1.0 - q_dev) if q_dev < q_eq else 0.0
+    return qagse(integrand, lo, 1.0, _QUAD_TOL, 0.0, 50)[0]
 
 
 def verify_designer_foc(

@@ -1,6 +1,8 @@
-"""The ports of scipy's brentq, QUADPACK qagse/qagpe, gammaln and xlogy return
+"""The ports of scipy's brentq, QUADPACK qagse, gammaln and xlogy return
 scipy's bits: root, value and error estimates by float hex, and every count
-and flag. scipy is the oracle here; the package does not import it."""
+and flag. The designer integral, run by qagse from its kink, returns the bits
+of scipy's break-point route (dqagpe) over [0, 1]. scipy is the oracle here;
+the package does not import it."""
 import math
 
 import numpy as np
@@ -57,12 +59,19 @@ def _scipy_quad(f, a, b, epsabs, epsrel, limit, points=None):
     return val.hex(), err.hex(), info["neval"], info["last"], ier
 
 
-def _port_quad(f, a, b, epsabs, epsrel, limit, points=None):
-    if points is None:
-        val, err, neval, ier, last = _numerics.qagse(f, a, b, epsabs, epsrel, limit)
-    else:
-        val, err, neval, ier, last = _numerics.qagpe(f, a, b, points, epsabs, epsrel, limit)
+def _port_quad(f, a, b, epsabs, epsrel, limit):
+    val, err, neval, ier, last = _numerics.qagse(f, a, b, epsabs, epsrel, limit)
     return val.hex(), err.hex(), neval, last, ier
+
+
+def _kink_route_equals_scipy(f, kink, epsabs, epsrel, limit):
+    """Port qagse on [kink, 1] against scipy's qagpe on [0, 1] with the kink
+    as its break point, for an integrand that is 0 below the kink: value
+    and error by hex, and ier. The counts differ, since scipy also
+    integrates [0, kink]."""
+    val, err, _, ier, _ = _numerics.qagse(f, kink, 1.0, epsabs, epsrel, limit)
+    want_val, want_err, _, _, want_ier = _scipy_quad(f, 0.0, 1.0, epsabs, epsrel, limit, [kink])
+    return (val.hex(), err.hex(), ier) == (want_val, want_err, want_ier)
 
 
 # ------------------------------------------------------------ the package's own calls
@@ -70,8 +79,9 @@ def _port_quad(f, a, b, epsabs, epsrel, limit, points=None):
 
 def test_package_calls_equal_scipy(monkeypatch):
     """Every brentq and quad call of planner, two-draw, asymmetric and
-    designer-FOC solves, run beside scipy on the same arguments."""
-    seen = {"brentq": 0, "qagse": 0, "qagpe": 0}
+    designer-FOC solves, run beside scipy on the same arguments; a designer
+    integral from its kink also runs beside scipy's break-point route."""
+    seen = {"brentq": 0, "qagse": 0, "kink": 0}
 
     def brentq(f, a, b, xtol, args=()):
         want = _scipy_brentq(f, a, b, xtol, args=args)
@@ -85,16 +95,15 @@ def test_package_calls_equal_scipy(monkeypatch):
         seen["qagse"] += 1
         return _numerics.qagse(f, a, b, epsabs, epsrel, limit)
 
-    def qagpe(f, a, b, points, epsabs, epsrel, limit):
-        assert _port_quad(f, a, b, epsabs, epsrel, limit, points) == _scipy_quad(
-            f, a, b, epsabs, epsrel, limit, points)
-        seen["qagpe"] += 1
-        return _numerics.qagpe(f, a, b, points, epsabs, epsrel, limit)
+    def designer_qagse(f, a, b, epsabs, epsrel, limit):
+        if a > 0.0:
+            assert b == 1.0 and _kink_route_equals_scipy(f, a, epsabs, epsrel, limit)
+            seen["kink"] += 1
+        return qagse(f, a, b, epsabs, epsrel, limit)
 
     monkeypatch.setattr(equilibrium, "brentq", brentq)
     monkeypatch.setattr(planner, "qagse", qagse)
-    monkeypatch.setattr(hierarchy, "qagse", qagse)
-    monkeypatch.setattr(hierarchy, "qagpe", qagpe)
+    monkeypatch.setattr(hierarchy, "qagse", designer_qagse)
 
     grid = from_quantile_grid([[0.0, 0.0], [0.5, 1.0], [1.0, 3.0]])
     for d in (make_uniform(0, 1), make_exponential(1.0), make_pareto(2.0, 1.0),
@@ -185,15 +194,36 @@ _INTEGRANDS = [
 
 
 @pytest.mark.parametrize("f", _INTEGRANDS)
-def test_qagse_and_qagpe_equal_scipy(f):
+def test_qagse_equals_scipy(f):
     for tol in (1e-6, 1e-10, 1e-14):
         for limit in (1, 2, 3, 7, 50, 200):
             for epsrel in (tol, 0.0):
                 assert _port_quad(f, 0.0, 1.0, tol, epsrel, limit) == _scipy_quad(
                     f, 0.0, 1.0, tol, epsrel, limit), (tol, limit, epsrel)
-                for points in ([0.3], [0.37], [0.2, 0.6], [0.6, 0.2, 0.6], [0.0, 1.0, 2.0]):
-                    assert _port_quad(f, 0.0, 1.0, tol, epsrel, limit, points) == _scipy_quad(
-                        f, 0.0, 1.0, tol, epsrel, limit, points), (tol, limit, epsrel, points)
+
+
+def test_designer_integral_from_its_kink_equals_scipy_qagpe(monkeypatch):
+    """A team that stops below the others' quantile q_eq can only win once its
+    own value passes q_eq: _win_probability's integrand is 0 below the kink
+    (q_eq - q_dev) / (1 - q_dev), and qagse starts there. On random such
+    deviations, near q_eq and far below it, that gives the value, error and
+    ier of scipy's dqagpe over [0, 1] with the kink as its break point."""
+    calls = []
+
+    def qagse(f, a, b, epsabs, epsrel, limit):
+        calls.append((f, a, b, epsabs, epsrel, limit))
+        return _numerics.qagse(f, a, b, epsabs, epsrel, limit)
+
+    monkeypatch.setattr(hierarchy, "qagse", qagse)
+    rng = np.random.default_rng(26)
+    for _ in range(5000):
+        m, n = int(rng.integers(2, 31)), int(rng.integers(1, 21))
+        q_eq = 1.0 - 10.0 ** rng.uniform(-4.0, 0.0)
+        q_dev = q_eq * (1.0 - 10.0 ** rng.uniform(-8.0, 0.0))
+        hierarchy._win_probability(q_dev, q_eq, m, n)
+        f, kink, b, epsabs, epsrel, limit = calls.pop()
+        assert 0.0 < kink < b == 1.0
+        assert _kink_route_equals_scipy(f, kink, epsabs, epsrel, limit), (m, n, q_eq, q_dev)
 
 
 def test_quad_flags_cover_every_ier():
@@ -202,12 +232,10 @@ def test_quad_flags_cover_every_ier():
         for tol in (1e-6, 1e-14):
             for limit in (1, 3, 50):
                 iers.add(_port_quad(f, 0.0, 1.0, tol, 0.0, limit)[-1])
-                iers.add(_port_quad(f, 0.0, 1.0, tol, 0.0, limit, [0.37])[-1])
     # invalid input: epsabs <= 0 with epsrel below its floor
-    for points in (None, [0.5]):
-        got = _port_quad(math.sin, 0.0, 1.0, 0.0, 1e-20, 50, points)
-        assert got == _scipy_quad(math.sin, 0.0, 1.0, 0.0, 1e-20, 50, points)
-        iers.add(got[-1])
+    got = _port_quad(math.sin, 0.0, 1.0, 0.0, 1e-20, 50)
+    assert got == _scipy_quad(math.sin, 0.0, 1.0, 0.0, 1e-20, 50)
+    iers.add(got[-1])
     assert iers == {0, 1, 2, 3, 4, 5, 6}, iers
 
 
@@ -215,8 +243,6 @@ def test_quad_reversed_and_shifted_bounds_equal_scipy():
     f = _INTEGRANDS[5]
     for a, b in ((1.0, 0.0), (-2.0, 3.5), (0.25, 0.2500001)):
         assert _port_quad(f, a, b, 1e-10, 1e-10, 50) == _scipy_quad(f, a, b, 1e-10, 1e-10, 50)
-        pts = [min(a, b) + 0.3 * abs(b - a)]
-        assert _port_quad(f, a, b, 1e-10, 0.0, 50, pts) == _scipy_quad(f, a, b, 1e-10, 0.0, 50, pts)
 
 
 # ------------------------------------------------------------ lgam and xlogy
