@@ -1,5 +1,6 @@
 """Finite-horizon equilibria: closed form, backward induction, sweeps."""
 import bisect
+import hashlib
 import json
 import math
 import time
@@ -23,6 +24,7 @@ from searchcontest import (
     solve_two_draw,
     threshold_profile,
 )
+from searchcontest.cli import main
 from searchcontest.finite_horizon import _continuation_values, _two_draw_residual
 from searchcontest.serialize import canonical, to_json
 
@@ -313,6 +315,18 @@ def test_two_draw_nonexistence_runs_no_attempt():
     assert sol.diagnostics == solve_two_draw(8, 0.10).diagnostics
 
 
+def test_two_draw_probe_past_one_is_refused(capsys):
+    # the stability probe a + 1e-7 of a root within 1e-7 of 1 is no quantile:
+    # the solver refuses it rather than read h past its last node
+    message = "round quantiles must lie in [0, 1): (1.0000000044308643,)"
+    with pytest.raises(InvalidParameterError) as info:
+        solve_two_draw(10**8, 0.0)
+    assert str(info.value) == message
+    code = main("solve finite --n 100000000 --k 2 --cost-ratio 0".split())
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", f"searchcontest: error: {message}\n")
+
+
 def test_two_draw_shares_the_frontier_rule():
     # on N*c/W = 1 both solvers report first-draw acceptance; past it, nothing
     for n in range(2, 16):
@@ -539,3 +553,24 @@ def _kdraw_outcome(call):
 def test_k_draw_outcomes_frozen(name):
     assert to_json(_kdraw_outcome(KDRAW_FROZEN_CALLS[name])) == json.dumps(
         _KDRAW_FROZEN[name], sort_keys=True, indent=2)
+
+
+def _box_cells():
+    """A seeded box of (N, c/W, k) cells with 0 <= c/W < 1/N."""
+    rng = np.random.default_rng(4099)
+    for _ in range(140):
+        k, n = int(rng.integers(2, 7)), int(rng.integers(2, 41))
+        yield n, float(rng.uniform(0.0, 1.0 / n)), k
+
+
+def test_k_draw_box_outcomes_digest():
+    # every outcome of the box as canonical JSON, diagnostics, attempts and the
+    # NumericFailureError payloads included, hashed in cell order
+    digest = hashlib.sha256()
+    failures = 0
+    for n, r, k in _box_cells():
+        outcome = _kdraw_outcome(lambda: solve_k_draw(FiniteHorizonParams(n, r, k)))
+        failures += "error" in outcome
+        digest.update(to_json(outcome).encode())
+    assert failures == 12
+    assert digest.hexdigest() == "7d8df96d469a0822650bbb962ca813f01d8d163fee6e0dd4649240d98f75d884"
