@@ -58,9 +58,9 @@ class OpponentFinalCdf:
         h(u) = sum_j (prod_{i<j} a_i) * max(u - a_j, 0) + (prod_i a_i) * u.
 
     h is piecewise linear, convex, nondecreasing, h(0)=0 and h(1)=1, so
-    integrals of h^p have exact per-segment closed forms. Nodes and values
-    are lists of floats: the solver reads h one float at a time, through
-    _interp, and only arrays go through np.interp.
+    integrals of h^p have exact per-segment closed forms. The class checks its
+    quantiles and then holds the solver's own node lists (_cdf_nodes): a float
+    is read through _interp, and only arrays go through np.interp.
     """
 
     def __init__(self, round_quantiles: Sequence[float]):
@@ -74,23 +74,7 @@ class OpponentFinalCdf:
         if not ok:
             raise InvalidParameterError(f"round quantiles must lie in [0, 1): {round_quantiles!r}")
         self.round_quantiles = a
-        reach = [1.0]  # prob of surviving to round j
-        for v in a:
-            reach.append(reach[-1] * v)
-        nodes = sorted({0.0, 1.0, *a})
-        ys = [0.0]
-        for x0, x1 in zip(nodes[:-1], nodes[1:]):
-            # an explicit left-to-right sum: builtin sum() of floats is
-            # compensated on Python >= 3.12 and would change the bits
-            slope = 0.0
-            for j, aj in enumerate(a):
-                if aj <= x0:
-                    slope += reach[j]
-            ys.append(ys[-1] + (reach[-1] + slope) * (x1 - x0))
-        ys[-1] = 1.0  # exact by construction; pin against rounding
-        self._xs = nodes
-        self._ys = ys
-        self._node = {x: i for i, x in enumerate(nodes)}  # position of each node
+        self._xs, self._ys = _cdf_nodes(a)
 
     def __call__(self, u):
         if type(u) is float:
@@ -104,11 +88,7 @@ class OpponentFinalCdf:
         and u is taken as u_j + (y - h_j) / Δh * Δu instead."""
         ys, xs = self._ys, self._xs
         if type(y) is float:
-            u = _interp(y, ys, xs)
-            if u > 1.0 and u == math.inf:  # y is inside a segment whose inverse slope overflows
-                j = bisect.bisect_right(ys, y) - 1
-                u = _rise_first(y, ys[j], ys[j + 1], xs[j], xs[j + 1])
-            return 1.0 if u > 1.0 else 0.0 if u < 0.0 else u  # NaN and -0.0 pass as they are
+            return _inverse(y, xs, ys)
         u = np.interp(y, ys, xs)
         steep = u == math.inf
         if steep.any():
@@ -129,22 +109,63 @@ class OpponentFinalCdf:
         if hi <= lo or ref <= 0.0:
             return 0.0
         lo, hi = float(lo), float(hi)
-        i, j = self._node.get(lo), self._node.get(hi)
-        if i is not None and j is not None:  # the solver's case: the nodes in [lo, hi] are the cuts
-            cuts, ys = self._xs[i:j + 1], self._ys[i:j + 1]
+        xs = self._xs
+        i, j = bisect.bisect_left(xs, lo), bisect.bisect_left(xs, hi)
+        if j < len(xs) and xs[i] == lo and xs[j] == hi:  # the solver's case: nodes are the cuts
+            cuts, ys = xs[i:j + 1], self._ys[i:j + 1]
         else:
-            cuts = sorted({min(max(x, lo), hi) for x in self._xs} | {lo, hi})
+            cuts = sorted({min(max(x, lo), hi) for x in xs} | {lo, hi})
             ys = [self._value(x) for x in cuts]
-        total = 0.0
-        y0 = ys[0] / ref
-        for x0, x1, y in zip(cuts[:-1], cuts[1:], ys[1:]):
-            y1 = y / ref
-            if y1 == y0:
-                total += y0**p * (x1 - x0)
-            else:
-                total += (y1 ** (p + 1) - y0 ** (p + 1)) / (y1 - y0) * (x1 - x0) / (p + 1)
-            y0 = y1
-        return total
+        return _sum(_segment_integrals(cuts, ys, p, ref))
+
+
+def _cdf_nodes(a: Sequence[float]) -> tuple[list[float], list[float]]:
+    """The nodes xs of h and its values ys there, for quantiles a that are
+    floats; a quantile outside [0, 1) is refused, as OpponentFinalCdf does."""
+    reach = [1.0]  # prob of surviving to round j
+    for v in a:
+        if not 0.0 <= v < 1.0:  # NaN fails too
+            raise InvalidParameterError(f"round quantiles must lie in [0, 1): {a!r}")
+        reach.append(reach[-1] * v)
+    xs = sorted({0.0, 1.0, *a})
+    ys = [0.0]
+    for x0, x1 in zip(xs[:-1], xs[1:]):
+        slope = 0.0  # summed in j order, left to right
+        for aj, rj in zip(a, reach):
+            if aj <= x0:
+                slope += rj
+        ys.append(ys[-1] + (reach[-1] + slope) * (x1 - x0))
+    ys[-1] = 1.0  # exact by construction; pin against rounding
+    return xs, ys
+
+
+def _segment_integrals(xs: list[float], ys: list[float], p: float, ref: float) -> list[float]:
+    """The integral of (h/ref)^p over each segment [xs[i], xs[i+1]], with h
+    linear from ys[i] to ys[i+1]. A node's power (y/ref)^(p+1) is computed
+    once, when a segment first rises from or to it, and reused by the next."""
+    q = p + 1
+    y0, w0 = ys[0] / ref, None
+    terms = []
+    for x0, x1, y in zip(xs[:-1], xs[1:], ys[1:]):
+        y1 = y / ref
+        if y1 == y0:
+            terms.append(y0**p * (x1 - x0))
+        else:
+            w0 = y0**q if w0 is None else w0
+            w1 = y1**q
+            terms.append((w1 - w0) / (y1 - y0) * (x1 - x0) / q)
+            w0 = w1
+        y0 = y1
+    return terms
+
+
+def _sum(terms: Sequence[float]) -> float:
+    """terms summed left to right from 0.0: builtin sum() of floats is
+    compensated on Python >= 3.12 and would change the bits."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
 
 
 def _interp(x: float, xp: list[float], fp: list[float]) -> float:
@@ -160,6 +181,15 @@ def _interp(x: float, xp: list[float], fp: list[float]) -> float:
     if j == len(xp) - 1 or xp[j] == x:
         return fp[j]
     return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
+
+
+def _inverse(y: float, xs: list[float], ys: list[float]) -> float:
+    """OpponentFinalCdf.inverse for one float y, from h's node lists."""
+    u = _interp(y, ys, xs)
+    if u > 1.0 and u == math.inf:  # y is inside a segment whose inverse slope overflows
+        j = bisect.bisect_right(ys, y) - 1
+        u = _rise_first(y, ys[j], ys[j + 1], xs[j], xs[j + 1])
+    return 1.0 if u > 1.0 else 0.0 if u < 0.0 else u  # NaN and -0.0 pass as they are
 
 
 def _rise_first(y, y0: float, y1: float, x0: float, x1: float):
@@ -231,28 +261,23 @@ def solve_two_draw(n_players: int, cost_ratio: float) -> FiniteHorizonEquilibriu
 # general k: backward induction + damped best response, Newton fallback
 
 
-def _continuation_values(
-    a: Sequence[float], n: int, r: float, last: int = 1
-) -> tuple[list[float], OpponentFinalCdf]:
-    """V[j] = value of entering round j (1-indexed; V[k] is the forced draw),
-    by backward induction from round k down to round `last`; V below it is 0."""
-    k = len(a) + 1
-    p = n - 1
-    h = OpponentFinalCdf(a)
-    a = h.round_quantiles  # the floats h checked: no numpy scalar arithmetic below
-    v = [0.0] * (k + 1)
-    v[k] = -r + h.integral_power(p)
-    for j in range(k - 1, last - 1, -1):
-        aj = a[j - 1]
-        v[j] = -r + aj * v[j + 1] + h.integral_power(p, aj, 1.0)
-    return v, h
-
-
 def _best_response(a: Sequence[float], j: int, n: int, r: float) -> float:
-    """Undamped best round-j quantile against opponents using quantiles a:
-    the quantile whose win probability h^(N-1) equals the value of going on."""
-    v, h = _continuation_values(a, n, r, j + 1)
-    return h.inverse(max(v[j + 1], 0.0) ** (1.0 / (n - 1)))
+    """Undamped best round-j quantile against opponents using the float
+    quantiles a: the quantile whose win probability h^(N-1) equals the value
+    of going on. h's nodes and segment integrals are built once; the value of
+    entering round i, by backward induction from the forced draw k down to
+    round j+1, is
+
+        V_k = -r + int_0^1 h^p,   V_i = -r + a_i V_{i+1} + int_{a_i}^1 h^p,
+
+    each integral the sum of the segment terms right of its lower node."""
+    p = n - 1
+    xs, ys = _cdf_nodes(a)
+    terms = _segment_integrals(xs, ys, p, 1.0)
+    v = -r + _sum(terms)
+    for i in range(len(a) - 1, j - 1, -1):
+        v = -r + a[i] * v + _sum(terms[bisect.bisect_left(xs, a[i]):])
+    return _inverse(max(v, 0.0) ** (1.0 / p), xs, ys)
 
 
 def _best_response_sweep(a: list[float], n: int, r: float) -> tuple[list[float], float]:
@@ -300,12 +325,13 @@ def _scaled_residuals(a: np.ndarray, n: int, r: float) -> np.ndarray:
     """
     k = len(a) + 1
     p = n - 1
-    h = OpponentFinalCdf(a)
+    a = [float(v) for v in a]  # an array from Newton, or best response's list
+    xs, ys = _cdf_nodes(a)
     out = np.zeros(k - 1)
-    h_last = h._value(a[k - 2])
+    h_last = _interp(a[k - 2], xs, ys)
     for j in range(k - 2):
-        hj = h._value(a[j])
-        hj1 = h._value(a[j + 1])
+        hj = _interp(a[j], xs, ys)
+        hj1 = _interp(a[j + 1], xs, ys)
         if hj <= 0.0 or hj1 <= 0.0 or h_last <= 0.0:
             out[j] = 1e3  # outside the solvable region; push back
             continue
@@ -313,8 +339,9 @@ def _scaled_residuals(a: np.ndarray, n: int, r: float) -> np.ndarray:
         # value it can return unchanged
         ratio = math.exp(min(p * (math.log(hj) - math.log(hj1)), _LOG_MAX))
         tail = math.exp(min(p * (math.log(h_last) - math.log(hj1)), _LOG_MAX))
-        out[j] = ratio - a[j + 1] - tail + h.integral_power(p, 0.0, a[j + 1], hj1)
-    out[k - 2] = h_last ** p + r - h.integral_power(p)
+        i = bisect.bisect_left(xs, a[j + 1])
+        out[j] = ratio - a[j + 1] - tail + _sum(_segment_integrals(xs[:i + 1], ys[:i + 1], p, hj1))
+    out[k - 2] = h_last ** p + r - _sum(_segment_integrals(xs, ys, p, 1.0))
     return out
 
 

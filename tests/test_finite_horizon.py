@@ -25,7 +25,7 @@ from searchcontest import (
     threshold_profile,
 )
 from searchcontest.cli import main
-from searchcontest.finite_horizon import _continuation_values, _two_draw_residual
+from searchcontest.finite_horizon import _best_response, _two_draw_residual
 from searchcontest.serialize import canonical, to_json
 
 # Reference first-round quantiles (printed at 3 decimals) for N = 2..9.
@@ -252,6 +252,35 @@ def test_final_cdf_inverse_stays_in_unit_interval():
         assert ((got >= 0.0) & (got <= 1.0)).all()
 
 
+def _reference_values(a, n, r):
+    """V[j], the value of entering round j = 1..k (V[k] the forced draw), by
+    backward induction with the public OpponentFinalCdf:
+    V[k] = -r + int_0^1 h^p and V[j] = -r + a_j V[j+1] + int_{a_j}^1 h^p."""
+    k, p = len(a) + 1, n - 1
+    h = OpponentFinalCdf(a)
+    v = [0.0] * (k + 1)
+    v[k] = -r + h.integral_power(p)
+    for j in range(k - 1, 0, -1):
+        v[j] = -r + a[j - 1] * v[j + 1] + h.integral_power(p, a[j - 1], 1.0)
+    return v, h
+
+
+def test_best_response_bitwise_equal_to_public_cdf_reference():
+    # the solver's kernel reads node lists; the reference builds the public
+    # class and calls integral_power and inverse, one round at a time
+    rng = np.random.default_rng(4127)
+    cases = [[float(x) for x in rng.random(int(rng.integers(1, 6)))] for _ in range(2000)]
+    cases += _scalar_path_cases(rng)
+    for a in cases:
+        j = int(rng.integers(1, len(a) + 1))
+        n = int(rng.integers(2, 42))  # p = n - 1 from 1 to 40
+        r = float(rng.uniform(0.0, 1.0 / n))
+        v, h = _reference_values(a, n, r)
+        want = h.inverse(max(v[j + 1], 0.0) ** (1.0 / (n - 1)))
+        got = _best_response(a, j, n, r)
+        assert type(got) is float and got.hex() == want.hex(), (a, j, n, r)
+
+
 # ------------------------------------------------------------ two draws
 
 
@@ -405,8 +434,8 @@ def test_k_draw_equilibrium_conditions_hold():
     for n, r, k in ((3, 0.05, 3), (5, 0.02, 4), (2, 0.08, 5)):
         sol = solve_k_draw(FiniteHorizonParams(n, r, k))
         assert sol.exists
-        a = np.array(sol.round_quantiles)
-        v, h = _continuation_values(a, n, r)
+        a = sol.round_quantiles
+        v, h = _reference_values(a, n, r)
         for j in range(1, k):
             assert h(a[j - 1]) ** (n - 1) == pytest.approx(max(v[j + 1], 0.0), abs=1e-9)
         assert v[1] >= -1e-12  # entering the game is worthwhile
