@@ -142,7 +142,8 @@ def _cdf_nodes(a: Sequence[float]) -> tuple[list[float], list[float]]:
 def _segment_integrals(xs: list[float], ys: list[float], p: float, ref: float) -> list[float]:
     """The integral of (h/ref)^p over each segment [xs[i], xs[i+1]], with h
     linear from ys[i] to ys[i+1]. A node's power (y/ref)^(p+1) is computed
-    once, when a segment first rises from or to it, and reused by the next."""
+    once and reused by the next segment; a flat segment takes y^p instead and
+    computes no such power, which could overflow where y^p does not."""
     q = p + 1
     y0, w0 = ys[0] / ref, None
     terms = []
