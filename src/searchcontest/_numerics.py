@@ -1,9 +1,10 @@
-"""Pure-Python ports of the four scipy routines the solvers call.
+"""Pure-Python ports of the four scipy routines the solvers call, and of
+numpy's `interp` for one float.
 
-Each port returns scipy's bits: the same floating-point operations in the same
-order, on Python floats, which are IEEE doubles with no fused multiply-add,
-and with `math.log` and float `**`, which call the C library as scipy's
-compiled code does.
+Each port returns scipy's (or numpy's) bits: the same floating-point
+operations in the same order, on Python floats, which are IEEE doubles with no
+fused multiply-add, and with `math.log` and float `**`, which call the C
+library as scipy's compiled code does.
 
 - `brentq`: scipy's `brentq.c` (R. P. Brent, *Algorithms for Minimization
   without Derivatives*, 1973, ch. 4), with its argument checks and its
@@ -15,12 +16,15 @@ compiled code does.
 - `lgam`: cephes `lgam` (S. L. Moshier, *Methods and Programs for
   Mathematical Functions*, 1989), which scipy's `gammaln` is.
 - `xlogy`: scipy's `xlogy` over an integer array and a float.
+- `interp`: `np.interp` at one float, for the k-draw CDF's node lists and a
+  quantile grid's float reads.
 
 Python raises where C divides by zero (in brentq's step, once a product of
 tiny values underflows) or a power overflows; each such spot takes the branch
 the C code takes on the inf or NaN it would get. Each test keeps the Fortran's
 form (`not x > y` for a jump on `x .gt. y`), so a NaN takes the same branch.
 """
+import bisect
 import math
 
 import numpy as np
@@ -480,3 +484,19 @@ def xlogy(k: np.ndarray, p: float) -> np.ndarray:
     if math.isnan(p):
         return k * log_p
     return np.multiply(k, log_p, out=np.zeros(k.shape), where=k != 0)
+
+
+def interp(x: float, xp: list[float], fp: list[float]) -> float:
+    """float(np.interp(x, xp, fp)) for one float, by np.interp's operations in
+    its order: the segment starts at the last node at or below x, and a node
+    returns its own value. A NaN x is returned as it is (bisect would put it
+    past the last node). numpy's NaN fallbacks are left out: with finite fp and
+    x strictly inside a segment, slope * (x - xp[j]) + fp[j] is never NaN."""
+    if x != x:
+        return x
+    j = bisect.bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j == len(xp) - 1 or xp[j] == x:
+        return fp[j]
+    return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]

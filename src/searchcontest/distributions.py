@@ -8,26 +8,41 @@ share across threads.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._numerics import interp
 from .errors import InvalidParameterError, require_positive
 
 
-def _vectorized(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
+def _vectorized(fn: Callable[[np.ndarray], np.ndarray],
+                scalar: Callable[[float], float] | None = None) -> Callable:
     """Wrap an array function so scalars come back as Python floats.
 
-    A float goes through fn as a np.float64 scalar: every ufunc on a 0-d array
-    already returns such a scalar, so the bits and warnings are those of the
-    0-d array call, without building the array (adaptive quadrature makes one
-    call per node). Python's math module and float ** are not used: their
-    results and errors differ from numpy's."""
+    A float is read by scalar, when the family gives one, and otherwise goes
+    through fn as a np.float64 scalar: every ufunc on a 0-d array already
+    returns such a scalar, so the bits and warnings are those of the 0-d array
+    call, without building the array (adaptive quadrature makes one call per
+    node). scalar must do fn's operations in fn's order on Python floats, so
+    that a finite result has fn's bits; where it raises an ArithmeticError
+    (0.0 ** -0.5) or returns anything but a finite float (a complex from a
+    negative base, inf, NaN) the float goes through fn instead, which gives
+    numpy's result and its RuntimeWarning. A float read by scalar does not
+    consult np.seterr."""
 
     def wrapped(x):
         if isinstance(x, float):
+            if scalar is not None:
+                try:
+                    y = scalar(float(x))
+                except ArithmeticError:
+                    y = None
+                if type(y) is float and math.isfinite(y):
+                    return y
             return float(fn(np.float64(x)))
         arr = np.asarray(x, dtype=float)
         out = fn(arr)
@@ -72,10 +87,13 @@ class Distribution:
 
 def _distribution(name: str, params: Sequence[float], lower: float, upper: float,
                   cdf: Callable, density: Callable, quantile: Callable,
-                  hazard: Callable) -> Distribution:
-    """Build a Distribution from four functions of a float array."""
+                  hazard: Callable, scalar_density: Callable | None = None,
+                  scalar_quantile: Callable | None = None) -> Distribution:
+    """Build a Distribution from four functions of a float array; a density or
+    quantile may come with a function of one float beside it (_vectorized)."""
     return Distribution(name, tuple(map(float, params)), float(lower), float(upper),
-                        *map(_vectorized, (cdf, density, quantile, hazard)))
+                        _vectorized(cdf), _vectorized(density, scalar_density),
+                        _vectorized(quantile, scalar_quantile), _vectorized(hazard))
 
 
 def make_uniform(lo: float, hi: float) -> Distribution:
@@ -110,13 +128,26 @@ def make_exponential(rate: float) -> Distribution:
 def make_pareto(shape: float, scale: float) -> Distribution:
     require_positive("pareto shape", shape)
     require_positive("pareto scale", scale)
+
+    # The float reads are the array expressions on Python floats, whose ** is
+    # libm's pow, as numpy's scalar ** is. The quantile's expression serves both.
+    def quantile(u):
+        return scale * (1.0 - u) ** (-1.0 / shape)
+
+    def scalar_density(x):
+        # both branches are computed, as np.where does, so that an overflow in
+        # the unused one still goes to numpy for its warning
+        f = shape * scale**shape * max(x, scale) ** (-shape - 1.0)
+        return f if x >= scale else 0.0
+
     return _distribution(
         "pareto", (shape, scale), scale, math.inf,
         cdf=lambda x: np.where(x > scale, 1.0 - (scale / np.maximum(x, scale)) ** shape, 0.0),
         density=lambda x: np.where(
             x >= scale, shape * scale**shape * np.maximum(x, scale) ** (-shape - 1.0), 0.0),
-        quantile=lambda u: scale * (1.0 - u) ** (-1.0 / shape),
+        quantile=quantile,
         hazard=lambda x: np.where(x >= scale, shape / np.maximum(x, scale), 0.0),
+        scalar_density=scalar_density, scalar_quantile=quantile,
     )
 
 
@@ -138,6 +169,7 @@ def from_quantile_grid(grid: Sequence[Sequence[float]]) -> Distribution:
         raise InvalidParameterError("quantile grid must be finite, strictly increasing in u and x")
 
     slopes = np.diff(us) / np.diff(xs)  # du/dx per segment
+    u_list, x_list, slope_list = us.tolist(), xs.tolist(), slopes.tolist()
 
     def cdf(x):
         return np.interp(x, xs, us)
@@ -146,6 +178,11 @@ def from_quantile_grid(grid: Sequence[Sequence[float]]) -> Distribution:
         idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(slopes) - 1)
         return np.where((x >= xs[0]) & (x <= xs[-1]), slopes[idx], 0.0)
 
+    def scalar_density(x):
+        if not x_list[0] <= x <= x_list[-1]:  # NaN included
+            return 0.0
+        return slope_list[min(bisect.bisect_right(x_list, x) - 1, len(slope_list) - 1)]
+
     def hazard(x):
         tail = 1.0 - cdf(x)
         return np.where(tail > 0, density(x) / np.where(tail > 0, tail, 1.0), 0.0)
@@ -153,6 +190,7 @@ def from_quantile_grid(grid: Sequence[Sequence[float]]) -> Distribution:
     return _distribution(
         "custom", [v for p in pts for v in p], xs[0], xs[-1],  # spec() reads the params
         cdf=cdf, density=density, quantile=lambda u: np.interp(u, us, xs), hazard=hazard,
+        scalar_density=scalar_density, scalar_quantile=lambda u: interp(u, u_list, x_list),
     )
 
 

@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._numerics import interp
 from .equilibrium import _grid_roots
 from .errors import (InvalidParameterError, NumericFailureError, _as_tuple, require_int,
                      require_positive)
@@ -60,7 +61,7 @@ class OpponentFinalCdf:
     h is piecewise linear, convex, nondecreasing, h(0)=0 and h(1)=1, so
     integrals of h^p have exact per-segment closed forms. The class checks its
     quantiles and then holds the solver's own node lists (_cdf_nodes): a float
-    is read through _interp, and only arrays go through np.interp.
+    is read through interp, and only arrays go through np.interp.
     """
 
     def __init__(self, round_quantiles: Sequence[float]):
@@ -78,7 +79,7 @@ class OpponentFinalCdf:
 
     def __call__(self, u):
         if type(u) is float:
-            return _interp(u, self._xs, self._ys)
+            return interp(u, self._xs, self._ys)
         return np.interp(u, self._xs, self._ys)
 
     def inverse(self, y):
@@ -99,7 +100,7 @@ class OpponentFinalCdf:
 
     def _value(self, u: float) -> float:
         """h(u) as a float."""
-        return _interp(float(u), self._xs, self._ys)
+        return interp(float(u), self._xs, self._ys)
 
     def integral_power(
         self, p: float, lo: float = 0.0, hi: float = 1.0, ref: float = 1.0
@@ -169,24 +170,9 @@ def _sum(terms: Sequence[float]) -> float:
     return total
 
 
-def _interp(x: float, xp: list[float], fp: list[float]) -> float:
-    """float(np.interp(x, xp, fp)) for one float, by np.interp's operations in
-    its order: the segment starts at the last node at or below x, and a node
-    returns its own value. numpy's NaN fallbacks are left out: with finite fp
-    and x strictly inside a segment, slope * (x - xp[j]) + fp[j] is never NaN."""
-    if x != x:
-        return x
-    j = bisect.bisect_right(xp, x) - 1
-    if j < 0:
-        return fp[0]
-    if j == len(xp) - 1 or xp[j] == x:
-        return fp[j]
-    return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
-
-
 def _inverse(y: float, xs: list[float], ys: list[float]) -> float:
     """OpponentFinalCdf.inverse for one float y, from h's node lists."""
-    u = _interp(y, ys, xs)
+    u = interp(y, ys, xs)
     if u > 1.0 and u == math.inf:  # y is inside a segment whose inverse slope overflows
         j = bisect.bisect_right(ys, y) - 1
         u = _rise_first(y, ys[j], ys[j + 1], xs[j], xs[j + 1])
@@ -329,10 +315,10 @@ def _scaled_residuals(a: np.ndarray, n: int, r: float) -> np.ndarray:
     a = [float(v) for v in a]  # an array from Newton, or best response's list
     xs, ys = _cdf_nodes(a)
     out = np.zeros(k - 1)
-    h_last = _interp(a[k - 2], xs, ys)
+    h_last = interp(a[k - 2], xs, ys)
     for j in range(k - 2):
-        hj = _interp(a[j], xs, ys)
-        hj1 = _interp(a[j + 1], xs, ys)
+        hj = interp(a[j], xs, ys)
+        hj1 = interp(a[j + 1], xs, ys)
         if hj <= 0.0 or hj1 <= 0.0 or h_last <= 0.0:
             out[j] = 1e3  # outside the solvable region; push back
             continue

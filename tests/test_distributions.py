@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import searchcontest.distributions as dist_module
 from searchcontest import (
     InvalidParameterError,
     distribution_from_spec,
@@ -174,6 +175,80 @@ def test_scalar_calls_bitwise_equal_to_zero_d_arrays(name):
             want, want_warnings = _with_warnings(fn, np.array(x))
             assert type(got) is float and got.hex() == want.hex(), (field, x, got, want)
             assert got_warnings == want_warnings, (field, x, got_warnings, want_warnings)
+
+
+_FLOAT_READS = {
+    **{f"pareto{a}-{b}": make_pareto(a, b) for a in (0.3, 1.1, 1.5, 2.0, 3.7) for b in (1.0, 7.3)},
+    "grid3": _SCALAR_PATH["grid3"],
+    "grid5": _SCALAR_PATH["grid5"],
+}
+
+
+def _reads(fn, points):
+    """fn at each point: its result in hex, or its repr if not a float, and the
+    categories of the warnings it raised."""
+    out = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for x in points:
+            before = len(caught)
+            y = fn(x)
+            out.append((y.hex() if type(y) is float else repr(y),
+                        [w.category for w in caught[before:]]))
+    return out
+
+
+def _next_to(points):
+    return [p for x in points for p in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
+
+
+@pytest.mark.parametrize("name", list(_FLOAT_READS))
+def test_scalar_float_reads_equal_zero_d_arrays_on_probes(name):
+    # the two reads with a float path (quantile, density) on 20,000 seeded
+    # quantiles, half of them within 1e-16..1 of 1, on the values they map to,
+    # and next to each node of the grid and each end of the support
+    d = _FLOAT_READS[name]
+    rng = np.random.default_rng(28)
+    us = [*rng.uniform(0.0, 1.0, 10_000), *(1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 10_000))]
+    u_nodes, x_nodes = [0.0, 1.0], [d.support_lower, d.support_upper]
+    if d.name == "custom":
+        u_nodes, x_nodes = d.params[::2], d.params[1::2]
+    specials = [math.nan, math.inf, -math.inf, 0.5]
+    quantiles = [float(u) for u in (*us, *_next_to(u_nodes), *specials)]
+    values = [*map(float, d.quantile(np.array(us))), *_next_to(x_nodes), *specials]
+    for field, points in (("quantile", quantiles), ("density", values)):
+        fn = getattr(d, field)
+        got, want = _reads(fn, points), _reads(fn, [np.array(x) for x in points])
+        bad = [(x, g, w) for x, g, w in zip(points, got, want) if g != w]
+        assert not bad, (field, len(bad), bad[:3])
+
+
+@pytest.mark.parametrize("scalar_out", [
+    ZeroDivisionError, OverflowError, complex(0.0, 1.0), math.inf, -math.inf, math.nan])
+def test_scalar_float_path_falls_back_to_the_array_function(scalar_out):
+    # the array function is not called when the float path returns a finite
+    # float, and called once, on a np.float64, when it raises or returns
+    # anything else
+    calls = []
+
+    def array_fn(x):
+        calls.append(x)
+        return x * 2.0
+
+    def scalar_fn(x):
+        if x == 0.25:
+            return x * 3.0
+        if isinstance(scalar_out, type):
+            raise scalar_out("probe")
+        return scalar_out
+
+    read = dist_module._vectorized(array_fn, scalar_fn)
+    assert read(0.25) == 0.75 and calls == []
+    got = read(0.5)
+    assert type(got) is float and got == 1.0
+    assert len(calls) == 1 and type(calls[0]) is np.float64 and calls[0] == 0.5
+    # arrays and 0-d arrays never reach the float path
+    assert read(np.array(0.25)) == 0.5 and len(calls) == 2
 
 
 def test_from_quantile_grid_interpolates():
