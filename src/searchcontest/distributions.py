@@ -128,6 +128,12 @@ def make_exponential(rate: float) -> Distribution:
 def make_pareto(shape: float, scale: float) -> Distribution:
     require_positive("pareto shape", shape)
     require_positive("pareto scale", scale)
+    try:
+        scale_pow = scale**shape  # the density's factor, once; a float power raises on overflow
+        float(scale_pow)  # an int power of an int is exact, and may not fit a float
+    except OverflowError:
+        raise InvalidParameterError(
+            f"pareto scale**shape overflows a float: scale {scale}, shape {shape}") from None
 
     # The float reads are the array expressions on Python floats, whose ** is
     # libm's pow, as numpy's scalar ** is. The quantile's expression serves both.
@@ -137,14 +143,14 @@ def make_pareto(shape: float, scale: float) -> Distribution:
     def scalar_density(x):
         # both branches are computed, as np.where does, so that an overflow in
         # the unused one still goes to numpy for its warning
-        f = shape * scale**shape * max(x, scale) ** (-shape - 1.0)
+        f = shape * scale_pow * max(x, scale) ** (-shape - 1.0)
         return f if x >= scale else 0.0
 
     return _distribution(
         "pareto", (shape, scale), scale, math.inf,
         cdf=lambda x: np.where(x > scale, 1.0 - (scale / np.maximum(x, scale)) ** shape, 0.0),
         density=lambda x: np.where(
-            x >= scale, shape * scale**shape * np.maximum(x, scale) ** (-shape - 1.0), 0.0),
+            x >= scale, shape * scale_pow * np.maximum(x, scale) ** (-shape - 1.0), 0.0),
         quantile=quantile,
         hazard=lambda x: np.where(x >= scale, shape / np.maximum(x, scale), 0.0),
         scalar_density=scalar_density, scalar_quantile=quantile,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import struct
 import sys
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -281,17 +282,37 @@ def _best_response_sweep(a: list[float], n: int, r: float) -> tuple[list[float],
 def _run_best_response(
     a0: Sequence[float], n: int, r: float
 ) -> tuple[list[float] | None, int, float]:
+    """Damped best-response sweeps from a0 until the sup residual is below
+    _BR_TOL: (solution, sweeps, residual), or (None, sweeps, residual) once
+    more than 200 sweeps in a row fail to cut the best residual by 0.1% (an
+    unstable cell) or after _BR_MAX_ITER sweeps.
+
+    A sweep is a pure function of its float state, so each state's result is
+    kept, keyed by the state's bytes (-0.0 and 0.0 apart, a NaN only equal to
+    its own bits), and a state met again is replayed from the map: an attempt
+    caught in an exact cycle runs its stall count to the same stop, with the
+    same sweeps, residual and state, without computing them again. The map
+    is cleared whenever the best residual falls, so it holds at most 201
+    states. A kept result never lowers the best residual, so once a state
+    repeats every later sweep is a replay."""
     a = [float(x) for x in a0]
+    key = struct.Struct(f"{len(a)}d").pack
+    seen: dict[bytes, tuple[list[float], float]] = {}
     resid = math.inf
     best = math.inf
     stall = 0
     for it in range(_BR_MAX_ITER):
-        a, resid = _best_response_sweep(a, n, r)
+        state = key(*a)
+        step = seen.get(state)
+        if step is None:
+            step = seen[state] = _best_response_sweep(a, n, r)
+        a, resid = step
         if resid < _BR_TOL:
             return a, it + 1, resid
         # bail out early when the iteration stops contracting (unstable cell)
         if resid < 0.999 * best:
             best, stall = resid, 0
+            seen.clear()
         else:
             stall += 1
             if stall > 200:

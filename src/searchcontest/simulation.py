@@ -200,11 +200,15 @@ def _plan(strategy: Strategy, d: Distribution) -> np.ndarray:
     return np.array([float(d.cdf(t)) for t in strategy.thresholds] + [0.0])
 
 
+def _draw_bound(plans: list[np.ndarray]) -> int:
+    """The largest of ceil(40 / acceptance probability) over infinite plans and
+    k over k-draw ones: no replication of these plans takes more draws."""
+    return max(math.ceil(40.0 / (1.0 - p[0])) if p.size == 1 else p.size for p in plans)
+
+
 def _default_cap(plans: list[np.ndarray]) -> int:
-    """The draw cap of round-by-round play: the largest of ceil(40 /
-    acceptance probability) over infinite plans and k over k-draw ones,
-    refused past _MAX_ROUNDS."""
-    cap = max(math.ceil(40.0 / (1.0 - p[0])) if p.size == 1 else p.size for p in plans)
+    """The draw cap of round-by-round play, _draw_bound, refused past _MAX_ROUNDS."""
+    cap = _draw_bound(plans)
     if cap > _MAX_ROUNDS:
         raise InvalidParameterError(
             f"max_draws_cap {cap} exceeds {_MAX_ROUNDS} rounds: the acceptance "
@@ -383,6 +387,18 @@ def _check_memory(what: str, config: SimulationConfig, bytes_per_rep: int,
                                     f"over the {_MEMORY_BUDGET >> 20} MB memory budget")
 
 
+def _check_range(cost: float, draws: int, n: int, reps: int) -> None:
+    """Refuse, before any chunk runs, a contest whose sums of squares could
+    overflow: in units of the top prize a replication's payoff, cost, gain and
+    dissipation are at most n (1 + cost draws), and their squares are summed
+    over reps."""
+    bound = n * (1.0 + cost * draws)
+    if math.isinf(reps * bound * bound):
+        raise InvalidParameterError(
+            f"a draw costs {cost:g} top prizes: payoff squares over {reps} replications "
+            f"of up to {draws} draws would overflow a float")
+
+
 def _mean_se(s1: np.ndarray, s2: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     mean = s1 / n
     var = np.maximum(s2 - n * mean**2, 0.0) / (n - 1)
@@ -481,8 +497,8 @@ def simulate_contest(
     _check_memory(f"simulating {n} players", config, 48 * n + 64)
     plans = [_plan(s, d) for s in profile.strategies]
     cap = _default_cap(plans)
-
     reps = config.replications
+    _check_range(cost, cap, n, reps)
 
     def work(c: int, size: int) -> tuple:
         finals = np.empty((n, size))
@@ -578,6 +594,7 @@ def deviation_scan(
     # per player and column of the deviator's uniforms: peak-RSS growth measured at N=3
     # to 60, widths 2 to 400 for the deviator and its opponents, and 1 to 200 candidates
     _check_memory(f"scanning {len(candidates)} deviations", config, 9 * (n + v_cols) + 80)
+    _check_range(cost, _draw_bound(self_plans), n, config.replications)
 
     def work(c: int, size: int) -> tuple:
         opp_final = np.empty((n - 1, size))

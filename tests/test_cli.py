@@ -186,6 +186,9 @@ _BAD_SPECS = {
     pytest.param(["verify", "dissipation", "--reps", "1"], None, id="dissipation-one-rep"),
     pytest.param(["verify", "best_response", "--grid", "0"], None, id="grid-zero"),
     pytest.param(["verify", "best_response", "--grid", "-1"], None, id="grid-negative"),
+    # scale**shape of the Pareto density overflows a float
+    pytest.param(["solve", "planner", "--n", "2", "--cost", "1e199", "--dist", "pareto:3,1e200"],
+                 None, id="pareto-scale-power-overflow"),
 ] + [pytest.param(_SYM, text, id=name) for name, text in _BAD_SPECS.items()])
 def test_bad_input_exits_without_traceback(capsys, tmp_path, argv, spec):
     # spec: the text of a --dist-file, or "missing" for a file that is not there

@@ -1,6 +1,7 @@
 """Distribution layer: closed-form families, quantile grids, JSON specs."""
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -78,6 +79,14 @@ def test_quantile_at_zero_is_support_lower(d):
 def test_invalid_family_params(bad):
     with pytest.raises(InvalidParameterError):
         bad()
+
+
+@pytest.mark.parametrize("shape, scale", [(3, 1e200), (3.0, 1e200), (400, 10), (2.0, 1e155)])
+def test_pareto_refuses_a_scale_power_past_the_float_range(shape, scale):
+    # the density's factor scale**shape: an OverflowError as a float, a
+    # number no float holds as an int
+    with pytest.raises(InvalidParameterError, match=re.escape(f"scale {scale}, shape {shape}")):
+        make_pareto(shape, scale)
 
 
 @given(st.floats(0.0, 1.0))

@@ -4,8 +4,10 @@ import hashlib
 import json
 import math
 import time
+import types
 import warnings
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -24,8 +26,10 @@ from searchcontest import (
     solve_two_draw,
     threshold_profile,
 )
+from searchcontest import finite_horizon as fh
 from searchcontest.cli import main
-from searchcontest.finite_horizon import _best_response, _two_draw_residual
+from searchcontest.finite_horizon import (_BR_MAX_ITER, _BR_TOL, _best_response,
+                                          _best_response_sweep, _two_draw_residual)
 from searchcontest.serialize import canonical, to_json
 
 # Reference first-round quantiles (printed at 3 decimals) for N = 2..9.
@@ -603,3 +607,180 @@ def test_k_draw_box_outcomes_digest():
         digest.update(to_json(outcome).encode())
     assert failures == 12
     assert digest.hexdigest() == "7d8df96d469a0822650bbb962ca813f01d8d163fee6e0dd4649240d98f75d884"
+
+
+# ------------------------------------------------- best-response replay
+
+
+def _parent_run_best_response(
+    a0: Sequence[float], n: int, r: float
+) -> tuple[list[float] | None, int, float]:
+    a = [float(x) for x in a0]
+    resid = math.inf
+    best = math.inf
+    stall = 0
+    for it in range(_BR_MAX_ITER):
+        a, resid = _best_response_sweep(a, n, r)
+        if resid < _BR_TOL:
+            return a, it + 1, resid
+        # bail out early when the iteration stops contracting (unstable cell)
+        if resid < 0.999 * best:
+            best, stall = resid, 0
+        else:
+            stall += 1
+            if stall > 200:
+                return None, it + 1, resid
+    return None, _BR_MAX_ITER, resid
+
+
+# the loop without replay, word for word, as the replay's oracle; run in
+# finite_horizon's namespace, so it calls the same (perhaps monkeypatched) sweep
+_oracle = types.FunctionType(_parent_run_best_response.__code__, vars(fh))
+
+# perfbench explore's k-draw cells, (k, N, c/W); the last ends in NumericFailureError
+EXPLORE_KDRAW_CELLS = [
+    (4, 3, 0.03), (4, 5, 0.06), (5, 5, 0.03), (5, 12, 0.0), (6, 2, 0.06), (6, 8, 0.0),
+    (4, 8, 0.06), (4, 14, 0.06), (4, 15, 0.06539),
+]
+# the finite_k3 cells whose two best-response attempts both end in an exact cycle
+FRONTIER_K3_CELLS = [(9, 0.05), (6, 0.1), (7, 0.1), (8, 0.1), (9, 0.1)]
+
+
+def _bits(result):
+    solution, iterations, resid = result
+    return (None if solution is None else [x.hex() for x in solution], iterations, resid.hex())
+
+
+def _best_response_attempts(monkeypatch, solve):
+    """(start, N, c/W, result, sweeps computed) of each best-response attempt
+    solve() makes; the monkeypatches are undone before it returns."""
+    attempts, sweeps = [], [0]
+    real_sweep, real_run = fh._best_response_sweep, fh._run_best_response
+
+    def sweep(a, n, r):
+        sweeps[0] += 1
+        return real_sweep(a, n, r)
+
+    def run(a0, n, r):
+        before = sweeps[0]
+        result = real_run(a0, n, r)
+        attempts.append(([float(x) for x in a0], n, r, result, sweeps[0] - before))
+        return result
+
+    monkeypatch.setattr(fh, "_best_response_sweep", sweep)
+    monkeypatch.setattr(fh, "_run_best_response", run)
+    try:
+        solve()
+    except SearchContestError:
+        pass
+    monkeypatch.undo()
+    return attempts
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_best_response_replay_equals_parent_loop_on_tables(monkeypatch, k):
+    # threshold_profile's starts on every cell of the golden finite_k{2,3} tables
+    frontier = []
+    for r in (0.0, 0.05, 0.10):
+        attempts = _best_response_attempts(
+            monkeypatch, lambda: threshold_profile(k, r, range(2, 10)))
+        assert {n for _, n, _, _, _ in attempts} >= set(range(2, 7 if k == 2 else 10))
+        for a0, n, _, result, computed in attempts:
+            assert _bits(result) == _bits(_oracle(a0, n, r)), (n, r, a0)
+            if k == 3 and (n, r) in FRONTIER_K3_CELLS:
+                frontier.append((n, r, result, computed))
+    # both attempts of a frontier cell cycle: a replayed sweep is counted, not computed
+    assert len(frontier) == (10 if k == 3 else 0)
+    for n, r, result, computed in frontier:
+        assert result[0] is None and computed < result[1], (n, r, computed, result[1])
+
+
+@pytest.mark.parametrize("cell", EXPLORE_KDRAW_CELLS, ids=str)
+def test_best_response_replay_equals_parent_loop_on_explore_cells(monkeypatch, cell):
+    k, n, r = cell
+    attempts = _best_response_attempts(
+        monkeypatch, lambda: solve_k_draw(FiniteHorizonParams(n, r, k)))
+    assert attempts
+    for a0, _, _, result, _ in attempts:
+        assert _bits(result) == _bits(_oracle(a0, n, r))
+
+
+def test_best_response_replay_equals_parent_loop_on_box_starts():
+    rng = np.random.default_rng(29)
+    for n, r, k in _box_cells():
+        a0 = rng.uniform(0.01, 0.99, k - 1)
+        assert _bits(fh._run_best_response(a0, n, r)) == _bits(_oracle(a0, n, r)), (n, r, k)
+
+
+def _synthetic_sweep(monkeypatch, table):
+    """Patch the sweep to step by table(state) -> (state, resid); returns the
+    list of states it was asked to compute."""
+    computed = []
+
+    def sweep(a, n, r):
+        computed.append(a)
+        nxt, resid = table(a)
+        return list(nxt), resid
+
+    monkeypatch.setattr(fh, "_best_response_sweep", sweep)
+    return computed
+
+
+def _replay_and_oracle(monkeypatch, table, a0):
+    """Both loops' results on the synthetic sweep, and the states the replay computed."""
+    computed = _synthetic_sweep(monkeypatch, table)
+    got = fh._run_best_response(a0, 3, 0.05)
+    by_replay = len(computed)
+    assert _bits(got) == _bits(_oracle(a0, 3, 0.05))
+    return got, computed[:by_replay]
+
+
+def test_best_response_replay_of_a_clamped_fixed_point(monkeypatch):
+    # a period-1 cycle held at the clamp 1 - 1e-12, whose residual stays 0.25
+    top = 1.0 - 1e-12
+    got, computed = _replay_and_oracle(
+        monkeypatch, lambda a: ([min(a[0] + 0.5, top)], 0.25), [0.6])
+    assert got == (None, 202, 0.25)
+    assert computed == [[0.6], [top]]
+
+
+def test_best_response_replay_stops_at_the_iteration_limit(monkeypatch):
+    # the best residual falls 0.2% a sweep for 9,951 sweeps, then a 3-cycle
+    # begins: its stall run would end past _BR_MAX_ITER, which stops it first
+    def table(a):
+        i = int(a[0])
+        nxt = i + 1 if i < 9950 else 9950 + (i - 9950 + 1) % 3
+        return [float(nxt)], 0.998 ** min(i, 9950)
+
+    got, computed = _replay_and_oracle(monkeypatch, table, [0.0])
+    assert got == (None, fh._BR_MAX_ITER, 0.998 ** 9950)
+    # states 0..9952, then 9950 once more: the map was cleared after its first sweep
+    assert len(computed) == 9954 and computed[-1] == [9950.0]
+
+
+def test_best_response_replay_forgets_states_while_best_falls(monkeypatch):
+    # s1 -> s2 -> s1 lowers the best residual on its first pass, which clears
+    # the map: s1 and s2 are computed a second time, then replayed
+    steps = {0.0: (1.0, 1.0), 1.0: (2.0, 0.5), 2.0: (1.0, 0.25)}
+    got, computed = _replay_and_oracle(
+        monkeypatch, lambda a: ([steps[a[0]][0]], steps[a[0]][1]), [0.0])
+    assert got == (None, 204, 0.5)
+    assert computed == [[0.0], [1.0], [2.0], [1.0], [2.0]]
+
+
+def test_best_response_replay_keeps_the_sign_of_zero(monkeypatch):
+    # -0.0 and 0.0 compare equal but are different states: were they one key,
+    # 0.0 would replay -0.0's step and stall rather than converge
+    steps = {(-0.0).hex(): ([0.0], 1.0), (0.0).hex(): ([0.25], 0.0), (0.5).hex(): ([-0.0], 1.0)}
+    got, computed = _replay_and_oracle(monkeypatch, lambda a: steps[a[0].hex()], [0.5])
+    assert _bits(got) == ([(0.25).hex()], 3, (0.0).hex())
+    assert [x[0].hex() for x in computed] == [(0.5).hex(), (-0.0).hex(), (0.0).hex()]
+
+
+def test_best_response_replay_of_a_nan_state(monkeypatch):
+    # a NaN state matches its own bytes, not by ==, which no NaN passes, nor
+    # by identity: each step makes a new NaN. It is computed once, then replayed
+    got, computed = _replay_and_oracle(
+        monkeypatch, lambda a: ([float("nan")], 1.0 if a[0] == 0.5 else math.nan), [0.5])
+    assert got[0] is None and got[1] == 202 and math.isnan(got[2])
+    assert len(computed) == 2

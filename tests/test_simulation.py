@@ -4,6 +4,7 @@ import hashlib
 import math
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -628,6 +629,44 @@ def test_memory_budget_admits_what_fits(uniform, monkeypatch, n):
     with pytest.raises(Started):
         simulate_contest(_symmetric_profile(params, uniform), params, uniform,
                          SimulationConfig(200_000, SEED))
+
+
+@pytest.mark.parametrize("call", ["simulate_contest", "deviation_scan"])
+def test_overflowing_payoff_squares_refused_before_chunks(uniform, monkeypatch, call):
+    # a draw costs 1e300 prizes: the sums of the payoff squares overflow, so
+    # the standard errors would be NaN, and a NaN gain is never flagged
+    import searchcontest.simulation as sim
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("chunks ran before the range check")
+
+    monkeypatch.setattr(sim, "_map_chunks", forbidden)
+    params = ContestParams(3, 1e300, 1.0)
+    profile = StrategyProfile((InfiniteThresholdStrategy(0.5),) * 3)
+    config = SimulationConfig(2000, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidParameterError, match="would overflow"):
+            if call == "simulate_contest":
+                simulate_contest(profile, params, uniform, config)
+            else:
+                deviation_scan(profile, 0, [InfiniteThresholdStrategy(0.6)], params, uniform,
+                               config)
+
+
+def test_large_costs_that_fit_are_simulated(uniform):
+    # 1e140 prizes a draw: the check bounds each square by about 5.8e284, and
+    # 2,000 of those fit a float, so the contest runs to finite reports
+    params = ContestParams(3, 1e140, 1.0)
+    profile = StrategyProfile((InfiniteThresholdStrategy(0.5),) * 3)
+    config = SimulationConfig(2000, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = simulate_contest(profile, params, uniform, config)
+        scan = deviation_scan(profile, 0, [InfiniteThresholdStrategy(0.6)], params, uniform,
+                              config)
+    assert all(map(math.isfinite, rep.se_payoff + (rep.se_dissipation,)))
+    assert math.isfinite(scan.rows[0].se_gain) and scan.rows[0].se_gain > 0
 
 
 def test_finite_players_stay_within_the_memory_estimate(uniform, monkeypatch):
