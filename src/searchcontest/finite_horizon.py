@@ -29,6 +29,7 @@ from .errors import (InvalidParameterError, NumericFailureError, _as_tuple, requ
 _BR_TOL = 1e-12
 _BR_MAX_ITER = 10_000
 _DAMPING = 0.5
+_TOP = 1.0 - 1e-12  # a best-response quantile's upper clamp
 _LOG_MAX = math.log(sys.float_info.max)  # largest exponent math.exp can return
 
 
@@ -124,20 +125,23 @@ class OpponentFinalCdf:
 def _cdf_nodes(a: Sequence[float]) -> tuple[list[float], list[float]]:
     """The nodes xs of h and its values ys there, for quantiles a that are
     floats; a quantile outside [0, 1) is refused, as OpponentFinalCdf does."""
-    reach = [1.0]  # prob of surviving to round j
+    pairs = []  # (a_j, prob of surviving to round j)
+    last = 1.0  # prob of reaching the forced draw
     for v in a:
         if not 0.0 <= v < 1.0:  # NaN fails too
             raise InvalidParameterError(f"round quantiles must lie in [0, 1): {a!r}")
-        reach.append(reach[-1] * v)
+        pairs.append((v, last))
+        last *= v
     xs = sorted({0.0, 1.0, *a})
-    ys = [0.0]
-    for x0, x1 in zip(xs[:-1], xs[1:]):
+    ys, y = [0.0], 0.0
+    for x0, x1 in zip(xs, xs[1:-1]):  # h at the inner nodes, a running sum
         slope = 0.0  # summed in j order, left to right
-        for aj, rj in zip(a, reach):
+        for aj, rj in pairs:
             if aj <= x0:
                 slope += rj
-        ys.append(ys[-1] + (reach[-1] + slope) * (x1 - x0))
-    ys[-1] = 1.0  # exact by construction; pin against rounding
+        y += (last + slope) * (x1 - x0)
+        ys.append(y)
+    ys.append(1.0)  # exact by construction; pinned against rounding
     return xs, ys
 
 
@@ -199,7 +203,11 @@ def _two_draw_residual(a: float, n: int, cost_ratio: float) -> float:
 def _two_draw_stable(a: float, n: int, cost_ratio: float) -> tuple[bool, float]:
     """Damped best-response stability at a root: factor |(1+T')/2| < 1, with
     T the round-1 best response to opponents using quantile a."""
-    hi, lo = a + 1e-7, max(a - 1e-7, 0.0)  # quantiles stay in [0, 1)
+    hi, lo = a + 1e-7, max(a - 1e-7, 0.0)
+    if not hi < 1.0:  # the probe would read h past its last node
+        raise NumericFailureError(
+            f"no two-draw stability verdict for N={n}, c/W={cost_ratio}: the root {a!r} "
+            "lies within the probe step 1e-7 of 1", diagnostics={"root": a})
     tp = (_best_response((hi,), 1, n, cost_ratio)
           - _best_response((lo,), 1, n, cost_ratio)) / (hi - lo)
     factor = abs(0.5 * (1.0 + tp))
@@ -262,10 +270,17 @@ def _best_response(a: Sequence[float], j: int, n: int, r: float) -> float:
     p = n - 1
     xs, ys = _cdf_nodes(a)
     terms = _segment_integrals(xs, ys, p, 1.0)
-    v = -r + _sum(terms)
+    total = 0.0  # each sum left to right from 0.0, as _sum adds
+    for t in terms:
+        total += t
+    v = -r + total
     for i in range(len(a) - 1, j - 1, -1):
-        v = -r + a[i] * v + _sum(terms[bisect.bisect_left(xs, a[i]):])
-    return _inverse(max(v, 0.0) ** (1.0 / p), xs, ys)
+        total = 0.0
+        for t in terms[bisect.bisect_left(xs, a[i]):]:
+            total += t
+        v = -r + a[i] * v + total
+    # max(v, 0.0) as builtin max reads it: NaN and -0.0 stay
+    return _inverse((0.0 if 0.0 > v else v) ** (1.0 / p), xs, ys)
 
 
 def _best_response_sweep(a: list[float], n: int, r: float) -> tuple[list[float], float]:
@@ -273,9 +288,12 @@ def _best_response_sweep(a: list[float], n: int, r: float) -> tuple[list[float],
     a = a.copy()
     resid = 0.0
     for j in range(len(a), 0, -1):
-        b = _best_response(a, j, n, r)
-        resid = max(resid, abs(b - a[j - 1]))
-        a[j - 1] = min(max(a[j - 1] + _DAMPING * (b - a[j - 1]), 0.0), 1.0 - 1e-12)
+        b, aj = _best_response(a, j, n, r), a[j - 1]
+        # builtin max and min written out, with their results on ties, -0.0 and NaN
+        d = abs(b - aj)
+        resid = d if d > resid else resid
+        x = aj + _DAMPING * (b - aj)
+        a[j - 1] = 0.0 if 0.0 > x else _TOP if _TOP < x else x
     return a, resid
 
 
@@ -408,7 +426,9 @@ def solve_k_draw(
     final Newton polish tightens the root found. For k=2 solve_two_draw's
     closed-form scan and stability rule decide existence, so a cell it finds
     no equilibrium in returns its result before any attempt. For k>=3 any
-    interior root found is reported as an equilibrium.
+    interior root found is reported as an equilibrium, and the two-draw root
+    is computed only when an attempt needs its seed: a start from `init` that
+    converges runs no two-draw scan.
     """
     n, r, k = params.n_players, params.cost_ratio, params.n_draws
     if init is not None:
@@ -425,26 +445,30 @@ def solve_k_draw(
     if frontier is not None:
         return frontier
 
-    two = solve_two_draw(n, r)
+    two = solve_two_draw(n, r) if k == 2 else None
     if k == 2 and not two.exists:
         return two
-    seed = two.round_quantiles[0] if two.exists else (
-        two.diagnostics["roots"][0] if two.diagnostics.get("roots") else 0.5
-    )
-
     starts = [] if init is None else [np.clip(init, 1e-9, 1 - 1e-9)]
-    starts.append(np.full(k - 1, seed))
-    others = [0.9 * seed, min(0.95, 1.2 * seed)]
-    if r > 0:
-        edge = max(1e-6, min(1.0 / (n * r) - 1.0, 1 - 1e-6))
-        others += [edge, 0.5 * (edge + seed)]
-    others += [0.1, 0.3, 0.5, 0.7, 0.9]
-    plan = ([(_run_best_response, "best_response", a0) for a0 in starts]
-            + [(_newton_polish, "newton", a0) for a0 in starts]
-            + [(_newton_polish, "newton", np.full(k - 1, x)) for x in others])
+
+    def plan(two):  # for k>=3 the two-draw scan runs once the starts from init are spent
+        yield from ((_run_best_response, "best_response", a0) for a0 in starts)
+        if two is None:
+            two = solve_two_draw(n, r)
+        seed = two.round_quantiles[0] if two.exists else (
+            two.diagnostics["roots"][0] if two.diagnostics.get("roots") else 0.5
+        )
+        seeded = [*starts, np.full(k - 1, seed)]
+        yield _run_best_response, "best_response", seeded[-1]
+        others = [0.9 * seed, min(0.95, 1.2 * seed)]
+        if r > 0:
+            edge = max(1e-6, min(1.0 / (n * r) - 1.0, 1 - 1e-6))
+            others += [edge, 0.5 * (edge + seed)]
+        others += [0.1, 0.3, 0.5, 0.7, 0.9]
+        for a0 in seeded + [np.full(k - 1, x) for x in others]:
+            yield _newton_polish, "newton", a0
 
     attempts = []
-    for method, name, a0 in plan:
+    for method, name, a0 in plan(two):
         solution, iters, resid = method(a0, n, r)
         attempts.append({"method": name, "iterations": iters, "residual": resid})
         if solution is not None:

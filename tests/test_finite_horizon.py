@@ -350,14 +350,18 @@ def test_two_draw_nonexistence_runs_no_attempt():
 
 def test_two_draw_probe_past_one_is_refused(capsys):
     # the stability probe a + 1e-7 of a root within 1e-7 of 1 is no quantile:
-    # the solver refuses it rather than read h past its last node
-    message = "round quantiles must lie in [0, 1): (1.0000000044308643,)"
-    with pytest.raises(InvalidParameterError) as info:
+    # the solver names N, c/W and the root rather than a quantile never given
+    root = 0.9999999044308643
+    message = (f"no two-draw stability verdict for N=100000000, c/W=0.0: the root {root!r} "
+               "lies within the probe step 1e-7 of 1")
+    with pytest.raises(NumericFailureError) as info:
         solve_two_draw(10**8, 0.0)
-    assert str(info.value) == message
+    assert str(info.value) == message and info.value.diagnostics == {"root": root}
     code = main("solve finite --n 100000000 --k 2 --cost-ratio 0".split())
     out, err = capsys.readouterr()
-    assert (code, out, err) == (1, "", f"searchcontest: error: {message}\n")
+    # the message, then its diagnostics line, as every numeric failure prints
+    assert (code, out, err) == (2, "", f"searchcontest: error: {message}\n"
+                                       '{"root": 0.999999904430864}\n')
 
 
 def test_two_draw_shares_the_frontier_rule():
@@ -784,3 +788,230 @@ def test_best_response_replay_of_a_nan_state(monkeypatch):
         monkeypatch, lambda a: ([float("nan")], 1.0 if a[0] == 0.5 else math.nan), [0.5])
     assert got[0] is None and got[1] == 202 and math.isnan(got[2])
     assert len(computed) == 2
+
+
+# ------------------------------------------------- parent kernel oracle
+
+
+def _parent_cdf_nodes(a: Sequence[float]) -> tuple[list[float], list[float]]:
+    """The nodes xs of h and its values ys there, for quantiles a that are
+    floats; a quantile outside [0, 1) is refused, as OpponentFinalCdf does."""
+    reach = [1.0]  # prob of surviving to round j
+    for v in a:
+        if not 0.0 <= v < 1.0:  # NaN fails too
+            raise InvalidParameterError(f"round quantiles must lie in [0, 1): {a!r}")
+        reach.append(reach[-1] * v)
+    xs = sorted({0.0, 1.0, *a})
+    ys = [0.0]
+    for x0, x1 in zip(xs[:-1], xs[1:]):
+        slope = 0.0  # summed in j order, left to right
+        for aj, rj in zip(a, reach):
+            if aj <= x0:
+                slope += rj
+        ys.append(ys[-1] + (reach[-1] + slope) * (x1 - x0))
+    ys[-1] = 1.0  # exact by construction; pin against rounding
+    return xs, ys
+
+
+def _parent_best_response(a: Sequence[float], j: int, n: int, r: float) -> float:
+    """Undamped best round-j quantile against opponents using the float
+    quantiles a: the quantile whose win probability h^(N-1) equals the value
+    of going on. h's nodes and segment integrals are built once; the value of
+    entering round i, by backward induction from the forced draw k down to
+    round j+1, is
+
+        V_k = -r + int_0^1 h^p,   V_i = -r + a_i V_{i+1} + int_{a_i}^1 h^p,
+
+    each integral the sum of the segment terms right of its lower node."""
+    p = n - 1
+    xs, ys = _cdf_nodes(a)
+    terms = _segment_integrals(xs, ys, p, 1.0)
+    v = -r + _sum(terms)
+    for i in range(len(a) - 1, j - 1, -1):
+        v = -r + a[i] * v + _sum(terms[bisect.bisect_left(xs, a[i]):])
+    return _inverse(max(v, 0.0) ** (1.0 / p), xs, ys)
+
+
+def _parent_best_response_sweep(a: list[float], n: int, r: float) -> tuple[list[float], float]:
+    """One damped Gauss-Seidel sweep over rounds k-1..1; returns sup residual."""
+    a = a.copy()
+    resid = 0.0
+    for j in range(len(a), 0, -1):
+        b = _best_response(a, j, n, r)
+        resid = max(resid, abs(b - a[j - 1]))
+        a[j - 1] = min(max(a[j - 1] + _DAMPING * (b - a[j - 1]), 0.0), 1.0 - 1e-12)
+    return a, resid
+
+
+# the three kernel functions before the leaner loop, word for word, as its
+# oracle: run in a copy of finite_horizon's namespace in which they call each
+# other, and the module's own _segment_integrals, _sum and _inverse
+_PARENT = dict(vars(fh))
+for _f in (_parent_cdf_nodes, _parent_best_response, _parent_best_response_sweep):
+    _PARENT[_f.__name__[len("_parent"):]] = types.FunctionType(_f.__code__, _PARENT)
+
+
+def _kernel_bits(kernel, a, n, r):
+    """Nodes, values, every round's best response and the sweep of one state,
+    as float.hex, or the error raised, from kernel (a namespace's functions)."""
+    def run(f, *args):
+        try:
+            out = f(*args)
+        except InvalidParameterError as exc:
+            return "refused", str(exc)
+        return [x.hex() if type(x) is float else [y.hex() for y in x]
+                for x in (out if type(out) is tuple else (out,))]
+    return (run(kernel["_cdf_nodes"], a),
+            [run(kernel["_best_response"], a, j, n, r) for j in range(1, len(a) + 1)],
+            run(kernel["_best_response_sweep"], list(a), n, r))
+
+
+def _seeded_kernel_states():
+    """(a, N, c/W) with k - 1 from 1 to 6: uniform quantiles mixed with 0.0,
+    -0.0, repeated quantiles, subnormals and 1 - 1e-12; c/W in [0, 1/N) and
+    a few off the solver's domain (NaN, the infinities, -0.0)."""
+    rng = np.random.default_rng(30)
+    edges = [0.0, -0.0, 5e-324, 2.2e-308, 1e-300, 1.0 - 1e-12, 0.5]
+    for case in range(3000):
+        m = case % 6 + 1
+        a = [float(x) for x in rng.random(m)]
+        for i in range(m):
+            if rng.random() < 0.25:
+                a[i] = edges[int(rng.integers(len(edges)))]
+        if m > 1 and rng.random() < 0.3:
+            a[int(rng.integers(1, m))] = a[0]
+        n = int(rng.integers(2, 61))
+        r = float(rng.uniform(0.0, 1.0 / n)) if case % 10 else \
+            [0.0, -0.0, math.nan, math.inf, -math.inf][case // 10 % 5]
+        yield a, n, r
+
+
+def test_kernel_equals_parent_on_seeded_states():
+    kernel = vars(fh)
+    refused = 0
+    for a, n, r in _seeded_kernel_states():
+        got = _kernel_bits(kernel, a, n, r)
+        assert got == _kernel_bits(_PARENT, a, n, r), (a, n, r)
+        refused += got[2][0] == "refused"  # a NaN quantile met in the sweep's next round
+    assert refused > 0
+
+
+def _computed_sweeps(monkeypatch, solve):
+    """(state, N, c/W, result) of every sweep solve() computes."""
+    sweeps = []
+    real = fh._best_response_sweep
+
+    def sweep(a, n, r):
+        result = real(a, n, r)
+        sweeps.append((list(a), n, r, result))
+        return result
+
+    monkeypatch.setattr(fh, "_best_response_sweep", sweep)
+    try:
+        solve()
+    except SearchContestError:
+        pass
+    monkeypatch.undo()
+    return sweeps
+
+
+def _sweep_bits(result):
+    return [x.hex() for x in result[0]], result[1].hex()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_kernel_equals_parent_on_table_sweeps(monkeypatch, k):
+    # every sweep computed for the golden finite_k{2,3} tables
+    sweeps = []
+    for r in (0.0, 0.05, 0.10):
+        sweeps += _computed_sweeps(monkeypatch, lambda: threshold_profile(k, r, range(2, 10)))
+    assert len(sweeps) > 500
+    for a, n, r, result in sweeps:
+        assert _sweep_bits(result) == _sweep_bits(_PARENT["_best_response_sweep"](a, n, r))
+        assert _kernel_bits(vars(fh), a, n, r) == _kernel_bits(_PARENT, a, n, r), (a, n, r)
+
+
+@pytest.mark.parametrize("cell", EXPLORE_KDRAW_CELLS, ids=str)
+def test_kernel_equals_parent_on_explore_sweeps(monkeypatch, cell):
+    k, n, r = cell
+    sweeps = _computed_sweeps(monkeypatch, lambda: solve_k_draw(FiniteHorizonParams(n, r, k)))
+    assert sweeps
+    for a, _, _, result in sweeps:
+        assert _sweep_bits(result) == _sweep_bits(_PARENT["_best_response_sweep"](a, n, r))
+
+
+# ------------------------------------------------------ lazy two-draw seed
+
+
+def _events(monkeypatch):
+    """A log of the best-response attempts and two-draw scans made, in order."""
+    log = []
+    real_run, real_two = fh._run_best_response, fh.solve_two_draw
+
+    def run(a0, n, r):
+        log.append("best_response")
+        return real_run(a0, n, r)
+
+    def two(n, r):
+        log.append("two_draw")
+        return real_two(n, r)
+
+    monkeypatch.setattr(fh, "_run_best_response", run)
+    monkeypatch.setattr(fh, "solve_two_draw", two)
+    return log
+
+
+def test_converged_start_runs_no_two_draw_scan(monkeypatch):
+    log = _events(monkeypatch)
+    sol = solve_k_draw(FiniteHorizonParams(3, 0.05, 3), init=(0.7, 0.65))
+    assert sol.exists and log == ["best_response"]
+    # with k=2 the scan still decides existence before any attempt
+    log.clear()
+    assert solve_k_draw(FiniteHorizonParams(5, 0.05, 2), init=(0.6,)).exists
+    assert log == ["two_draw", "best_response"]
+
+
+def test_failed_start_keeps_the_parent_attempts(monkeypatch):
+    # finite_k3's N=9, c/W=0.05 cell from the N=8 root, threshold_profile's
+    # start: best response cycles from both starts, Newton from the first
+    init = (float.fromhex("0x1.8dc518e9c5517p-1"), float.fromhex("0x1.815d7cf24a6d7p-1"))
+    log = _events(monkeypatch)
+    sol = solve_k_draw(FiniteHorizonParams(9, 0.05, 3), init=init)
+    assert log == ["best_response", "two_draw", "best_response"]
+    assert [(a["method"], a["iterations"], a["residual"].hex())
+            for a in sol.diagnostics["attempts"]] == [
+        ("best_response", 211, "0x1.7f09ec0b1fb88p-1"),
+        ("best_response", 211, "0x1.7f09ec0b1fb88p-1"),
+        ("newton", 4, "0x1.f800000000000p-50"),
+    ]
+    assert [x.hex() for x in sol.round_quantiles] == ["0x1.6e127ce769d22p-1",
+                                                      "0x1.64f5f9b0824e7p-1"]
+
+
+def test_profile_outcomes_and_attempts_digest(monkeypatch):
+    # threshold_profile for k = 3..6 and c/W in {0, 0.03, 0.06, 0.1} at N = 2..30:
+    # every cell's outcome with its attempts, or its NumericFailureError payload,
+    # and the profile, hashed in order; the digest was taken before the two-draw
+    # scan became lazy
+    real = fh.solve_k_draw
+    digest, cells = hashlib.sha256(), []
+
+    def solve(params, init=None):
+        try:
+            eq = real(params, init)
+        except NumericFailureError as exc:
+            cells.append({"error": str(exc), "diagnostics": canonical(exc.diagnostics)})
+            raise
+        cells.append(canonical(eq))
+        return eq
+
+    monkeypatch.setattr(fh, "solve_k_draw", solve)
+    for k in range(3, 7):
+        for r in (0.0, 0.03, 0.06, 0.1):
+            try:
+                profile = canonical(threshold_profile(k, r, range(2, 31)))
+            except NumericFailureError as exc:
+                profile = {"error": str(exc)}
+            digest.update(to_json({"k": k, "r": r, "cells": cells, "profile": profile}).encode())
+            cells.clear()
+    assert digest.hexdigest() == "b8cc6712e54db1b8247f12e633584dabdd83df9e5633b6b7371da93406c45002"

@@ -654,6 +654,29 @@ def test_overflowing_payoff_squares_refused_before_chunks(uniform, monkeypatch, 
                                config)
 
 
+@pytest.mark.parametrize("call", ["simulate_contest", "deviation_scan"])
+def test_overflowing_reported_means_refused_before_chunks(uniform, monkeypatch, call):
+    # every sum in top-prize units fits a float here, but the means scaled back
+    # by a top prize of 1e308 would not: mean_cost read inf for two players
+    import searchcontest.simulation as sim
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("chunks ran before the range check")
+
+    monkeypatch.setattr(sim, "_map_chunks", forbidden)
+    params = ContestParams(3, 1e308, 1e308)
+    profile = StrategyProfile((InfiniteThresholdStrategy(0.5),) * 3)
+    config = SimulationConfig(2000, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidParameterError, match="top prizes of 1e.308: .* would overflow"):
+            if call == "simulate_contest":
+                simulate_contest(profile, params, uniform, config)
+            else:
+                deviation_scan(profile, 0, [InfiniteThresholdStrategy(0.6)], params, uniform,
+                               config)
+
+
 def test_large_costs_that_fit_are_simulated(uniform):
     # 1e140 prizes a draw: the check bounds each square by about 5.8e284, and
     # 2,000 of those fit a float, so the contest runs to finite reports
