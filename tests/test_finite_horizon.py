@@ -897,14 +897,13 @@ def test_kernel_equals_parent_on_seeded_states():
 
 
 def _computed_sweeps(monkeypatch, solve):
-    """(state, N, c/W, result) of every sweep solve() computes."""
+    """(state, N, c/W) of every sweep solve() computes."""
     sweeps = []
     real = fh._best_response_sweep
 
     def sweep(a, n, r):
-        result = real(a, n, r)
-        sweeps.append((list(a), n, r, result))
-        return result
+        sweeps.append((list(a), n, r))
+        return real(a, n, r)
 
     monkeypatch.setattr(fh, "_best_response_sweep", sweep)
     try:
@@ -915,10 +914,6 @@ def _computed_sweeps(monkeypatch, solve):
     return sweeps
 
 
-def _sweep_bits(result):
-    return [x.hex() for x in result[0]], result[1].hex()
-
-
 @pytest.mark.parametrize("k", [2, 3])
 def test_kernel_equals_parent_on_table_sweeps(monkeypatch, k):
     # every sweep computed for the golden finite_k{2,3} tables
@@ -926,8 +921,7 @@ def test_kernel_equals_parent_on_table_sweeps(monkeypatch, k):
     for r in (0.0, 0.05, 0.10):
         sweeps += _computed_sweeps(monkeypatch, lambda: threshold_profile(k, r, range(2, 10)))
     assert len(sweeps) > 500
-    for a, n, r, result in sweeps:
-        assert _sweep_bits(result) == _sweep_bits(_PARENT["_best_response_sweep"](a, n, r))
+    for a, n, r in sweeps:
         assert _kernel_bits(vars(fh), a, n, r) == _kernel_bits(_PARENT, a, n, r), (a, n, r)
 
 
@@ -936,8 +930,8 @@ def test_kernel_equals_parent_on_explore_sweeps(monkeypatch, cell):
     k, n, r = cell
     sweeps = _computed_sweeps(monkeypatch, lambda: solve_k_draw(FiniteHorizonParams(n, r, k)))
     assert sweeps
-    for a, _, _, result in sweeps:
-        assert _sweep_bits(result) == _sweep_bits(_PARENT["_best_response_sweep"](a, n, r))
+    for a, _, _ in sweeps:
+        assert _kernel_bits(vars(fh), a, n, r) == _kernel_bits(_PARENT, a, n, r), (a, n, r)
 
 
 # ------------------------------------------------------ lazy two-draw seed
