@@ -141,12 +141,12 @@ def solve_multiprize(
     accept = cost / spread
     if accept > 1.0:
         raise NotViableError(f"cost {cost} exceeds prize spread {spread}")
-    total_cost = n_players * cost / accept
+    threshold = d.threshold(accept)  # refuses an acceptance below float resolution, even 0
     return MultiPrizeEquilibrium(
-        threshold=d.threshold(accept),
+        threshold=threshold,
         acceptance_prob=accept,
         player_value=prizes.last,
-        total_expected_cost=total_cost,
+        total_expected_cost=n_players * cost / accept,
         dissipation_ratio=1.0 - prizes.last / prizes.mean,
     )
 
@@ -208,10 +208,10 @@ def _opposite(a, b):
     return ((a < 0.0) & (b > 0.0)) | ((a > 0.0) & (b < 0.0))
 
 
-def _grid_roots(f, xs: np.ndarray, fs: np.ndarray, xtol: float, args: tuple = ()) -> list:
+def _grid_roots(f, xs: np.ndarray, fs: np.ndarray, xtol: float) -> list:
     """The roots of f that the grid xs, with fs = f(xs), brackets, ascending: every
     point where fs is exactly 0, and a _brentq polish of every sign change."""
-    return [float(xs[i]) if fs[i] == 0.0 else float(_brentq(f, xs[i], xs[i + 1], xtol, args))
+    return [float(xs[i]) if fs[i] == 0.0 else float(_brentq(f, xs[i], xs[i + 1], xtol))
             for i in np.flatnonzero((fs == 0.0) | np.append(_opposite(fs[:-1], fs[1:]), False))]
 
 

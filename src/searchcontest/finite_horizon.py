@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from ._numerics import interp
-from .equilibrium import _grid_roots
+from .equilibrium import _brentq, _sum_left
 from .errors import (InvalidParameterError, NumericFailureError, _as_tuple, require_int,
                      require_positive)
 
@@ -31,6 +31,7 @@ _BR_MAX_ITER = 10_000
 _DAMPING = 0.5
 _TOP = 1.0 - 1e-12  # a best-response quantile's upper clamp
 _LOG_MAX = math.log(sys.float_info.max)  # largest exponent math.exp can return
+_TWO_DRAW_GRID = np.linspace(1e-9, 1.0 - 1e-9, 4001)  # an array: 4,001 floats take more memory
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ class OpponentFinalCdf:
     h is piecewise linear, convex, nondecreasing, h(0)=0 and h(1)=1, so
     integrals of h^p have exact per-segment closed forms. The class checks its
     quantiles and then holds the solver's own node lists (_cdf_nodes): a float
-    is read through interp, and only arrays go through np.interp.
+    is read through interp, and an array of h(u) goes through np.interp.
     """
 
     def __init__(self, round_quantiles: Sequence[float]):
@@ -85,24 +86,14 @@ class OpponentFinalCdf:
         return np.interp(u, self._xs, self._ys)
 
     def inverse(self, y):
-        """The quantile u with h(u) = y, clamped to [0, 1]. It is np.interp's
-        inverse except where the reach of the last round is subnormal: there the
-        first segments' inverse slope Δu/Δh overflows, interpolation gives inf,
-        and u is taken as u_j + (y - h_j) / Δh * Δu instead."""
-        ys, xs = self._ys, self._xs
+        """The quantile u with h(u) = y, clamped to [0, 1] (_inverse). A float
+        gives a float; anything else is read as a float64 array, element by
+        element, and gives an array of its shape, or a np.float64 if 0-d."""
         if type(y) is float:
-            return _inverse(y, xs, ys)
-        u = np.interp(y, ys, xs)
-        steep = u == math.inf
-        if steep.any():
-            u, y, ys, xs = np.array(u), np.asarray(y)[steep], np.array(ys), np.array(xs)
-            j = np.searchsorted(ys, y, side="right") - 1
-            u[steep] = _rise_first(y, ys[j], ys[j + 1], xs[j], xs[j + 1])
-        return np.clip(u, 0.0, 1.0)
-
-    def _value(self, u: float) -> float:
-        """h(u) as a float."""
-        return interp(float(u), self._xs, self._ys)
+            return _inverse(y, self._xs, self._ys)
+        y = np.asarray(y, dtype=float)
+        us = [_inverse(v, self._xs, self._ys) for v in y.ravel().tolist()]
+        return np.array(us).reshape(y.shape)[()]
 
     def integral_power(
         self, p: float, lo: float = 0.0, hi: float = 1.0, ref: float = 1.0
@@ -112,14 +103,9 @@ class OpponentFinalCdf:
         if hi <= lo or ref <= 0.0:
             return 0.0
         lo, hi = float(lo), float(hi)
-        xs = self._xs
-        i, j = bisect.bisect_left(xs, lo), bisect.bisect_left(xs, hi)
-        if j < len(xs) and xs[i] == lo and xs[j] == hi:  # the solver's case: nodes are the cuts
-            cuts, ys = xs[i:j + 1], self._ys[i:j + 1]
-        else:
-            cuts = sorted({min(max(x, lo), hi) for x in xs} | {lo, hi})
-            ys = [self._value(x) for x in cuts]
-        return _sum(_segment_integrals(cuts, ys, p, ref))
+        xs, ys = self._xs, self._ys
+        cuts = sorted({min(max(x, lo), hi) for x in xs} | {lo, hi})
+        return _sum_left(_segment_integrals(cuts, [interp(x, xs, ys) for x in cuts], p, ref))
 
 
 def _cdf_nodes(a: Sequence[float]) -> tuple[list[float], list[float]]:
@@ -166,29 +152,16 @@ def _segment_integrals(xs: list[float], ys: list[float], p: float, ref: float) -
     return terms
 
 
-def _sum(terms: Sequence[float]) -> float:
-    """terms summed left to right from 0.0: builtin sum() of floats is
-    compensated on Python >= 3.12 and would change the bits."""
-    total = 0.0
-    for t in terms:
-        total += t
-    return total
-
-
 def _inverse(y: float, xs: list[float], ys: list[float]) -> float:
-    """OpponentFinalCdf.inverse for one float y, from h's node lists."""
+    """OpponentFinalCdf.inverse for one float y, from h's node lists. Where the
+    reach of the last round is subnormal, a first segment's inverse slope
+    (x1 - x0) / (y1 - y0) overflows and interpolation gives inf; there u is
+    taken as (y - y0) / (y1 - y0) * (x1 - x0) + x0, dividing by the rise first."""
     u = interp(y, ys, xs)
     if u > 1.0 and u == math.inf:  # y is inside a segment whose inverse slope overflows
         j = bisect.bisect_right(ys, y) - 1
-        u = _rise_first(y, ys[j], ys[j + 1], xs[j], xs[j + 1])
+        u = (y - ys[j]) / (ys[j + 1] - ys[j]) * (xs[j + 1] - xs[j]) + xs[j]
     return 1.0 if u > 1.0 else 0.0 if u < 0.0 else u  # NaN and -0.0 pass as they are
-
-
-def _rise_first(y, y0: float, y1: float, x0: float, x1: float):
-    """Inverse interpolation on the segment from (x0, y0) to (x1, y1) that
-    divides by its rise y1 - y0 first, for a segment whose slope
-    (x1 - x0) / (y1 - y0) overflows."""
-    return (y - y0) / (y1 - y0) * (x1 - x0) + x0
 
 
 # ---------------------------------------------------------------------------
@@ -230,27 +203,42 @@ def _frontier(n: int, r: float, k: int, diagnostics: dict) -> FiniteHorizonEquil
 def solve_two_draw(n_players: int, cost_ratio: float) -> FiniteHorizonEquilibrium:
     """Symmetric two-draw equilibrium by 1-D root finding on the closed form.
 
-    All interior roots are located on a dense grid; a root only counts as an
-    equilibrium when it is stable under damped best-response dynamics. (Near
-    the participation frontier the indifference condition keeps an interior
-    root that no adjustment process can hold; those cells report exists=False.)
+    With r = c/W, the residual times N(1 + a) is the polynomial
+    (1 - Nr) - Nr a - N a^(2N-2) + (1 - N) a^(2N-1), whose coefficients change
+    sign once when Nr < 1 and never otherwise: by Descartes' rule it has one
+    root in (0, 1) or none. Bisection over the indices of a 4,001-point grid
+    finds its bracket, reading the residual at about 14 points; a grid point
+    where it is exactly 0 is the root, and a sign change is polished by Brent's
+    method. The root only counts as an equilibrium when it is stable under
+    damped best-response dynamics. (Near the participation frontier the
+    indifference condition keeps an interior root that no adjustment process
+    can hold; those cells report exists=False.)
     """
     params = FiniteHorizonParams(n_players, cost_ratio, 2)
     n, r = params.n_players, params.cost_ratio
-
-    grid = np.linspace(1e-9, 1.0 - 1e-9, 4001)
-    roots = _grid_roots(_two_draw_residual, grid, _two_draw_residual(grid, n, r), 1e-15, (n, r))
-    checks = [_two_draw_stable(a, n, r) for a in roots]
-    stable = [(a, f) for a, (ok, f) in zip(roots, checks) if ok]
+    g, lo, hi = _TWO_DRAW_GRID, 0, len(_TWO_DRAW_GRID) - 1
+    f_lo, f_hi = (_two_draw_residual(float(g[i]), n, r) for i in (lo, hi))
+    if f_lo > 0.0 >= f_hi:  # a sign change: keep the residual > 0 at lo and <= 0 at hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            f_mid = _two_draw_residual(float(g[mid]), n, r)
+            if f_mid > 0.0:
+                lo = mid
+            else:
+                hi, f_hi = mid, f_mid
+        roots = [float(g[hi]) if f_hi == 0.0
+                 else _brentq(_two_draw_residual, g[lo], g[hi], 1e-15, (n, r))]
+    else:  # a root at the first grid point, or none on the grid
+        roots = [float(g[lo])] if f_lo == 0.0 else []
+    checks = [_two_draw_stable(a, n, r) for a in roots]  # (stable, factor)
     diagnostics = {"roots": roots, "stability_factors": [f for _, f in checks]}
     frontier = _frontier(n, r, 2, diagnostics)
     if frontier is not None:
         return frontier
-    if not stable:
+    if not checks or not checks[0][0]:
         return FiniteHorizonEquilibrium((), False, diagnostics)
-    a_star, factor = stable[0]
-    diagnostics["stability_factor"] = factor
-    return FiniteHorizonEquilibrium((a_star,), True, diagnostics)
+    diagnostics["stability_factor"] = checks[0][1]
+    return FiniteHorizonEquilibrium((roots[0],), True, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +258,7 @@ def _best_response(a: Sequence[float], j: int, n: int, r: float) -> float:
     p = n - 1
     xs, ys = _cdf_nodes(a)
     terms = _segment_integrals(xs, ys, p, 1.0)
-    total = 0.0  # each sum left to right from 0.0, as _sum adds
+    total = 0.0  # each sum left to right from 0.0, as _sum_left adds
     for t in terms:
         total += t
     v = -r + total
@@ -366,8 +354,9 @@ def _scaled_residuals(a: np.ndarray, n: int, r: float) -> np.ndarray:
         ratio = math.exp(min(p * (math.log(hj) - math.log(hj1)), _LOG_MAX))
         tail = math.exp(min(p * (math.log(h_last) - math.log(hj1)), _LOG_MAX))
         i = bisect.bisect_left(xs, a[j + 1])
-        out[j] = ratio - a[j + 1] - tail + _sum(_segment_integrals(xs[:i + 1], ys[:i + 1], p, hj1))
-    out[k - 2] = h_last ** p + r - _sum(_segment_integrals(xs, ys, p, 1.0))
+        out[j] = ratio - a[j + 1] - tail + _sum_left(
+            _segment_integrals(xs[:i + 1], ys[:i + 1], p, hj1))
+    out[k - 2] = h_last ** p + r - _sum_left(_segment_integrals(xs, ys, p, 1.0))
     return out
 
 
@@ -424,11 +413,11 @@ def solve_k_draw(
     and a fixed list of others (needed near the participation frontier, where
     best response is unstable and the raw residuals are below float noise). A
     final Newton polish tightens the root found. For k=2 solve_two_draw's
-    closed-form scan and stability rule decide existence, so a cell it finds
+    closed-form root and stability rule decide existence, so a cell it finds
     no equilibrium in returns its result before any attempt. For k>=3 any
     interior root found is reported as an equilibrium, and the two-draw root
     is computed only when an attempt needs its seed: a start from `init` that
-    converges runs no two-draw scan.
+    converges runs no two-draw solve.
     """
     n, r, k = params.n_players, params.cost_ratio, params.n_draws
     if init is not None:
@@ -450,7 +439,7 @@ def solve_k_draw(
         return two
     starts = [] if init is None else [np.clip(init, 1e-9, 1 - 1e-9)]
 
-    def plan(two):  # for k>=3 the two-draw scan runs once the starts from init are spent
+    def plan(two):  # for k>=3 the two-draw solve runs once the starts from init are spent
         yield from ((_run_best_response, "best_response", a0) for a0 in starts)
         if two is None:
             two = solve_two_draw(n, r)

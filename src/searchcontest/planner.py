@@ -172,6 +172,8 @@ def solve_planner(n_players: int, cost: float, d: Distribution) -> PlannerSoluti
     _check_args(n_players, cost)
     _check_tail(d)
     n = n_players
+    if math.isinf(n * cost):  # every candidate's welfare would be -inf
+        raise InvalidParameterError(f"{n} players at cost {cost:g} a draw overflow a float")
     qs = np.linspace(0.0, 1.0 - 1e-9, _GRID)
     top = _closed_residual(float(qs[-1]), n, cost, d)  # first: a refusal needs no other point
     if top > 0.0:  # heavy tails: the q = 0 corner would win by default

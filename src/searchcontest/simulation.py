@@ -387,20 +387,21 @@ def _check_memory(what: str, config: SimulationConfig, bytes_per_rep: int,
                                     f"over the {_MEMORY_BUDGET >> 20} MB memory budget")
 
 
-def _check_range(cost: float, draws: int, n: int, reps: int, top: float) -> None:
+def _check_range(cost: float, draws: int, n: int, reps: int, top: float, prizes: float) -> None:
     """Refuse, before any chunk runs, a contest whose sums of squares or
-    reported means could overflow: in units of the top prize a replication's
-    payoff, cost, gain and dissipation are at most n (1 + cost draws), their
-    squares are summed over reps, and the means are scaled back by top."""
-    bound = n * (1.0 + cost * draws)
-    if math.isinf(reps * bound * bound):
+    reported figures could overflow: in top-prize units a player's payoff,
+    cost and gain are at most 1 + cost draws and the dissipation n times that,
+    their squares are summed over reps, and top scales back the means and the
+    total prize, which is `prizes` in those units."""
+    bound = 1.0 + cost * draws
+    if math.isinf(reps * (n * bound) * (n * bound)):
         raise InvalidParameterError(
             f"a draw costs {cost:g} top prizes: payoff squares over {reps} replications "
             f"of up to {draws} draws would overflow a float")
-    if math.isinf(top * bound):
+    if math.isinf(top * bound) or math.isinf(top * prizes):
         raise InvalidParameterError(
-            f"a draw costs {cost:g} top prizes of {top:g}: payoffs of up to {draws} draws "
-            "would overflow a float")
+            f"a draw costs {cost:g} top prizes of {top:g}: payoffs of up to {draws} draws, "
+            "or the total prize, would overflow a float")
 
 
 def _mean_se(s1: np.ndarray, s2: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -502,7 +503,7 @@ def simulate_contest(
     plans = [_plan(s, d) for s in profile.strategies]
     cap = _default_cap(plans)
     reps = config.replications
-    _check_range(cost, cap, n, reps, top)
+    _check_range(cost, cap, n, reps, top, float(prize_arr.sum()))
 
     def work(c: int, size: int) -> tuple:
         finals = np.empty((n, size))
@@ -598,7 +599,7 @@ def deviation_scan(
     # per player and column of the deviator's uniforms: peak-RSS growth measured at N=3
     # to 60, widths 2 to 400 for the deviator and its opponents, and 1 to 200 candidates
     _check_memory(f"scanning {len(candidates)} deviations", config, 9 * (n + v_cols) + 80)
-    _check_range(cost, _draw_bound(self_plans), n, config.replications, top)
+    _check_range(cost, _draw_bound(self_plans), n, config.replications, top, 1.0)
 
     def work(c: int, size: int) -> tuple:
         opp_final = np.empty((n - 1, size))

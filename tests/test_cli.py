@@ -189,6 +189,11 @@ _BAD_SPECS = {
     # scale**shape of the Pareto density overflows a float
     pytest.param(["solve", "planner", "--n", "2", "--cost", "1e199", "--dist", "pareto:3,1e200"],
                  None, id="pareto-scale-power-overflow"),
+    # N cost past the float range, and an acceptance cost / spread that underflows to 0
+    pytest.param(["solve", "planner", "--n", "2", "--cost", "1e308", "--dist", "uniform:0,1"],
+                 None, id="planner-cost-overflow"),
+    pytest.param(["solve", "multiprize", "--n", "2", "--cost", "5e-324", "--prizes", "1e300,0",
+                  "--dist", "uniform:0,1"], None, id="multiprize-zero-acceptance"),
 ] + [pytest.param(_SYM, text, id=name) for name, text in _BAD_SPECS.items()])
 def test_bad_input_exits_without_traceback(capsys, tmp_path, argv, spec):
     # spec: the text of a --dist-file, or "missing" for a file that is not there
@@ -788,14 +793,17 @@ def test_verdict_does_not_depend_on_the_prize_scale(capsys, argv):
 
 # ------------------------------------------------------------ argv property
 
+# the IEEE edges: the least subnormal and normal, the largest float below 1, the largest float
+_EDGES = [5e-324, 2.2250738585072009e-308, 1.0 - 2.0**-53, 1.7976931348623157e308]
 _COST = st.one_of(st.floats(math.log(1e-14), math.log(100.0)).map(math.exp),
-                  st.sampled_from([1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300]))
+                  st.sampled_from([1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300]),
+                  st.sampled_from(_EDGES))
 _DIST = st.sampled_from([[], ["--dist", "uniform:0,1"], ["--dist", "exponential:1"],
                          ["--dist", "pareto:2,1"], ["--dist", "pareto:1.1,1"],
                          ["--dist", "uniform:-1e9,1e9"]])
 _N = st.integers(1, 2000)
 # the prize's scale must not matter: N c / W is what the equilibria depend on
-_PRIZE = st.one_of(st.sampled_from([1.0, 1e200, 1e-200, 2.0**600, 2.0**-600]),
+_PRIZE = st.one_of(st.sampled_from([1.0, 1e200, 1e-200, 2.0**600, 2.0**-600, *_EDGES]),
                    st.floats(math.log(1e-300), math.log(1e300)).map(math.exp))
 
 
@@ -823,7 +831,8 @@ def _sim(what: str, *extra) -> st.SearchStrategy:
 
 
 def _prizes(n: int) -> st.SearchStrategy:
-    values = st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n)
+    value = st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e300), st.sampled_from(_EDGES))
+    values = st.lists(value, min_size=n, max_size=n)
     return values.map(lambda v: ",".join(map(repr, sorted(v, reverse=True))))
 
 
@@ -839,7 +848,7 @@ _LEAF_ARGVS = {
     "solve finite": st.tuples(st.integers(1, 40), st.integers(1, 6)).flatmap(lambda nk: _argv(
         "solve", "finite", ("--n", st.just(nk[0])), ("--k", st.just(nk[1])),
         ("--cost-ratio", st.one_of(st.floats(0.0, 1.2).map(lambda f: f / nk[0]),
-                                   st.sampled_from([1e100, 1e200, 1e300]))), _DIST)),
+                                   st.sampled_from([1e100, 1e200, 1e300, *_EDGES]))), _DIST)),
     "solve designer": _argv("solve", "designer", ("--designers", st.integers(1, 30)),
                             ("--team-size", st.integers(0, 10)), ("--cost", _COST), _DIST),
     "solve planner": _argv("solve", "planner", ("--n", _N), ("--cost", _COST), _DIST),

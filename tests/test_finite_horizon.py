@@ -215,8 +215,8 @@ def test_final_cdf_scalar_path_bitwise_equal_to_np_interp():
         xs, ys = np.array(h._xs), np.array(h._ys)
         for x in _probe_points(h._xs, rng):
             want = float(np.interp(x, xs, ys))
-            for got in (h(x), h._value(x)):
-                assert type(got) is float and got.hex() == want.hex(), (a, x, got, want)
+            got = h(x)
+            assert type(got) is float and got.hex() == want.hex(), (a, x, got, want)
         # the inverse is clamped to [0, 1]; it is np.interp's except inside a
         # segment whose inverse slope overflows
         ps = _probe_points(h._ys, rng)
@@ -228,10 +228,19 @@ def test_final_cdf_scalar_path_bitwise_equal_to_np_interp():
             got = h.inverse(y)
             assert type(got) is float and got.hex() == want.hex(), (a, y, got, want)
             wants.append(want)
-        # arrays still go through np.interp, element by element
+        # h(u) arrays go through np.interp; inverse arrays through the float
+        # path, element by element, in the input's shape: a numpy scalar or a
+        # 0-d array gives a np.float64
         us = np.array(_probe_points(h._xs, rng))
         assert np.array_equal(h(us), np.interp(us, xs, ys), equal_nan=True)
         assert np.array_equal(h.inverse(np.array(ps)), wants, equal_nan=True)
+        got = h.inverse(np.array(ps[:8]).reshape(2, 4))
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (2, 4)
+        assert [u.hex() for u in got.ravel().tolist()] == [u.hex() for u in wants[:8]]
+        for y, want in zip(ps[:3], wants):
+            for arg in (np.float64(y), np.array(y)):
+                got = h.inverse(arg)
+                assert type(got) is np.float64 and float(got).hex() == want.hex(), (a, y)
     assert steep > 0
 
 
@@ -311,21 +320,62 @@ def test_two_draw_nonexistence_reports_unstable_root():
     assert sol.diagnostics.get("roots"), "interior roots should still be recorded"
 
 
-def test_two_draw_roots_equal_scalar_scan():
-    # reference: the grid scanned one interval at a time
+def _two_draw_scan_outcome(n, r):
+    """solve_two_draw's outcome as the array scan before the bisection gave
+    it, as float hex, or the error raised: the residual on every grid point
+    in one array, a root at every exact zero and a brentq polish of every
+    sign change, the stability rule on each root, and the first stable root
+    as the equilibrium."""
     grid = np.linspace(1e-9, 1.0 - 1e-9, 4001)
-    for n in range(2, 16):
-        for r in np.linspace(0.0, 1.0 / n, 30):
-            r = float(r)
-            vals = _two_draw_residual(grid, n, r)
-            roots = []
-            for x0, x1, v0, v1 in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-                if v0 == 0.0:
-                    roots.append(float(x0))
-                elif v0 * v1 < 0:
-                    roots.append(float(brentq(_two_draw_residual, x0, x1, args=(n, r),
-                                              xtol=1e-15)))
-            assert solve_two_draw(n, r).diagnostics["roots"] == roots, (n, r)
+    vals = _two_draw_residual(grid, n, r)
+    roots = []
+    for i, v0 in enumerate(vals):
+        if v0 == 0.0:
+            roots.append(float(grid[i]))
+        elif i + 1 < len(vals) and (v0 < 0.0 < vals[i + 1] or vals[i + 1] < 0.0 < v0):
+            roots.append(float(brentq(_two_draw_residual, grid[i], grid[i + 1], args=(n, r),
+                                      xtol=1e-15)))
+    try:
+        checks = [fh._two_draw_stable(a, n, r) for a in roots]
+    except NumericFailureError as exc:
+        return type(exc).__name__, str(exc)
+    stable = [a for a, (ok, _) in zip(roots, checks) if ok]
+    exists = n * r == 1.0 or (n * r < 1.0 and bool(stable))
+    quantiles = () if not exists else (0.0,) if n * r == 1.0 else (stable[0],)
+    return (exists, [a.hex() for a in quantiles], [a.hex() for a in roots],
+            [f.hex() for _, f in checks])
+
+
+def _two_draw_outcome(n, r):
+    try:
+        sol = solve_two_draw(n, r)
+    except NumericFailureError as exc:
+        return type(exc).__name__, str(exc)
+    return (sol.exists, [a.hex() for a in sol.round_quantiles],
+            [a.hex() for a in sol.diagnostics["roots"]],
+            [f.hex() for f in sol.diagnostics["stability_factors"]])
+
+
+def test_two_draw_roots_equal_scalar_scan():
+    # reference: the grid scanned in one array, then one interval at a time
+    rng = np.random.default_rng(31)
+    cells = [(n, float(r)) for n in range(2, 16) for r in np.linspace(0.0, 1.0 / n, 30)]
+    for _ in range(300):  # seeded cells up to N = 2,000, a fifth of them past N c/W = 1
+        n = int(np.exp(rng.uniform(math.log(2), math.log(2000))))
+        cells.append((n, float(rng.uniform(0.0, 1.25 / n))))
+    cells += [(n, 0.0) for n in (2, 3, 17, 100, 999, 2000)]
+    for n in (10**4, 10**6, 10**9):  # c/W = 0 at 10^9 is the probe refusal
+        cells += [(n, r / n) for r in (0.0, 1e-6, 0.3, 0.9, 0.999999, 1.0, 1.5)]
+    cells += [(n, 1.0 / n) for n in (7, 49, 1999)] + [(5, 1e100), (2000, 0.5)]
+    # the c/W whose residual is exactly 0 at a grid point, the first and, at
+    # N = 10^11, the last one too (its root's probe is refused)
+    grid = np.linspace(1e-9, 1.0 - 1e-9, 4001)
+    zeros = [(n, _two_draw_residual(float(grid[i]), n, 0.0))
+             for n in (2, 7, 300, 10**6, 10**11) for i in (0, 1, 1000, 3000, 3999, 4000)]
+    cells += [(n, r) for n, r in zeros if r >= 0.0]
+    for n, r in cells:
+        assert _two_draw_outcome(n, r) == _two_draw_scan_outcome(n, r), (n, r)
+    assert any(n * r >= 1.0 for n, r in cells) and any(r == 0.0 for _, r in cells)
 
 
 def test_two_draw_stability_near_zero_root():
@@ -845,8 +895,9 @@ def _parent_best_response_sweep(a: list[float], n: int, r: float) -> tuple[list[
 
 # the three kernel functions before the leaner loop, word for word, as its
 # oracle: run in a copy of finite_horizon's namespace in which they call each
-# other, and the module's own _segment_integrals, _sum and _inverse
-_PARENT = dict(vars(fh))
+# other, the module's own _segment_integrals and _inverse, and as _sum the
+# same left-to-right sum, _sum_left
+_PARENT = dict(vars(fh), _sum=fh._sum_left)
 for _f in (_parent_cdf_nodes, _parent_best_response, _parent_best_response_sweep):
     _PARENT[_f.__name__[len("_parent"):]] = types.FunctionType(_f.__code__, _PARENT)
 

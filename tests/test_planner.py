@@ -64,6 +64,9 @@ def test_args_validation(uniform):
         solve_planner(0, 0.1, uniform)
     with pytest.raises(InvalidParameterError):
         solve_planner(2, -0.1, uniform)
+    # N cost = inf would give every candidate, the corner too, welfare -inf
+    with pytest.raises(InvalidParameterError, match="2 players at cost 1e.308 .* overflow"):
+        solve_planner(2, 1e308, uniform)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

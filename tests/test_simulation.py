@@ -692,6 +692,35 @@ def test_large_costs_that_fit_are_simulated(uniform):
     assert math.isfinite(scan.rows[0].se_gain) and scan.rows[0].se_gain > 0
 
 
+def test_reported_means_bounded_per_player(uniform, monkeypatch):
+    # each reported mean is at most top (1 + c D), not N times that: a top
+    # prize of 1e308 and a cost of 1e290 report every figure finite (mean
+    # payoff about 3.4e307, total prize 1e308), where N top (1 + c D) is inf
+    params = ContestParams(3, 1e290, 1e308)
+    profile = StrategyProfile((InfiniteThresholdStrategy(0.5),) * 3)
+    config = SimulationConfig(2000, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = simulate_contest(profile, params, uniform, config)
+        scan = deviation_scan(profile, 0, [InfiniteThresholdStrategy(0.6)], params, uniform,
+                              config)
+    figures = [v for f in dataclasses.fields(rep) for v in np.ravel(getattr(rep, f.name))]
+    assert all(map(math.isfinite, figures)) and rep.total_prize == 1e308
+    assert 3e307 < max(rep.mean_payoff) < 1e308
+    row = scan.rows[0]
+    assert all(map(math.isfinite, (scan.equilibrium_payoff, scan.se_equilibrium_payoff,
+                                   row.mean_gain, row.se_gain)))
+    # a total prize that overflows is still refused before any chunk runs
+    import searchcontest.simulation as sim
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("chunks ran before the range check")
+
+    monkeypatch.setattr(sim, "_map_chunks", forbidden)
+    with pytest.raises(InvalidParameterError, match="or the total prize, would overflow"):
+        simulate_contest(profile, params, uniform, config, PrizeSchedule((1e308, 1e308, 0.0)))
+
+
 def test_finite_players_stay_within_the_memory_estimate(uniform, monkeypatch):
     # a k-draw player is played round by round, so its memory does not grow
     # with k; a pre-drawn k x chunk block of uniforms would hold 105 MB here
