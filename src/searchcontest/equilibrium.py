@@ -23,7 +23,7 @@ from .errors import (
     NumericFailureError,
     SearchContestError,
     _as_tuple,
-    require_int,
+    require_count,
     require_positive,
 )
 
@@ -43,7 +43,7 @@ class ContestParams:
     prize: float
 
     def __post_init__(self):
-        object.__setattr__(self, "n_players", require_int("n_players", self.n_players, 2))
+        object.__setattr__(self, "n_players", require_count("n_players", self.n_players, 2))
         require_positive("cost", self.cost)
         require_positive("prize", self.prize)
 

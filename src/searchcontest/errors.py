@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 
 class SearchContestError(Exception):
@@ -46,6 +47,15 @@ def require_int(name: str, value, lo: int) -> int:
     if not ok:
         raise InvalidParameterError(f"{name} must be an integer >= {lo}, got {value}")
     return int(value)
+
+
+def require_count(name: str, value, lo: int) -> int:
+    """require_int for a count of players, designers or draws, which the
+    solvers compute with as floats: a count past the largest float is refused."""
+    count = require_int(name, value, lo)
+    if count > sys.float_info.max:  # an exact comparison, where float(count) would raise
+        raise InvalidParameterError(f"{name} must be an integer >= {lo} that a float can hold")
+    return count
 
 
 def require_positive(name: str, value, zero_ok: bool = False) -> None:

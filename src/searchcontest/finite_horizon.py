@@ -23,7 +23,7 @@ import numpy as np
 
 from ._numerics import interp
 from .equilibrium import _brentq, _sum_left
-from .errors import (InvalidParameterError, NumericFailureError, _as_tuple, require_int,
+from .errors import (InvalidParameterError, NumericFailureError, _as_tuple, require_count,
                      require_positive)
 
 _BR_TOL = 1e-12
@@ -41,9 +41,9 @@ class FiniteHorizonParams:
     n_draws: int  # k
 
     def __post_init__(self):
-        object.__setattr__(self, "n_players", require_int("n_players", self.n_players, 2))
+        object.__setattr__(self, "n_players", require_count("n_players", self.n_players, 2))
         require_positive("cost_ratio", self.cost_ratio, zero_ok=True)
-        object.__setattr__(self, "n_draws", require_int("n_draws", self.n_draws, 2))
+        object.__setattr__(self, "n_draws", require_count("n_draws", self.n_draws, 2))
 
 
 @dataclass(frozen=True)
@@ -131,22 +131,25 @@ def _cdf_nodes(a: Sequence[float]) -> tuple[list[float], list[float]]:
     return xs, ys
 
 
-def _segment_integrals(xs: list[float], ys: list[float], p: float, ref: float) -> list[float]:
-    """The integral of (h/ref)^p over each segment [xs[i], xs[i+1]], with h
-    linear from ys[i] to ys[i+1]. A node's power (y/ref)^(p+1) is computed
-    once and reused by the next segment; a flat segment takes y^p instead and
-    computes no such power, which could overflow where y^p does not."""
+def _segment_integrals(
+    xs: list[float], ys: list[float], p: float, ref: float, m: int | None = None
+) -> list[float]:
+    """The integral of (h/ref)^p over each segment [xs[i-1], xs[i]] for
+    0 < i < m (every segment by default), with h linear from ys[i-1] to
+    ys[i]. A node's power (y/ref)^(p+1) is computed once and reused by the
+    next segment; a flat segment takes y^p instead and computes no such
+    power, which could overflow where y^p does not."""
     q = p + 1
     y0, w0 = ys[0] / ref, None
     terms = []
-    for x0, x1, y in zip(xs[:-1], xs[1:], ys[1:]):
-        y1 = y / ref
+    for i in range(1, len(xs) if m is None else m):
+        y1 = ys[i] / ref
         if y1 == y0:
-            terms.append(y0**p * (x1 - x0))
+            terms.append(y0**p * (xs[i] - xs[i - 1]))
         else:
             w0 = y0**q if w0 is None else w0
             w1 = y1**q
-            terms.append((w1 - w0) / (y1 - y0) * (x1 - x0) / q)
+            terms.append((w1 - w0) / (y1 - y0) * (xs[i] - xs[i - 1]) / q)
             w0 = w1
         y0 = y1
     return terms
@@ -326,7 +329,7 @@ def _run_best_response(
     return None, _BR_MAX_ITER, resid
 
 
-def _scaled_residuals(a: np.ndarray, n: int, r: float) -> np.ndarray:
+def _scaled_residuals(a: list[float], n: int, r: float) -> list[float]:
     """Cancellation-free equilibrium system, every component O(1)-scaled.
 
     Substituting the level equation into the indifference cascade removes the
@@ -335,64 +338,75 @@ def _scaled_residuals(a: np.ndarray, n: int, r: float) -> np.ndarray:
             + int_0^{a_{j+1}} (h/h(a_{j+1}))^p du = 0,   j = 1..k-2,
     plus one level equation pinning the forced-acceptance value:
         h(a_{k-1})^p + r - int_0^1 h^p du = 0.
-    For j = k-2 the h(a_{k-1}) ratio collapses to 1.
+    For j = k-2 the h(a_{k-1}) ratio collapses to 1. a holds floats.
     """
     k = len(a) + 1
     p = n - 1
-    a = [float(v) for v in a]  # an array from Newton, or best response's list
     xs, ys = _cdf_nodes(a)
-    out = np.zeros(k - 1)
+    out = []
     h_last = interp(a[k - 2], xs, ys)
     for j in range(k - 2):
         hj = interp(a[j], xs, ys)
         hj1 = interp(a[j + 1], xs, ys)
         if hj <= 0.0 or hj1 <= 0.0 or h_last <= 0.0:
-            out[j] = 1e3  # outside the solvable region; push back
+            out.append(1e3)  # outside the solvable region; push back
             continue
         # math.exp raises past the float edge; clamping there leaves every
         # value it can return unchanged
         ratio = math.exp(min(p * (math.log(hj) - math.log(hj1)), _LOG_MAX))
         tail = math.exp(min(p * (math.log(h_last) - math.log(hj1)), _LOG_MAX))
         i = bisect.bisect_left(xs, a[j + 1])
-        out[j] = ratio - a[j + 1] - tail + _sum_left(
-            _segment_integrals(xs[:i + 1], ys[:i + 1], p, hj1))
-    out[k - 2] = h_last ** p + r - _sum_left(_segment_integrals(xs, ys, p, 1.0))
+        out.append(ratio - a[j + 1] - tail
+                   + _sum_left(_segment_integrals(xs, ys, p, hj1, i + 1)))
+    out.append(h_last ** p + r - _sum_left(_segment_integrals(xs, ys, p, 1.0)))
     return out
 
 
+def _clip(a) -> list[float]:
+    """np.clip(a, 1e-9, 1 - 1e-9) on floats: a NaN passes as it is."""
+    return [1e-9 if x < 1e-9 else 1.0 - 1e-9 if x > 1.0 - 1e-9 else x for x in a]
+
+
+def _sup_norm(f: list[float]) -> float:
+    """float(np.max(np.abs(f))) on floats: the first NaN met, else the largest |f_i|."""
+    ds = [abs(v) for v in f]
+    return next((d for d in ds if d != d), max(ds))
+
+
 def _newton_polish(
-    a0: np.ndarray, n: int, r: float
-) -> tuple[np.ndarray | None, int, float]:
-    """Damped Newton with backtracking on the scaled system."""
-    a = np.clip(a0, 1e-9, 1.0 - 1e-9)
+    a0: Sequence[float], n: int, r: float
+) -> tuple[list[float] | None, int, float]:
+    """Damped Newton with backtracking on the scaled system, on floats:
+    (solution, iterations, sup norm), or (None, iterations, sup norm) where
+    it stops above 1e-9. The Jacobian is by central differences, column by
+    column; the step is np.linalg.solve's, the one array call."""
+    a = _clip(map(float, a0))
     f = _scaled_residuals(a, n, r)
-    norm = float(np.max(np.abs(f)))
+    norm = _sup_norm(f)
     m = len(a)
     for it in range(200):
         if norm < 1e-12:
             return a, it, norm
-        jac = np.zeros((m, m))
+        cols = []
         for i in range(m):
             eps = 1e-7 * max(abs(a[i]), 1e-3)
             ap, am = a.copy(), a.copy()
             ap[i] = min(a[i] + eps, 1.0 - 1e-12)
             am[i] = max(a[i] - eps, 1e-12)
             # a residual saturated at the float edge gives an infinite column
-            with np.errstate(over="ignore", invalid="ignore"):
-                jac[:, i] = (_scaled_residuals(ap, n, r) - _scaled_residuals(am, n, r)) / (
-                    ap[i] - am[i]
-                )
+            cols.append([(x - y) / (ap[i] - am[i]) for x, y in
+                         zip(_scaled_residuals(ap, n, r), _scaled_residuals(am, n, r))])
         try:
-            step = np.linalg.solve(jac, -f)
+            step = np.linalg.solve(np.array(cols).T, [-v for v in f]).tolist()
         except np.linalg.LinAlgError:
             return None, it, norm
         improved = False
         for halving in range(40):
-            cand = np.clip(a + step * 0.5**halving, 1e-9, 1.0 - 1e-9)
-            if np.isnan(cand).any():  # a NaN step, from an overflowed Jacobian, improves nothing
+            cand = _clip([x + s * 0.5**halving for x, s in zip(a, step)])
+            if any(x != x for x in cand):  # a NaN step (an overflowed Jacobian) improves nothing
                 break
             fc = _scaled_residuals(cand, n, r)
-            nc = float(np.max(np.abs(fc)))
+            nc = _sup_norm(fc)
             if nc < norm:
                 a, f, norm = cand, fc, nc
                 improved = True
@@ -437,7 +451,7 @@ def solve_k_draw(
     two = solve_two_draw(n, r) if k == 2 else None
     if k == 2 and not two.exists:
         return two
-    starts = [] if init is None else [np.clip(init, 1e-9, 1 - 1e-9)]
+    starts = [] if init is None else [_clip(init.tolist())]
 
     def plan(two):  # for k>=3 the two-draw solve runs once the starts from init are spent
         yield from ((_run_best_response, "best_response", a0) for a0 in starts)
@@ -446,14 +460,14 @@ def solve_k_draw(
         seed = two.round_quantiles[0] if two.exists else (
             two.diagnostics["roots"][0] if two.diagnostics.get("roots") else 0.5
         )
-        seeded = [*starts, np.full(k - 1, seed)]
+        seeded = [*starts, [seed] * (k - 1)]
         yield _run_best_response, "best_response", seeded[-1]
         others = [0.9 * seed, min(0.95, 1.2 * seed)]
         if r > 0:
             edge = max(1e-6, min(1.0 / (n * r) - 1.0, 1 - 1e-6))
             others += [edge, 0.5 * (edge + seed)]
         others += [0.1, 0.3, 0.5, 0.7, 0.9]
-        for a0 in seeded + [np.full(k - 1, x) for x in others]:
+        for a0 in seeded + [[x] * (k - 1) for x in others]:
             yield _newton_polish, "newton", a0
 
     attempts = []
@@ -468,13 +482,12 @@ def solve_k_draw(
             diagnostics={"attempts": attempts},
         )
 
-    # polish whichever method found the root so every route agrees tightly
-    polished, _, _ = _newton_polish(solution, n, r)
+    # polish whichever method found the root so every route agrees tightly; the
+    # polish's final norm is the scaled residual (where it fails, the root is the attempt's)
+    polished, _, norm = _newton_polish(solution, n, r)
     if polished is not None:
         solution = polished
-    diagnostics = {"attempts": attempts, "scaled_residual": float(
-        np.max(np.abs(_scaled_residuals(solution, n, r)))
-    )}
+    diagnostics = {"attempts": attempts, "scaled_residual": norm}
     return FiniteHorizonEquilibrium(tuple(float(v) for v in solution), True, diagnostics)
 
 
@@ -504,7 +517,7 @@ def threshold_profile(
     k: int, cost_ratio: float, n_range: Sequence[int]
 ) -> ThresholdProfile:
     """Sweep N, reusing each solution as the next N's starting point."""
-    k = require_int("n_draws", k, 2)
+    k = require_count("n_draws", k, 2)
     require_positive("cost_ratio", cost_ratio, zero_ok=True)  # checked even with no rows
     rows = []
     prev: tuple[float, ...] | None = None

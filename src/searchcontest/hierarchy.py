@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ._numerics import qagse
 from .distributions import Distribution
-from .errors import InvalidParameterError, NotViableError, require_int, require_positive
+from .errors import InvalidParameterError, NotViableError, require_count, require_positive
 
 _QUAD_TOL = 1e-11
 
@@ -28,7 +28,7 @@ class DesignerParams:
 
     def __post_init__(self):
         for name, lo in (("n_designers", 2), ("team_size", 1)):
-            object.__setattr__(self, name, require_int(name, getattr(self, name), lo))
+            object.__setattr__(self, name, require_count(name, getattr(self, name), lo))
         require_positive("cost", self.cost)
         require_positive("meta_prize", self.meta_prize)
 

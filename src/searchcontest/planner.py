@@ -19,7 +19,7 @@ from ._numerics import lgam, qagse
 from .distributions import Distribution
 from .equilibrium import solve_symmetric, ContestParams, _grid_roots, _sum_left
 from .errors import (DivergentObjectiveError, InvalidParameterError, NumericFailureError,
-                     require_int, require_positive)
+                     require_count, require_positive)
 
 _QUAD_TOL = 1e-11
 _GRID = 256
@@ -83,7 +83,7 @@ def _inverse_density(v: float, d: Distribution) -> float:
 
 
 def _check_args(n_players: int, cost: float) -> None:
-    require_int("n_players", n_players, 1)
+    require_count("n_players", n_players, 1)
     require_positive("cost", cost)
 
 

@@ -137,6 +137,7 @@ _SYM = ["solve", "symmetric", "--n", "3", "--cost", "0.1"]
 # a cell where the asymmetric solver's powers once underflowed to 0/0
 _ASYM_UNDERFLOW = ["solve", "asymmetric", "--n", "200", "--cost", "0.0001"]
 _FINITE = ["solve", "finite", "--n", "3", "--k", "3"]
+_HUGE = 10**400  # a count no float holds
 _BAD_SPECS = {
     "spec-list": '[1, 2]',
     "spec-letters": '{"family": "uniform", "params": ["a", "b"]}',
@@ -194,6 +195,17 @@ _BAD_SPECS = {
                  None, id="planner-cost-overflow"),
     pytest.param(["solve", "multiprize", "--n", "2", "--cost", "5e-324", "--prizes", "1e300,0",
                   "--dist", "uniform:0,1"], None, id="multiprize-zero-acceptance"),
+    # counts past the float range; each once escaped as OverflowError or ValueError
+    pytest.param(["solve", "symmetric", "--n", str(_HUGE), "--cost", "0.1"], None,
+                 id="symmetric-n-401-digits"),
+    pytest.param(["solve", "planner", "--n", str(_HUGE), "--cost", "0.1"], None,
+                 id="planner-n-401-digits"),
+    pytest.param(["solve", "finite", "--n", str(_HUGE), "--k", "3", "--cost-ratio", "0"], None,
+                 id="finite-n-401-digits"),
+    pytest.param(["solve", "designer", "--designers", str(_HUGE), "--team-size", "2",
+                  "--cost", "0.1"], None, id="designers-401-digits"),
+    pytest.param(["solve", "finite", "--n", "3", "--k", str(_HUGE), "--cost-ratio", "0.05"], None,
+                 id="finite-k-401-digits"),
 ] + [pytest.param(_SYM, text, id=name) for name, text in _BAD_SPECS.items()])
 def test_bad_input_exits_without_traceback(capsys, tmp_path, argv, spec):
     # spec: the text of a --dist-file, or "missing" for a file that is not there
@@ -801,7 +813,14 @@ _COST = st.one_of(st.floats(math.log(1e-14), math.log(100.0)).map(math.exp),
 _DIST = st.sampled_from([[], ["--dist", "uniform:0,1"], ["--dist", "exponential:1"],
                          ["--dist", "pareto:2,1"], ["--dist", "pareto:1.1,1"],
                          ["--dist", "uniform:-1e9,1e9"]])
-_N = st.integers(1, 2000)
+
+
+def _counts(lo: int, hi: int) -> st.SearchStrategy:
+    """Counts from lo to hi, or one no float holds."""
+    return st.one_of(st.integers(lo, hi), st.just(_HUGE))
+
+
+_N = _counts(1, 2000)
 # the prize's scale must not matter: N c / W is what the equilibria depend on
 _PRIZE = st.one_of(st.sampled_from([1.0, 1e200, 1e-200, 2.0**600, 2.0**-600, *_EDGES]),
                    st.floats(math.log(1e-300), math.log(1e300)).map(math.exp))
@@ -845,18 +864,18 @@ _LEAF_ARGVS = {
         ("--prizes", _prizes(n)), _DIST)),
     "solve asymmetric": _argv("solve", "asymmetric", ("--n", _N), ("--cost", _COST),
                               ("--prize", _PRIZE), _DIST),
-    "solve finite": st.tuples(st.integers(1, 40), st.integers(1, 6)).flatmap(lambda nk: _argv(
+    "solve finite": st.tuples(_counts(1, 40), _counts(1, 6)).flatmap(lambda nk: _argv(
         "solve", "finite", ("--n", st.just(nk[0])), ("--k", st.just(nk[1])),
-        ("--cost-ratio", st.one_of(st.floats(0.0, 1.2).map(lambda f: f / nk[0]),
+        ("--cost-ratio", st.one_of(st.floats(0.0, 1.2).map(lambda f: f / min(nk[0], 40)),
                                    st.sampled_from([1e100, 1e200, 1e300, *_EDGES]))), _DIST)),
-    "solve designer": _argv("solve", "designer", ("--designers", st.integers(1, 30)),
-                            ("--team-size", st.integers(0, 10)), ("--cost", _COST), _DIST),
+    "solve designer": _argv("solve", "designer", ("--designers", _counts(1, 30)),
+                            ("--team-size", _counts(0, 10)), ("--cost", _COST), _DIST),
     "solve planner": _argv("solve", "planner", ("--n", _N), ("--cost", _COST), _DIST),
     "table finite_k2": _argv("table", "finite_k2", ("--cost-ratios", st.floats(0.0, 0.3)),
                              *_N_RANGE),
     "table finite_k3": _argv("table", "finite_k3", ("--cost-ratios", st.floats(0.0, 0.3)),
                              *_N_RANGE),
-    "table profile": _argv("table", "profile", ("--k", st.integers(2, 4)),
+    "table profile": _argv("table", "profile", ("--k", _counts(2, 4)),
                            ("--cost-ratio", st.floats(0.0, 0.3)), *_N_RANGE),
     "table welfare_examples": _argv("table", "welfare_examples", ("--n", _N),
                                     ("--cost", _COST)),
@@ -866,8 +885,8 @@ _LEAF_ARGVS = {
                                  ("--profile", st.sampled_from(["symmetric", "asymmetric"])),
                                  ("--grid", st.integers(1, 25))),
     "verify designer_foc": _argv(
-        "verify", "designer_foc", ("--designers", st.integers(1, 30)),
-        ("--team-size", st.integers(1, 10)), ("--cost", _COST),
+        "verify", "designer_foc", ("--designers", _counts(1, 30)),
+        ("--team-size", _counts(1, 10)), ("--cost", _COST),
         ("--step", st.floats(math.log(1e-11), math.log(0.1)).map(math.exp)), _DIST),
     "verify recall": _sim("recall"),
 }

@@ -1,6 +1,7 @@
 """Input boundary: every parameter record rejects NaN, infinities and non-integers
 with InvalidParameterError, never a bare Python error or a NaN result."""
 import math
+import sys
 
 import pytest
 
@@ -24,12 +25,14 @@ from searchcontest import (
     solve_k_draw,
     solve_multiprize,
     solve_planner,
+    solve_two_draw,
     threshold_profile,
 )
-from searchcontest.errors import require_int, require_positive
+from searchcontest.errors import require_count, require_int, require_positive
 from searchcontest.finite_horizon import OpponentFinalCdf
 
 NAN, INF = math.nan, math.inf
+HUGE = 10**400  # an integer count no float holds
 UNIFORM = make_uniform(0.0, 1.0)
 PROFILE = StrategyProfile((InfiniteThresholdStrategy(0.7),) * 3)
 CONTEST = ContestParams(3, 0.1, 1.0)
@@ -89,6 +92,15 @@ BAD_CALLS = {
     "profile_cost_negative_no_rows": lambda: threshold_profile(3, -1.0, []),
     "profile_cost_nan_no_rows": lambda: threshold_profile(3, NAN, []),
     "profile_n_range_bare_number": lambda: threshold_profile(3, 0.05, 5),
+    # counts past the float range, which the solvers compute with as floats
+    "contest_n_huge": lambda: ContestParams(HUGE, 0.1, 1.0),
+    "finite_n_huge": lambda: FiniteHorizonParams(HUGE, 0.0, 3),
+    "finite_k_huge": lambda: FiniteHorizonParams(3, 0.05, HUGE),
+    "two_draw_n_huge": lambda: solve_two_draw(HUGE, 0.0),
+    "profile_k_huge": lambda: threshold_profile(HUGE, 0.05, range(2, 5)),
+    "planner_n_huge": lambda: solve_planner(HUGE, 0.1, UNIFORM),
+    "designer_m_huge": lambda: DesignerParams(HUGE, 2, 0.05, 1.0),
+    "designer_team_huge": lambda: DesignerParams(2, HUGE, 0.05, 1.0),
 }
 
 
@@ -116,6 +128,16 @@ def test_require_int(value, ok):
     else:
         with pytest.raises(InvalidParameterError, match="n must be an integer >= 2"):
             require_int("n", value, 2)
+
+
+def test_require_count_stops_at_the_largest_float():
+    top = int(sys.float_info.max)
+    assert require_count("n", top, 2) == top
+    assert require_count("n", sys.float_info.max, 2) == top
+    with pytest.raises(InvalidParameterError, match="n must be an integer >= 2 that a float"):
+        require_count("n", top + 1, 2)
+    with pytest.raises(InvalidParameterError, match="n must be an integer >= 2, got 1"):
+        require_count("n", 1, 2)
 
 
 # each call with integral floats where ints go; they used to escape as a raw TypeError

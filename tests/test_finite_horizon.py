@@ -1060,3 +1060,291 @@ def test_profile_outcomes_and_attempts_digest(monkeypatch):
             digest.update(to_json({"k": k, "r": r, "cells": cells, "profile": profile}).encode())
             cells.clear()
     assert digest.hexdigest() == "b8cc6712e54db1b8247f12e633584dabdd83df9e5633b6b7371da93406c45002"
+
+
+# ------------------------------------------------------- Newton on floats
+
+
+def _parent_segment_integrals(
+    xs: list[float], ys: list[float], p: float, ref: float
+) -> list[float]:
+    """The integral of (h/ref)^p over each segment [xs[i], xs[i+1]], with h
+    linear from ys[i] to ys[i+1]. A node's power (y/ref)^(p+1) is computed
+    once and reused by the next segment; a flat segment takes y^p instead and
+    computes no such power, which could overflow where y^p does not."""
+    q = p + 1
+    y0, w0 = ys[0] / ref, None
+    terms = []
+    for x0, x1, y in zip(xs[:-1], xs[1:], ys[1:]):
+        y1 = y / ref
+        if y1 == y0:
+            terms.append(y0**p * (x1 - x0))
+        else:
+            w0 = y0**q if w0 is None else w0
+            w1 = y1**q
+            terms.append((w1 - w0) / (y1 - y0) * (x1 - x0) / q)
+            w0 = w1
+        y0 = y1
+    return terms
+
+
+def _parent_scaled_residuals(a: np.ndarray, n: int, r: float) -> np.ndarray:
+    """Cancellation-free equilibrium system, every component O(1)-scaled.
+
+    Substituting the level equation into the indifference cascade removes the
+    per-draw cost from every remaining equation:
+        (h(a_j)/h(a_{j+1}))^p - a_{j+1} - (h(a_{k-1})/h(a_{j+1}))^p
+            + int_0^{a_{j+1}} (h/h(a_{j+1}))^p du = 0,   j = 1..k-2,
+    plus one level equation pinning the forced-acceptance value:
+        h(a_{k-1})^p + r - int_0^1 h^p du = 0.
+    For j = k-2 the h(a_{k-1}) ratio collapses to 1.
+    """
+    k = len(a) + 1
+    p = n - 1
+    a = [float(v) for v in a]  # an array from Newton, or best response's list
+    xs, ys = _cdf_nodes(a)
+    out = np.zeros(k - 1)
+    h_last = interp(a[k - 2], xs, ys)
+    for j in range(k - 2):
+        hj = interp(a[j], xs, ys)
+        hj1 = interp(a[j + 1], xs, ys)
+        if hj <= 0.0 or hj1 <= 0.0 or h_last <= 0.0:
+            out[j] = 1e3  # outside the solvable region; push back
+            continue
+        # math.exp raises past the float edge; clamping there leaves every
+        # value it can return unchanged
+        ratio = math.exp(min(p * (math.log(hj) - math.log(hj1)), _LOG_MAX))
+        tail = math.exp(min(p * (math.log(h_last) - math.log(hj1)), _LOG_MAX))
+        i = bisect.bisect_left(xs, a[j + 1])
+        out[j] = ratio - a[j + 1] - tail + _sum_left(
+            _segment_integrals(xs[:i + 1], ys[:i + 1], p, hj1))
+    out[k - 2] = h_last ** p + r - _sum_left(_segment_integrals(xs, ys, p, 1.0))
+    return out
+
+
+def _parent_newton_polish(
+    a0: np.ndarray, n: int, r: float
+) -> tuple[np.ndarray | None, int, float]:
+    """Damped Newton with backtracking on the scaled system."""
+    a = np.clip(a0, 1e-9, 1.0 - 1e-9)
+    f = _scaled_residuals(a, n, r)
+    norm = float(np.max(np.abs(f)))
+    m = len(a)
+    for it in range(200):
+        if norm < 1e-12:
+            return a, it, norm
+        jac = np.zeros((m, m))
+        for i in range(m):
+            eps = 1e-7 * max(abs(a[i]), 1e-3)
+            ap, am = a.copy(), a.copy()
+            ap[i] = min(a[i] + eps, 1.0 - 1e-12)
+            am[i] = max(a[i] - eps, 1e-12)
+            # a residual saturated at the float edge gives an infinite column
+            with np.errstate(over="ignore", invalid="ignore"):
+                jac[:, i] = (_scaled_residuals(ap, n, r) - _scaled_residuals(am, n, r)) / (
+                    ap[i] - am[i]
+                )
+        try:
+            step = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            return None, it, norm
+        improved = False
+        for halving in range(40):
+            cand = np.clip(a + step * 0.5**halving, 1e-9, 1.0 - 1e-9)
+            if np.isnan(cand).any():  # a NaN step, from an overflowed Jacobian, improves nothing
+                break
+            fc = _scaled_residuals(cand, n, r)
+            nc = float(np.max(np.abs(fc)))
+            if nc < norm:
+                a, f, norm = cand, fc, nc
+                improved = True
+                break
+        if not improved:
+            return (a, it, norm) if norm < 1e-9 else (None, it, norm)
+    return (a, 200, norm) if norm < 1e-9 else (None, 200, norm)
+
+
+def _parent_newton(**names):
+    """The Newton stage before it moved onto floats, word for word: the three
+    functions above run in a copy of finite_horizon's namespace in which they
+    call each other, with names (a synthetic _scaled_residuals, say) replaced."""
+    ns = dict(vars(fh), **names)
+    for f in (_parent_segment_integrals, _parent_scaled_residuals, _parent_newton_polish):
+        name = f.__name__[len("_parent"):]
+        if name not in names:
+            ns[name] = types.FunctionType(f.__code__, ns)
+    return ns
+
+
+_PARENT_NEWTON = _parent_newton()
+
+
+def _hexes(values):
+    return None if values is None else [float(v).hex() for v in values]
+
+
+def _result_bits(out):
+    a, it, norm = out
+    return _hexes(a), it, norm.hex(), type(norm).__name__
+
+
+def _polish_bits(polish, a0, n, r):
+    """(solution, iterations, norm) of polish(a0, n, r) as float.hex, or the
+    package error it raised."""
+    try:
+        return _result_bits(polish(a0, n, r))
+    except SearchContestError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _residual_bits(residuals, a, n, r):
+    try:
+        return _hexes(residuals(a, n, r))
+    except SearchContestError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _polish_calls(monkeypatch, solve):
+    """(start, N, c/W, result bits) of every _newton_polish call solve()
+    makes, and (point, N, c/W) of every read of the scaled system."""
+    calls, points = [], []
+    real_polish, real_residuals = fh._newton_polish, fh._scaled_residuals
+
+    def polish(a0, n, r):
+        out = real_polish(a0, n, r)
+        calls.append(([float(x) for x in a0], n, r, _result_bits(out)))
+        return out
+
+    def residuals(a, n, r):
+        points.append((list(a), n, r))
+        return real_residuals(a, n, r)
+
+    monkeypatch.setattr(fh, "_newton_polish", polish)
+    monkeypatch.setattr(fh, "_scaled_residuals", residuals)
+    try:
+        solve()
+    except SearchContestError:
+        pass
+    monkeypatch.undo()
+    return calls, points
+
+
+def _assert_newton_equals_parent(calls, points):
+    parent = _PARENT_NEWTON
+    for a0, n, r, bits in calls:
+        assert bits == _polish_bits(parent["_newton_polish"], a0, n, r), (a0, n, r)
+    for a, n, r in points:
+        assert (_residual_bits(fh._scaled_residuals, a, n, r)
+                == _residual_bits(parent["_scaled_residuals"], a, n, r)), (a, n, r)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_newton_equals_parent_on_table_cells(monkeypatch, k):
+    # every polish and every read of the scaled system for the golden
+    # finite_k{2,3} tables' 24 cells each
+    calls, points = [], []
+    for r in (0.0, 0.05, 0.10):
+        c, p = _polish_calls(monkeypatch, lambda: threshold_profile(k, r, range(2, 10)))
+        calls += c
+        points += p
+    assert len(calls) > 20 and points
+    _assert_newton_equals_parent(calls, points)
+
+
+def test_newton_equals_parent_on_box():
+    # every polish of the box's cells, failing Newton attempts included
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for n, r, k in _box_cells():
+            calls += _polish_calls(mp, lambda: solve_k_draw(FiniteHorizonParams(n, r, k)))[0]
+    assert len(calls) > 140
+    _assert_newton_equals_parent(calls, [])
+
+
+# starts and states off the solver's path: both clip edges and the floats
+# just inside and outside them, 0.0 and -0.0 (where h is 0, so the scaled
+# system saturates at 1e3), subnormals, 1 - 1e-12 and NaN
+_NEWTON_EDGES = [0.0, -0.0, 5e-324, 1e-10, 1e-9, math.nextafter(1e-9, 0.0),
+                 1.0 - 1e-9, math.nextafter(1.0 - 1e-9, 1.0), 1.0 - 1e-12, math.nan]
+
+
+def _seeded_newton_states(cases, seed):
+    """(a, N, c/W) with k - 1 from 1 to 5: uniform quantiles, a quarter of
+    them replaced by an edge, N from 2 to 40 and c/W in [0, 1/N)."""
+    rng = np.random.default_rng(seed)
+    for case in range(cases):
+        m = case % 5 + 1
+        a = [float(x) for x in rng.random(m)]
+        for i in range(m):
+            if rng.random() < 0.25:
+                a[i] = _NEWTON_EDGES[int(rng.integers(len(_NEWTON_EDGES)))]
+        n = int(rng.integers(2, 41))
+        yield a, n, float(rng.uniform(0.0, 1.0 / n))
+
+
+def test_newton_equals_parent_from_random_starts():
+    outcomes = set()
+    for a0, n, r in _seeded_newton_states(150, 32):
+        bits = _polish_bits(fh._newton_polish, a0, n, r)
+        assert bits == _polish_bits(_PARENT_NEWTON["_newton_polish"], a0, n, r), (a0, n, r)
+        outcomes.add("refused" if len(bits) == 2 else "failed" if bits[0] is None else "solved")
+    assert outcomes == {"refused", "failed", "solved"}
+
+
+def test_newton_scaled_residuals_equal_parent_on_random_states():
+    saturated = 0
+    for a, n, r in _seeded_newton_states(3000, 33):
+        bits = _residual_bits(fh._scaled_residuals, a, n, r)
+        assert bits == _residual_bits(_PARENT_NEWTON["_scaled_residuals"], a, n, r), (a, n, r)
+        saturated += (1e3).hex() in bits
+    assert saturated > 0
+
+
+def test_newton_sup_norm_and_clip_equal_numpy():
+    rng = np.random.default_rng(34)
+    edges = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-9, 1.0 - 1e-9, 5e-324, -1.0]
+    for case in range(2000):
+        v = [float(x) for x in rng.normal(size=case % 6 + 1)]
+        for i in range(len(v)):
+            if rng.random() < 0.3:
+                v[i] = edges[int(rng.integers(len(edges)))]
+        assert fh._sup_norm(v).hex() == float(np.max(np.abs(v))).hex(), v
+        assert _hexes(fh._clip(v)) == _hexes(np.clip(v, 1e-9, 1.0 - 1e-9)), v
+
+
+def _nan_step(a, n, r):
+    # a jump of 1e308 at the start (0.3, 0.4) gives the Jacobian two infinite
+    # entries in one row, and elimination makes the step NaN
+    return [(1e308 if a[0] > 0.3 else 0.0) + (1e308 if a[1] > 0.4 else 0.0), a[0] + a[1] - 1.0]
+
+
+# synthetic scaled systems, (system, start), each run through both stages
+_SYNTHETIC_SYSTEMS = {
+    # no column moves: np.linalg.solve raises LinAlgError
+    "singular": (lambda a, n, r: [0.5] * len(a), [0.3, 0.6]),
+    "nan_step": (_nan_step, [0.3, 0.4]),
+    # a NaN after a finite component: the norm is NaN, not the finite one
+    "nan_component": (lambda a, n, r: [a[0] - 0.3, math.nan], [0.5, 0.5]),
+    # saturated at 1e3 left of 0.2, as the scaled system is where h is 0; it
+    # runs into the 200-iteration limit
+    "saturated": (lambda a, n, r: [1e3 if a[0] < 0.2 else a[0] - 0.3, a[1] - a[0]],
+                  [math.nextafter(0.2, 1.0), 0.7]),
+    # |x - 0.45| with a small slope: no halving of the step lowers the norm
+    "backtracking_exhausted": (
+        lambda a, n, r: [1.0 + 1e3 * abs(a[0] - 0.45) + 1e-3 * (a[0] - 0.45)], [0.45]),
+    "backtracking_exhausted_near_root": (
+        lambda a, n, r: [1e-10 + 1e3 * abs(a[0] - 0.45) + 1e-3 * (a[0] - 0.45)], [0.45]),
+    # a root past the upper clip edge: the steps stop at 1 - 1e-9
+    "root_past_the_edge": (lambda a, n, r: [a[0] ** 3 - 1.5, a[1] - a[0] * a[0]], [0.5, 0.2]),
+    "converging": (lambda a, n, r: [a[0] ** 3 - 0.1, a[1] - a[0] * a[0], a[2] + a[1] - 0.9],
+                   [0.9, 0.1, 0.5]),
+}
+
+
+@pytest.mark.parametrize("name", list(_SYNTHETIC_SYSTEMS))
+def test_newton_equals_parent_on_synthetic_systems(monkeypatch, name):
+    system, a0 = _SYNTHETIC_SYSTEMS[name]
+    parent = _parent_newton(_scaled_residuals=lambda a, n, r: np.array(system(list(a), n, r)))
+    monkeypatch.setattr(fh, "_scaled_residuals", system)
+    assert (_polish_bits(fh._newton_polish, a0, 3, 0.0)
+            == _polish_bits(parent["_newton_polish"], a0, 3, 0.0))
