@@ -65,6 +65,8 @@ class Distribution:
     density: Callable
     quantile: Callable
     hazard: Callable
+    # (quantile, density) of one Python float, for families with float reads
+    float_reads: tuple[Callable, Callable] | None = None
 
     def threshold(self, accept: float) -> float:
         """The value a draw reaches with probability accept, quantile(1 - accept).
@@ -91,9 +93,10 @@ def _distribution(name: str, params: Sequence[float], lower: float, upper: float
                   scalar_quantile: Callable | None = None) -> Distribution:
     """Build a Distribution from four functions of a float array; a density or
     quantile may come with a function of one float beside it (_vectorized)."""
+    reads = (scalar_quantile, scalar_density) if scalar_quantile and scalar_density else None
     return Distribution(name, tuple(map(float, params)), float(lower), float(upper),
                         _vectorized(cdf), _vectorized(density, scalar_density),
-                        _vectorized(quantile, scalar_quantile), _vectorized(hazard))
+                        _vectorized(quantile, scalar_quantile), _vectorized(hazard), reads)
 
 
 def make_uniform(lo: float, hi: float) -> Distribution:

@@ -151,6 +151,11 @@ def solve_multiprize(
     )
 
 
+# most players solve_asymmetric takes: its binomial sums of n - 1 and n - 2 terms
+# build n-entry tables, whose lists and arrays peak at about 72 MB for 2**20
+_ASYM_MAX_PLAYERS = 2**20
+
+
 @lru_cache(maxsize=8)
 def _log_binom_coefficients(m: int) -> tuple[np.ndarray, np.ndarray]:
     """i = 0..m and log C(m, i), from cephes' lgam (math.lgamma's bits differ)."""
@@ -230,6 +235,9 @@ def solve_asymmetric(params: ContestParams, d: Distribution) -> AsymmetricEquili
         raise NoAsymmetricEquilibriumError(
             "two-player contests admit only the symmetric equilibrium"
         )
+    if n > _ASYM_MAX_PLAYERS:  # before any table is built
+        raise InvalidParameterError(
+            f"asymmetric equilibria are solved for at most {_ASYM_MAX_PLAYERS} players, got {n}")
     if not params.viable:
         raise NotViableError(f"total per-round cost {n * c} exceeds prize {w}")
 

@@ -32,6 +32,9 @@ _DAMPING = 0.5
 _TOP = 1.0 - 1e-12  # a best-response quantile's upper clamp
 _LOG_MAX = math.log(sys.float_info.max)  # largest exponent math.exp can return
 _TWO_DRAW_GRID = np.linspace(1e-9, 1.0 - 1e-9, 4001)  # an array: 4,001 floats take more memory
+# a solve can hold eleven start lists of k - 1 quantiles at once, 8 bytes a
+# reference: k - 1 <= 2**20 keeps them within 88 MiB
+_MAX_ROUNDS = 2**20
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,9 @@ class FiniteHorizonParams:
         object.__setattr__(self, "n_players", require_count("n_players", self.n_players, 2))
         require_positive("cost_ratio", self.cost_ratio, zero_ok=True)
         object.__setattr__(self, "n_draws", require_count("n_draws", self.n_draws, 2))
+        if self.n_draws - 1 > _MAX_ROUNDS:  # checked before any list of k - 1 is built
+            raise InvalidParameterError(
+                f"n_draws must be at most {_MAX_ROUNDS + 1}, got {self.n_draws}")
 
 
 @dataclass(frozen=True)

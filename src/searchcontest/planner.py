@@ -26,6 +26,8 @@ _GRID = 256
 _ROOT_TOL = 1e-6  # largest |closed-form residual| / cost an interior answer may carry
 _EFFICIENT_TOL = 1e-9  # relative threshold gap classify_prize calls efficient
 _HAZARD_GRID = 1000  # points on which hazard_order_check compares hazards
+# B(n, a), the Pareto closed form's factor: once per solve, not once a grid point
+_beta = lru_cache(maxsize=16)(lambda n, a: math.exp(lgam(n) + lgam(a) - lgam(n + a)))
 
 OVERSEARCH = "oversearch"
 EFFICIENT = "efficient"
@@ -82,6 +84,27 @@ def _inverse_density(v: float, d: Distribution) -> float:
     return 1.0 / f
 
 
+def _integrand_read(d: Distribution):
+    """v -> _inverse_density(v, d), with the same bits from the family's float reads
+    where it has them; for v >= 1, and where they raise an ArithmeticError or give
+    no finite positive float, _inverse_density's read, numpy's warning included."""
+    if d.float_reads is None:
+        return lambda v: _inverse_density(v, d)
+    quantile, density = d.float_reads
+
+    def read(v: float) -> float:
+        if v < 1.0:
+            try:
+                y = 1.0 / density(quantile(v))
+            except ArithmeticError:  # 0.0 ** -x, a zero density
+                y = 0.0
+            if type(y) is float and 0.0 < y < math.inf:
+                return y
+        return _inverse_density(v, d)
+
+    return read
+
+
 def _check_args(n_players: int, cost: float) -> None:
     require_count("n_players", n_players, 1)
     require_positive("cost", cost)
@@ -95,13 +118,14 @@ def _check_tail(d: Distribution) -> None:
         )
 
 
-def _expected_max(q: float, n_players: int, d: Distribution) -> float:
+def _expected_max(q: float, n_players: int, d: Distribution, read=None) -> float:
     """E[max of n values drawn above quantile q], written against the quantile
-    function so unbounded supports need no truncation."""
+    function so unbounded supports need no truncation; read: _integrand_read(d)."""
     b = float(d.quantile(q))
+    read, t = read or _integrand_read(d), 1.0 - q
 
     def integrand(u: float) -> float:
-        return (1.0 - u**n_players) * (1.0 - q) * _inverse_density(q + u * (1.0 - q), d)
+        return (1.0 - u**n_players) * t * read(q + u * t)
 
     val = _quad(integrand, 0.0, 1.0)
     if not math.isfinite(val):
@@ -120,14 +144,15 @@ def planner_welfare(threshold: float, n_players: int, cost: float, d: Distributi
     return _expected_max(q, n_players, d) - n_players * cost / (1.0 - q)
 
 
-def _foc_residual(q: float, n_players: int, cost: float, d: Distribution) -> float:
+def _foc_residual(q: float, n_players: int, cost: float, d: Distribution, read=None) -> float:
     """Zero at interior welfare optima: marginal value of raising the threshold
     minus marginal sampling cost, scaled by (1-q)^2 to stay bounded."""
+    read, p, t = read or _integrand_read(d), n_players - 1, 1.0 - q
 
     def integrand(u: float) -> float:
-        return u ** (n_players - 1) * (1.0 - u) * _inverse_density(q + u * (1.0 - q), d)
+        return u**p * (1.0 - u) * read(q + u * t)
 
-    return (1.0 - q) ** 2 * _quad(integrand, 0.0, 1.0) - cost
+    return t**2 * _quad(integrand, 0.0, 1.0) - cost
 
 
 def _closed_residual(q: float, n_players: int, cost: float, d: Distribution) -> float:
@@ -138,18 +163,18 @@ def _closed_residual(q: float, n_players: int, cost: float, d: Distribution) -> 
     Q' is constant on each segment. Other families get _foc_residual."""
     n, t = n_players, 1.0 - q
     if d.name == "uniform":
-        return t * t * (d.params[1] - d.params[0]) / (n * (n + 1)) - cost
+        return t * t * (d.params[1] - d.params[0]) / (n * (n + 1.0)) - cost
     if d.name == "exponential":
         return t / (d.params[0] * n) - cost
     if d.name == "pareto":
         shape, scale = d.params
         a = 1.0 - 1.0 / shape
-        return scale / shape * t**a * math.exp(lgam(n) + lgam(a) - lgam(n + a)) - cost
+        return scale / shape * t**a * _beta(n, a) - cost
     if d.name == "custom":
         # P(u) = u^N/N - u^(N+1)/(N+1) at each node mapped to u = (v - q)/(1 - q),
         # clamped at 0, written so that it keeps its digits as u -> 1
         us, xs = d.params[::2], d.params[1::2]
-        p = [u**n * (1.0 + n * (1.0 - u)) / (n * (n + 1))
+        p = [u**n * (1.0 + n * (1.0 - u)) / (n * (n + 1.0))
              for u in (max(v - q, 0.0) / t for v in us)]
         return t * t * _sum_left((xs[j + 1] - xs[j]) / (us[j + 1] - us[j]) * (p[j + 1] - p[j])
                                  for j in range(len(p) - 1)) - cost
@@ -183,11 +208,12 @@ def solve_planner(n_players: int, cost: float, d: Distribution) -> PlannerSoluti
             {"top_quantile": float(qs[-1]), "top_residual": top})
     vals = np.array([_closed_residual(q, n, cost, d) for q in qs[:-1].tolist()] + [top])
     # brentq has evaluated the root it returns: its residual is not integrated again
-    foc = lru_cache(maxsize=None)(lambda q: _foc_residual(q, n, cost, d))
+    read = _integrand_read(d)
+    foc = lru_cache(maxsize=None)(lambda q: _foc_residual(q, n, cost, d, read))
     roots = [0.0] + _grid_roots(foc, qs, vals, 1e-13)  # 0: the corner
     best_q, best_w = None, -math.inf
     for q in roots:
-        w = _expected_max(q, n, d) - n * cost / (1.0 - q)
+        w = _expected_max(q, n, d, read) - n * cost / (1.0 - q)
         if w > best_w:
             best_q, best_w = q, w
     interior = best_q > 0.0

@@ -758,6 +758,41 @@ def test_planner_huge_cost_exits_zero(capsys, argv):
         assert _payload(out)["result"]["interior"] is False
 
 
+_301_DIGITS = 10**300  # a count a float holds
+
+
+def test_planner_count_past_the_int_product_exits_without_traceback(capsys, tmp_path):
+    # N (N + 1) was an int, which overflowed its float conversion. At cost
+    # 1e-302 the uniform optimum is the corner: sqrt(c N (N + 1)) is about 1e149 > 1
+    code, out, err = _run_strict(capsys, f"solve planner --n {_301_DIGITS} --cost 1e-302".split())
+    assert (code, err) == (0, "")
+    assert _payload(out)["result"]["interior"] is False
+    # the Pareto row's closed form loses its digits here: a solver error, not a traceback
+    argv = f"table welfare_examples --n {_301_DIGITS} --cost 0.1 --out {tmp_path / 'w'}".split()
+    code, out, err = _run_strict(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err and len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("solve finite --n 3 --k 100000000000000000000 --cost-ratio 0.05",
+     "n_draws must be at most 1048577"),
+    (f"solve asymmetric --n {_301_DIGITS} --cost 1e-301",
+     "at most 1048576 players"),
+    ("solve asymmetric --n 1048577 --cost 1e-7", "at most 1048576 players"),
+], ids=["finite-k-21-digits", "asymmetric-n-301-digits", "asymmetric-n-past-budget"])
+def test_count_past_a_memory_bound_exits_one(capsys, monkeypatch, argv, message):
+    # k - 1 start lists, or N-entry binomial tables, would be built: refused first.
+    # lgam, which builds the tables, fails the test if it is reached
+    def no_tables(x):
+        raise AssertionError("a binomial table was started")
+
+    monkeypatch.setattr("searchcontest.equilibrium.lgam", no_tables)
+    code, out, err = _run_strict(capsys, argv.split())
+    assert (code, out) == (1, "")
+    assert message in _one_error_line(err)
+
+
 def test_symmetric_acceptance_underflow_exits_one(capsys):
     # N c / W underflows to 0, which was divided by; the argv property drew it
     argv = "solve symmetric --n 2 --cost 1e-300 --prize 1e200".split()

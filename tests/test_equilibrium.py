@@ -201,6 +201,23 @@ def test_asymmetric_four_players(uniform):
     assert eq.high_player_value == pytest.approx(v, abs=1e-8)
 
 
+def test_asymmetric_players_past_the_table_budget_refused_first(monkeypatch, uniform):
+    # N-entry binomial tables from lgam: refused before the first lgam call
+    class TableStarted(Exception):
+        pass
+
+    def no_tables(x):
+        raise TableStarted
+
+    monkeypatch.setattr("searchcontest._numerics.lgam", no_tables)
+    monkeypatch.setattr("searchcontest.equilibrium.lgam", no_tables)
+    for n, c in ((2**20 + 1, 1e-7), (10**300, 1e-301)):
+        with pytest.raises(InvalidParameterError, match="at most 1048576 players"):
+            solve_asymmetric(ContestParams(n, c, 1.0), uniform)
+    with pytest.raises(TableStarted):  # the budget admits 2**20 players
+        solve_asymmetric(ContestParams(2**20, 1e-7, 1.0), uniform)
+
+
 @pytest.mark.parametrize("n,c", [(3, 0.1), (3, 0.05), (4, 0.05), (5, 0.03)])
 def test_asymmetric_solves_equilibrium_conditions(uniform, n, c):
     eq = solve_asymmetric(ContestParams(n, c, 1.0), uniform)

@@ -414,6 +414,18 @@ def test_two_draw_probe_past_one_is_refused(capsys):
                                        '{"root": 0.999999904430864}\n')
 
 
+def test_draw_count_past_the_start_list_bound_is_refused():
+    # k - 1 start values a list: 2**20 of them are admitted, one more is refused
+    # when the parameters are made, before any list is built
+    assert fh._MAX_ROUNDS == 2**20
+    assert FiniteHorizonParams(3, 0.05, 2**20 + 1).n_draws == 2**20 + 1
+    for k in (2**20 + 2, 10**20):
+        with pytest.raises(InvalidParameterError, match="n_draws must be at most 1048577"):
+            FiniteHorizonParams(3, 0.05, k)
+        with pytest.raises(InvalidParameterError, match="n_draws must be at most 1048577"):
+            threshold_profile(k, 0.05, [3])
+
+
 def test_two_draw_shares_the_frontier_rule():
     # on N*c/W = 1 both solvers report first-draw acceptance; past it, nothing
     for n in range(2, 16):

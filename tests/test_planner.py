@@ -2,6 +2,8 @@
 import dataclasses
 import json
 import math
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,7 @@ from searchcontest import (
     solve_symmetric,
 )
 from searchcontest import planner
+from searchcontest._numerics import lgam
 from searchcontest.equilibrium import _brentq
 
 # interior of 0..1: integral of (1-t^2)^(n-1) dt drives the pareto(2,1) optimum
@@ -454,3 +457,145 @@ def test_planner_outcomes_frozen(name, n, cost):
     key = f"{name} n={n} c={cost}"
     assert json.dumps(_planner_outcome(name, n, cost), sort_keys=True, indent=1) == json.dumps(
         _PLANNER_FROZEN[key], sort_keys=True, indent=1)
+
+
+# ------------------------------------------------- the integrand's float read
+
+# the float-read probes' distributions of tests/test_distributions.py
+_SCALAR_READS = {
+    **{f"pareto{a}-{b}": make_pareto(a, b) for a in (0.3, 1.1, 1.5, 2.0, 3.7) for b in (1.0, 7.3)},
+    "grid3": from_quantile_grid([[0, 0], [0.5, 1], [1, 3]]),
+    "grid5": from_quantile_grid([[0, 0], [0.25, 1.49], [0.79, 2.75], [0.8, 4.57], [1, 6.87]]),
+}
+
+
+def _reads(fn, points):
+    """fn at each point, in float hex, with the warnings it raised."""
+    out = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for v in points:
+            before = len(caught)
+            y = fn(v)
+            assert type(y) is float
+            out.append((y.hex(), [str(w.message) for w in caught[before:]]))
+    return out
+
+
+def _strict_read(fn, v):
+    """fn(v) in float hex, or the RuntimeWarning it raises as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return fn(v).hex()
+        except RuntimeWarning as w:
+            return f"RuntimeWarning: {w}"
+
+
+@pytest.mark.parametrize("name", list(_SCALAR_READS))
+def test_scalar_integrand_read_equals_inverse_density(name):
+    # 20,000 seeded v, half of them within 1e-16..1 of 1, the grid nodes and
+    # the ends of [0, 1] with their float neighbours, and v past [0, 1]
+    d = _SCALAR_READS[name]
+    rng = np.random.default_rng(28)
+    vs = [*rng.uniform(0.0, 1.0, 10_000), *(1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 10_000))]
+    nodes = d.params[::2] if d.name == "custom" else (0.0, 1.0)
+    vs += [math.nextafter(u, t) for u in nodes for t in (-math.inf, math.inf)] + list(nodes)
+    vs = [float(v) for v in (*vs, -1.0, 2.0, math.inf, -math.inf, math.nan)]
+    got = _reads(planner._integrand_read(d), vs)
+    want = _reads(lambda v: planner._inverse_density(v, d), vs)
+    bad = [(v, g, w) for v, g, w in zip(vs, got, want) if g != w]
+    assert not bad, (len(bad), bad[:3])
+
+
+@pytest.mark.parametrize("d, v, warns", [
+    (make_pareto(2.0, 1.0), 1.0, False),  # v >= 1: the float quantile is 0.0 ** -0.5
+    (make_pareto(2.0, 1.0), math.nextafter(1.0, 2.0), False),  # a negative base
+    (make_pareto(2.0, 1.0), -1.0, False),  # below the support: a zero density
+    (make_pareto(0.01, 1.0), 1.0 - 2.0**-53, True),  # the quantile's power overflows
+    (make_pareto(1.0, 1e300), 1.0 - 1e-15, True),  # the quantile's product overflows to inf
+    (make_pareto(2.0, 1e-200), 0.5, True),  # the density's power overflows
+], ids=["one", "past-one", "negative", "quantile-power", "quantile-product", "density-power"])
+def test_scalar_integrand_read_falls_back_to_inverse_density(d, v, warns):
+    # where the float reads raise or leave no finite positive float, the read
+    # is _inverse_density's, numpy's warning included, raised as an error or not
+    read = planner._integrand_read(d)
+    got, want = _reads(read, [v]), _reads(lambda v: planner._inverse_density(v, d), [v])
+    assert got == want and bool(want[0][1]) == warns, (got, want)
+    strict = _strict_read(read, v)
+    assert strict == _strict_read(lambda v: planner._inverse_density(v, d), v)
+    assert strict.startswith("RuntimeWarning") == warns
+
+
+@pytest.mark.parametrize("d, n", [
+    (make_pareto(2.0, 1.0), 2), (make_pareto(1.5, 1.0), 3), (from_quantile_grid(_GRID3), 2),
+    (make_uniform(0.0, 1.0), 2),
+], ids=["pareto2", "pareto1.5", "grid3", "uniform"])
+def test_scalar_integrand_read_serves_the_solve(monkeypatch, d, n):
+    # Pareto and grid integrands read 1/f(Q(v)) on floats: _inverse_density
+    # only sees v that round to 1; uniform keeps the numpy path
+    seen = []
+    inverse_density = planner._inverse_density
+
+    def spy(v, d):
+        seen.append(v)
+        return inverse_density(v, d)
+
+    monkeypatch.setattr(planner, "_inverse_density", spy)
+    planner.solve_planner(n, 0.1, d)
+    inside = [v for v in seen if v < 1.0]
+    assert bool(inside) == (d.name == "uniform")
+
+
+@pytest.mark.parametrize("name", [name for name in _FROZEN_DISTS if name.startswith("pareto")])
+def test_scalar_beta_factor_keeps_closed_residual_bits(monkeypatch, name):
+    # every closed-form residual a frozen Pareto cell's solve reads (the 256
+    # grid points and the root's certificate) against the factor computed per
+    # point, as it was before it was hoisted
+    d = _FROZEN_DISTS[name]()
+    shape, scale = d.params
+    a = 1.0 - 1.0 / shape
+    closed_residual, reads = planner._closed_residual, []
+
+    def spy(q, n, cost, d):
+        reads.append((q, n, cost, closed_residual(q, n, cost, d)))
+        return reads[-1][-1]
+
+    def counted_lgam(x):
+        lgam_calls.append(x)
+        return lgam(x)
+
+    lgam_calls = []
+    monkeypatch.setattr(planner, "_closed_residual", spy)
+    monkeypatch.setattr(planner, "lgam", counted_lgam)
+    planner._beta.cache_clear()
+    for n in (1, 2, 3, 5, 20):
+        for cost in (0.001, 0.01, 0.1, 0.3):
+            try:
+                solve_planner(n, cost, d)
+            except SearchContestError:
+                pass
+    assert len(reads) > 1000
+    assert len(lgam_calls) == 3 * 5  # the factor once for each N, not once a point
+    for q, n, cost, got in reads:
+        t = 1.0 - q
+        want = scale / shape * t**a * math.exp(lgam(n) + lgam(a) - lgam(n + a)) - cost
+        assert got.hex() == want.hex(), (q, n, cost)
+
+
+def test_closed_residual_denominators_admit_every_count():
+    # N (N + 1) as a float: no count a float holds raises, and below 2**53 the
+    # bits are those of the exact int product
+    uniform, grid = make_uniform(0.0, 1.0), from_quantile_grid(_GRID3)
+    for n in (1, 2, 3, 20, 10**6, 2**26 + 1, 2**53 - 1):
+        for q in (0.0, 0.3, 0.9):
+            t = 1.0 - q
+            want = t * t * 1.0 / (n * (n + 1)) - 0.1
+            assert planner._closed_residual(q, n, 0.1, uniform).hex() == want.hex()
+            p = [u**n * (1.0 + n * (1.0 - u)) / (n * (n + 1))
+                 for u in (max(v - q, 0.0) / t for v in (0.0, 0.5, 1.0))]
+            want = t * t * (0.0 + 1.0 / 0.5 * (p[1] - p[0]) + 2.0 / 0.5 * (p[2] - p[1])) - 0.1
+            assert planner._closed_residual(q, n, 0.1, grid).hex() == want.hex()
+    for d in (uniform, grid):
+        assert planner._closed_residual(0.5, 10**300, 1e-302, d) == -1e-302
+        assert planner._closed_residual(0.5, int(sys.float_info.max), 0.1, d) == -0.1
