@@ -54,6 +54,7 @@ class ContestParams:
 
 @dataclass(frozen=True)
 class SymmetricEquilibrium:
+    """Symmetric threshold, acceptance probability, and per-player draws, cost and value."""
     threshold: float
     acceptance_prob: float
     expected_draws: float
@@ -90,6 +91,7 @@ class PrizeSchedule:
 
 @dataclass(frozen=True)
 class MultiPrizeEquilibrium:
+    """Symmetric threshold under rank-order prizes, with value, total cost and dissipation."""
     threshold: float
     acceptance_prob: float
     player_value: float
@@ -99,6 +101,7 @@ class MultiPrizeEquilibrium:
 
 @dataclass(frozen=True)
 class AsymmetricEquilibrium:
+    """One player's low threshold, the others' high one, and a high player's value."""
     low_threshold: float
     high_threshold: float
     high_player_value: float

@@ -39,6 +39,7 @@ _MAX_ROUNDS = 2**20
 
 @dataclass(frozen=True)
 class FiniteHorizonParams:
+    """Player count, cost-to-prize ratio c/W, and draws k of a finite-horizon contest."""
     n_players: int
     cost_ratio: float  # c/W
     n_draws: int  # k
@@ -54,6 +55,7 @@ class FiniteHorizonParams:
 
 @dataclass(frozen=True)
 class FiniteHorizonEquilibrium:
+    """Round acceptance quantiles of a k-draw equilibrium, whether it exists, and how found."""
     round_quantiles: tuple[float, ...]
     exists: bool
     diagnostics: dict = field(default_factory=dict, compare=False, repr=False)
@@ -499,6 +501,7 @@ def solve_k_draw(
 
 @dataclass(frozen=True)
 class ProfileRow:
+    """One player count's k-draw round quantiles and whether its equilibrium exists."""
     n_players: int
     round_quantiles: tuple[float, ...]
     exists: bool
@@ -506,6 +509,7 @@ class ProfileRow:
 
 @dataclass(frozen=True)
 class ThresholdProfile:
+    """k-draw equilibria across player counts at one c/W, with the peak and frontier counts."""
     n_draws: int
     cost_ratio: float
     rows: tuple[ProfileRow, ...]

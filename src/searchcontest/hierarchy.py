@@ -21,6 +21,7 @@ _QUAD_TOL = 1e-11
 
 @dataclass(frozen=True)
 class DesignerParams:
+    """Designer count M, team size N, per-draw cost, and the designers' meta prize."""
     n_designers: int  # M
     team_size: int  # N
     cost: float
@@ -44,6 +45,7 @@ class DesignerParams:
 
 @dataclass(frozen=True)
 class DesignerEquilibrium:
+    """Team threshold and its quantile, internal prize, designer value and dissipation."""
     threshold: float
     threshold_quantile: float
     internal_prize: float
@@ -53,6 +55,7 @@ class DesignerEquilibrium:
 
 @dataclass(frozen=True)
 class FocReport:
+    """A designer's first-order condition checked by finite differences against its closed form."""
     prob_at_equilibrium: float
     fd_derivative: float  # dP/d(threshold), Richardson-extrapolated
     closed_form_derivative: float

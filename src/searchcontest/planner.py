@@ -26,8 +26,20 @@ _GRID = 256
 _ROOT_TOL = 1e-6  # largest |closed-form residual| / cost an interior answer may carry
 _EFFICIENT_TOL = 1e-9  # relative threshold gap classify_prize calls efficient
 _HAZARD_GRID = 1000  # points on which hazard_order_check compares hazards
-# B(n, a), the Pareto closed form's factor: once per solve, not once a grid point
-_beta = lru_cache(maxsize=16)(lambda n, a: math.exp(lgam(n) + lgam(a) - lgam(n + a)))
+_BETA_SERIES_N = 4096  # the series' first term left out is below 5e-18 from here on
+
+
+@lru_cache(maxsize=16)  # once per solve, not once a grid point
+def _beta(n: int, a: float) -> float:
+    """B(n, a) for 0 < a < 1, the Pareto closed form's factor. From _BETA_SERIES_N
+    on, where lgam(n) - lgam(n + a) cancels (1e-3 relative error at n = 1e12), its
+    log is -a log(n) plus three terms of its series in 1/n (DLMF 5.11.8), the sum
+    scipy's betaln takes past n = 1e6; below, the log-gamma sum keeps its bits."""
+    if n < _BETA_SERIES_N:
+        return math.exp(lgam(n) + lgam(a) - lgam(n + a))
+    x, b = 1.0 / n, a * (1.0 - a)
+    return math.exp(lgam(a) - a * math.log(n) + b * x / 2.0
+                    + b * (1.0 - 2.0 * a) * x * x / 12.0 - b * b * x * x * x / 12.0)
 
 OVERSEARCH = "oversearch"
 EFFICIENT = "efficient"
@@ -36,6 +48,7 @@ UNDERSEARCH = "undersearch"
 
 @dataclass(frozen=True)
 class PlannerSolution:
+    """Welfare-maximizing threshold, its welfare and efficient prize, and the FOC residual."""
     threshold: float
     welfare: float
     efficient_prize: float
@@ -46,6 +59,7 @@ class PlannerSolution:
 
 @dataclass(frozen=True)
 class PrizeClassification:
+    """Whether a prize makes players oversearch, search efficiently or undersearch."""
     kind: str  # one of OVERSEARCH / EFFICIENT / UNDERSEARCH
     competitive_threshold: float
     planner_threshold: float
@@ -54,6 +68,7 @@ class PrizeClassification:
 
 @dataclass(frozen=True)
 class HazardOrderReport:
+    """Hazard-rate dominance of two distributions and whether efficient prizes follow it."""
     dominance_holds: bool
     first_violation_x: float | None
     w_star_first: float

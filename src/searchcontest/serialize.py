@@ -6,7 +6,6 @@ bytes regardless of thread count or platform dict ordering.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
 import io
 import json
@@ -58,6 +57,7 @@ def write_json(path: str | Path, obj: Any) -> None:
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    import csv  # only table commands write CSV
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

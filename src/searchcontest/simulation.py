@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -88,6 +87,7 @@ Strategy = Union[InfiniteThresholdStrategy, FiniteThresholdStrategy]
 
 @dataclass(frozen=True)
 class StrategyProfile:
+    """One stopping strategy per player, at least two."""
     strategies: tuple[Strategy, ...]
 
     def __post_init__(self):
@@ -102,6 +102,7 @@ class StrategyProfile:
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """Replication count, seed and thread count of a simulation."""
     replications: int  # at least 2: a standard error needs two
     seed: int
     n_threads: int = 1
@@ -113,6 +114,7 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class SimulationReport:
+    """Per-player means and SEs of payoff, cost, draws and wins, and the dissipation ratio."""
     n_players: int
     replications: int
     seed: int
@@ -133,6 +135,7 @@ class SimulationReport:
 
 @dataclass(frozen=True)
 class DeviationRow:
+    """One candidate deviation's mean payoff gain, its SE, and whether it is flagged."""
     strategy: Strategy
     mean_gain: float
     se_gain: float
@@ -141,6 +144,7 @@ class DeviationRow:
 
 @dataclass(frozen=True)
 class DeviationScanReport:
+    """One player's equilibrium payoff and the gain of each candidate deviation from it."""
     player_index: int
     equilibrium_payoff: float
     se_equilibrium_payoff: float
@@ -153,6 +157,7 @@ class DeviationScanReport:
 
 @dataclass(frozen=True)
 class DistributionRow:
+    """One distribution's simulated acceptance rate, draws, cost and dissipation, with SEs."""
     spec: dict  # Distribution.spec() of the row's distribution
     acceptance_rate: float
     se_acceptance_rate: float
@@ -167,6 +172,7 @@ class DistributionRow:
 
 @dataclass(frozen=True)
 class DistributionFreeReport:
+    """Simulated rows across distributions and whether they agree within their standard errors."""
     rows: tuple[DistributionRow, ...]
     max_pairwise_sigma: float  # largest pairwise gap in units of combined SE
     passed: bool
@@ -174,6 +180,7 @@ class DistributionFreeReport:
 
 @dataclass(frozen=True)
 class RecallReport:
+    """Two-sample KS test of final values with and without recall, at the 1 percent level."""
     ks_statistic: float
     critical_value: float  # two-sample KS at the 1 percent level
     replications: int
@@ -414,6 +421,7 @@ def _map_chunks(work, reps: int, n_threads: int) -> list:
     """work(chunk, size) for every chunk of reps, results in chunk order."""
     sizes = [min(_CHUNK, reps - start) for start in range(0, reps, _CHUNK)]
     if n_threads > 1 and len(sizes) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # one-thread runs never load it
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             return list(pool.map(work, range(len(sizes)), sizes))
     return [work(c, size) for c, size in enumerate(sizes)]

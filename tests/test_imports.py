@@ -1,9 +1,11 @@
-"""Import footprint: no command loads scipy, in a fresh interpreter.
+"""Import footprint: no command loads scipy, or a stdlib module it does not
+run, in a fresh interpreter.
 
 The package runs on numpy alone; scipy is the tests' oracle. The test modules
 import scipy themselves, so every check here runs in its own
 `sys.executable` subprocess.
 """
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,12 +14,14 @@ from pathlib import Path
 
 import pytest
 
+import searchcontest
 from searchcontest import __version__
 
 SRC = Path(__file__).parents[1] / "src"
 
 # run an optional set-up statement, import the CLI, run main on argv, report
-# what it printed and which scipy modules the process then holds
+# what it printed and which scipy modules, and which of the stdlib modules a
+# run may not need, the process then holds
 _PROBE = """
 import contextlib, io, json, sys
 exec(sys.argv[2])
@@ -27,7 +31,9 @@ out, err = io.StringIO(), io.StringIO()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     code = searchcontest.cli.main(argv) if argv else None
 print(json.dumps({"code": code, "out": out.getvalue(), "err": err.getvalue(),
-                  "loaded": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+                  "loaded": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "stdlib": [m for m in ("concurrent.futures", "csv", "logging")
+                             if m in sys.modules]}))
 """
 
 
@@ -86,6 +92,38 @@ planner._quad = _quad
     run = _fresh("solve planner --n 2 --cost 0.1".split(), setup)
     assert run["code"] == 0, run["err"]
     assert "scipy.integrate" in run["loaded"]
+
+
+# the thread pool (and logging, which it imports) only where a run has two
+# threads and two chunks, csv only where a table is written
+@pytest.mark.parametrize("argv, stdlib", [
+    ("", []),
+    ("verify dissipation --reps 2000 --seed 7", []),
+    ("solve planner --n 2 --cost 0.1", []),
+    ("table finite_k2 --out {tmp}/finite_k2.csv", ["csv"]),
+], ids=["import", "verify-one-thread", "planner", "table"])
+def test_run_loads_only_the_stdlib_it_uses(argv, stdlib, tmp_path):
+    run = _fresh(argv.format(tmp=tmp_path).split())
+    assert run["code"] in (None, 0), run["err"]
+    assert run["stdlib"] == stdlib
+
+
+def test_probe_sees_thread_pool_loaded_on_use():
+    # positive control: two threads over two chunks (65,536 replications each)
+    run = _fresh("verify dissipation --reps 70000 --seed 7 --threads 2".split())
+    assert run["code"] == 0, run["err"]
+    assert "concurrent.futures" in run["stdlib"]
+
+
+def test_exported_records_have_their_own_docstrings():
+    # dataclass builds a missing __doc__, "Name(field: type, ...)", through
+    # inspect.signature at import
+    records = [obj for obj in vars(searchcontest).values()
+               if isinstance(obj, type) and dataclasses.is_dataclass(obj)]
+    assert len(records) == 26
+    bare = [cls.__name__ for cls in records
+            if not cls.__doc__ or cls.__doc__.startswith(cls.__name__ + "(")]
+    assert bare == []
 
 
 # each frozen argv in a process of its own, from a fresh import of the package;

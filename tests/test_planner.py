@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.special import betaln
 
 from searchcontest import (
     ContestParams,
@@ -599,3 +600,25 @@ def test_closed_residual_denominators_admit_every_count():
     for d in (uniform, grid):
         assert planner._closed_residual(0.5, 10**300, 1e-302, d) == -1e-302
         assert planner._closed_residual(0.5, int(sys.float_info.max), 0.1, d) == -0.1
+
+
+# the golden shapes' a = 1 - 1/shape; past 1e6 betaln sums the same series
+_BETA_COUNTS = [10**6 + 1, 2**20, 10**9, 10**12, 10**15, 10**18, 10**50, 10**100, 10**200,
+                10**300, int(sys.float_info.max)]
+
+
+@pytest.mark.parametrize("shape", [2.0, 1.5, 1.2])
+def test_beta_factor_keeps_its_digits_at_large_counts(shape):
+    # log B(N, a) from lgam(N) - lgam(N + a) cancelled: 1e-9 relative at N = 1e6,
+    # 1e-3 at 1e12, and B read 1.0 for 1.8e-9 at 1e18. From its series, log B
+    # lies within 1e-14 (relative) of scipy's
+    a = 1.0 - 1.0 / shape
+    for n in _BETA_COUNTS:
+        assert math.log(planner._beta(n, a)) == pytest.approx(betaln(n, a), rel=1e-14), n
+    # below the switch, the log-gamma sum with its bits; at it, the series within
+    # the sum's rounding
+    n = planner._BETA_SERIES_N
+    want = math.exp(lgam(n - 1) + lgam(a) - lgam(n - 1 + a))
+    assert planner._beta(n - 1, a).hex() == want.hex()
+    assert planner._beta(n, a) == pytest.approx(math.exp(lgam(n) + lgam(a) - lgam(n + a)),
+                                                rel=1e-11)
