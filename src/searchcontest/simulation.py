@@ -7,7 +7,10 @@ exact for any continuous distribution. Replications are processed in fixed
 chunks of 65536; every player/chunk pair gets its own counter-based RNG
 stream keyed by (seed, purpose, player, chunk), and partial sums are reduced
 in chunk order. Reports are therefore byte-identical for a given seed no
-matter how many worker threads run the chunks.
+matter how many worker threads run the chunks. A search is played round by
+round in two phases over the same stream words: whole rows are read while
+the live replications are dense, and once they are sparse the words of the
+live ones are computed from their positions (see _play_rounds).
 """
 from __future__ import annotations
 
@@ -34,22 +37,14 @@ _TAG_RECALL = 5
 # but every live search still takes one word per round: past this cap it would
 # take hours, so tiny acceptance probabilities are refused instead
 _MAX_ROUNDS = 100_000
-# Costs below were measured on a 2-core Xeon with numpy 2.4. A dense round
-# skips a dead stretch longer than this many words before its first live word
-# rather than read it: a skip (Philox.advance, about 2 us, a discard and one
-# more read call, about 0.7 us each) costs about what reading ~1,000 words does
-# at about 4 ns a word
-_GAP = 1024
-# once the live columns lie more than this many words apart on average, their
-# words are computed from their positions (_philox_words, about 110-150 ns a
-# word in blocks of 4,096 words or more) rather than read with the dead words
-# between them (about 4 ns a word, plus the round's own passes over its listed
-# columns); 16 to 64 took the same CPU time, 128 about 9% more
+# once fewer than size / _SPARSE columns are live, their words are computed
+# from their positions (_philox_words, about 120-140 ns a word in blocks of
+# 4,096 words or more) rather than read in whole rows (about 4 ns a word, plus
+# about 46 us of mask passes a round at 65,536 columns): at 2,048 live columns
+# of 65,536 a round costs about 250-300 us either way. Measured on a 2-core Xeon
+# with numpy 2.4, where 16 to 64 took about the same time on both simulation
+# workloads
 _SPARSE = 32
-# a dense round only marks its stops dead in the list of columns, and the list
-# is compacted once this share of it is dead: a compaction is several passes
-# over the list, about as costly as the round's read at density 1
-_COMPACT_AT = 0.25
 # Philox4x64-10 (Salmon et al., SC'11; Random123's constants): each round
 # multiplier with its high and low 32 bits, and the key's Weyl increments. The
 # multipliers are numpy scalars: numpy < 2 makes uint64 mixed with a Python
@@ -287,96 +282,72 @@ def _play_rounds(
     replications the cap stopped. Draw (round r, replication j) is word
     (r - 1) * size + j of the fresh stream rng, the word a full row of uniforms
     per round gives it, so a replication's draws do not depend on when the
-    others stop. A dense round reads its words from the first listed column's
-    to the last's in one call, after skipping a dead stretch of more than _GAP
-    words before them. Its stops are recorded at once and only marked dead in
-    the list of columns, which is compacted once a _COMPACT_AT share of it is
-    dead, at the cap, and before the switch: once the live columns lie more
-    than _SPARSE words apart on average, their words are computed from their
-    positions instead (_philox_words), the next rounds of every live column in
-    one block, down which each column's first hit is found; the words are the
-    same, so the bits are. A uniform is at or above q exactly when its word is
-    at or above ceil(q * 2^53) << 11 (for q = 1, 2^64: a Python int no word
-    reaches), so words are compared as integers and each accepted word is made
-    a uniform once, at the end. With recall a search stops once its running
-    maximum, kept in words since the map is monotone, reaches the round's
-    bound, and the cap keeps that maximum, not the last draw.
+    others stop. Play has two phases over those words. While at least
+    size / _SPARSE columns are live, a round reads its whole row, compares it
+    with the round's bound and masks out the stopped columns. After that the
+    live columns are listed once, and their words are computed from their
+    positions (_philox_words): the next rounds of every live column in one
+    block, down which each column's first hit is found, the list compacted
+    after every block; the words are the same, so the bits are. A uniform is
+    at or above q exactly when its word is at or above ceil(q * 2^53) << 11
+    (for q = 1, 2^64: a Python int no word reaches), so words are compared as
+    integers and each accepted word is made a uniform once, at the end. With
+    recall a search stops once its running maximum, kept in words since the
+    map is monotone, reaches the round's bound, and the cap keeps that
+    maximum, not the last draw.
     """
     bits = rng.bit_generator
     bounds = [math.ceil(q * 2.0**53) << 11 for q in plan]
     final = np.empty(size, dtype=np.uint64)  # the accepted words, made uniforms at the end
     draws = np.full(size, cap, dtype=np.int64)
-    live = np.arange(size)  # the listed columns: the live ones and those stopped since compaction
-    alive = np.ones(size, dtype=bool)  # which listed columns are live
-    # the running maximum of each listed column, with recall
-    best = np.zeros(size if recall else 0, dtype=np.uint64)
-    # x holds a dense round's words of the listed columns, and later a block's
-    # positions and workspace, 11 words a live column a round: fewer than
-    # size / _SPARSE columns are live then, so it holds at least 5 rounds
-    room = max(size // 11, -(-5 * size // _SPARSE))  # words a block may hold
-    x = np.empty(max(size, 11 * room), dtype=np.uint64)
+    alive = np.ones(size, dtype=bool)
+    best = np.zeros(size if recall else 0, dtype=np.uint64)  # each column's running maximum
+    # a block holds 11 words a live column a round, its positions and
+    # workspace: fewer than size / _SPARSE columns are live then, so it holds
+    # at least 5 rounds
+    room = max(size // 11, -(-5 * size // _SPARSE))
     # one buffer: a fresh mask every round fragments the heap
     mask = np.empty(max(size, room), dtype=bool)
-    # stream words read; the key once words are computed; listed columns stopped
-    pos, key, r, dead = 0, None, 1, 0
-    while r <= cap and live.size > dead:
-        n = live.size - dead
-        if dead and (key is not None or dead >= _COMPACT_AT * live.size
-                     or live[-1] - live[0] > _SPARSE * n):  # whenever the switch's test would
-            keep = alive[: live.size]
-            live = live[keep]
-            if recall:
-                best = best[keep]
-            alive[:n], dead = True, 0
-        if key is None and live[-1] - live[0] > _SPARSE * n:
-            key = tuple(int(k) for k in bits.state["state"]["key"])
-        n = live.size
-        if key is None:  # one read, from the first listed column's word to the last's
-            m, row = 1, (r - 1) * size  # row: the stream word of column 0 this round
-            start = row + int(live[0])
-            if start - pos > _GAP:  # advance moves whole 4-word blocks and empties the buffer
-                bits.advance(start // 4 - -(-pos // 4))
-                bits.random_raw(start % 4)
-                pos = start
-            live += row - pos  # live's own storage indexes the read, then is restored
-            n_read = int(live[-1]) + 1
-            block = np.take(bits.random_raw(n_read), live, out=x[:n], mode="clip")  # unbuffered
-            live -= row - pos
-            pos += n_read
-            if recall:  # best is the round's own row
-                block = np.maximum(best, block, out=best)
-            block = block.reshape(1, n)
-        else:  # the next m rounds of every live column, computed
-            q = plan[min(r, plan.size) - 1]
-            m = min(cap - r + 1, room // n, math.ceil(1.0 / (1.0 - q)) if q < 1.0 else cap)
-            words = x[: m * n]
-            rows = np.arange(r - 1, r - 1 + m)[:, None] * size
-            np.add(rows, live, out=words.view(np.int64).reshape(m, n))
-            block = _philox_words(key, words, x[m * n: 11 * m * n].reshape(10, -1))
-            block = block.reshape(m, n)
-            if recall:
-                np.maximum(block[0], best, out=block[0])
-                np.maximum.accumulate(block, axis=0, out=block)
-                best[:] = block[m - 1]
+    r, n = 1, size  # the round, and the live columns
+    while r <= cap and n * _SPARSE >= size:  # one row a round
+        row = bits.random_raw(size)
+        if recall:
+            row = np.maximum(best, row, out=best)
+        hits = np.greater_equal(row, bounds[min(r, len(bounds)) - 1], out=mask[:size])
+        stop = np.flatnonzero(np.logical_and(hits, alive, out=hits))
+        final[stop] = row[stop]
+        draws[stop] = r
+        alive[stop] = False
+        n -= stop.size
+        r += 1
+    live = np.flatnonzero(alive)
+    last = row[live]  # each live column's last draw, or with recall its best
+    if r <= cap and n:
+        key = tuple(int(k) for k in bits.state["state"]["key"])
+        x = np.empty(11 * room, dtype=np.uint64)
+    while r <= cap and n:  # the next m rounds of every live column, computed
+        q = plan[min(r, plan.size) - 1]
+        m = min(cap - r + 1, room // n, math.ceil(1.0 / (1.0 - q)) if q < 1.0 else cap)
+        words = x[: m * n]
+        rows = np.arange(r - 1, r - 1 + m)[:, None] * size
+        np.add(rows, live, out=words.view(np.int64).reshape(m, n))
+        block = _philox_words(key, words, x[m * n: 11 * m * n].reshape(10, -1)).reshape(m, n)
+        if recall:
+            np.maximum(block[0], last, out=block[0])
+            np.maximum.accumulate(block, axis=0, out=block)
         hits = mask[: m * n].reshape(m, n)
         for i in range(m):
             np.greater_equal(block[i], bounds[min(r + i, len(bounds)) - 1], out=hits[i])
-        if m == 1:  # one round: no search down the block
-            if dead:
-                hits &= alive[:n]
-            stop, first = np.flatnonzero(hits[0]), 0
-        else:  # each column's first hit down the block
-            stop = np.flatnonzero(hits.any(axis=0))
-            first = hits.argmax(axis=0)[stop]
-        done = live[stop]
+        stopped = hits.any(axis=0)
+        stop = np.flatnonzero(stopped)
+        first, done = hits.argmax(axis=0)[stop], live[stop]
         final[done] = block[first, stop]
         draws[done] = r + first
-        alive[stop] = False
-        dead += stop.size
+        keep = np.logical_not(stopped, out=stopped)
+        live, last = live[keep], block[m - 1, keep]
+        n = live.size
         r += m
-    keep = alive[: live.size]
-    live = live[keep]
-    final[live] = block[m - 1, keep]  # cap reached: the last draw, or with recall the best
+    final[live] = last  # cap reached
     # Generator.random's double is (word >> 11) * 2^-53, made here in place and
     # through int64, which numpy converts to float far faster than uint64
     final >>= np.uint64(11)
@@ -504,9 +475,11 @@ def simulate_contest(
     cost, prize_arr, top = _resolve_contest(params, prizes, n)
     levels = prize_arr[prize_arr > 0.0]  # a prefix: the schedule is non-increasing
     # per player, plus the round-play buffers of the chunk: the tracemalloc
-    # peak of one chunk is at most 132 B at N=2, 171 at 3, 451 at 10, 1,277 at
-    # 30 and 2,537 at 60 (peak-RSS growth is lower), about 40 N + 52 with one
-    # prize and 42 N + 20 with every rank paid; this leaves 14% or more over both
+    # peak of one chunk is 130 B at N=2, 170 at 3, 450 at 10, 1,250 at 30 and
+    # 2,469 at 60 with one prize, 1,277 at 30 and 2,537 at 60 with every rank
+    # paid (peak-RSS growth is lower; a process's first simulation also
+    # imports numpy.random, about 12 B more), about 40 N + 50 and 42 N + 20;
+    # this leaves 16% or more over both
     _check_memory(f"simulating {n} players", config, 48 * n + 64)
     plans = [_plan(s, d) for s in profile.strategies]
     cap = _default_cap(plans)
@@ -703,20 +676,43 @@ def recall_irrelevance_check(
             f"critical value {crit:.3g} is not below 1, so it cannot fail")
     plan = np.array([1.0 - solve_symmetric(params, d).acceptance_prob])  # refused if it is 1
     cap = _default_cap([plan])
-    # all kept for KS: 40 B measured at a million replications (48 of peak
-    # RSS), up to 72 while the play buffers of one or two chunks are live beside them
+    # all kept for KS: 41 B measured at a million replications (43 of peak
+    # RSS, 45 on two threads), up to 72 while the play buffers of one or two
+    # chunks are live beside them
     _check_memory("the recall check", config, 80, reps)
 
     def work(c: int, size: int) -> tuple[np.ndarray, ...]:
         return tuple(_play_rounds(_stream(config.seed, _TAG_RECALL, side, c), size, plan, cap,
                                   recall=side == 1)[0] for side in (0, 1))
 
-    a, b = (np.sort(np.concatenate(side))
-            for side in zip(*_map_chunks(work, reps, config.n_threads)))
-    # the largest gap of the two empirical CDFs lies at a sample point: each side's in turn
-    stat = float(max(np.abs(np.searchsorted(a, x, side="right") / reps
-                            - np.searchsorted(b, x, side="right") / reps).max() for x in (a, b)))
+    # the chunks' samples are freed before the statistic is taken
+    stat = _ks_statistic(np.concatenate(
+        [x for side in zip(*_map_chunks(work, reps, config.n_threads)) for x in side]), reps)
     return RecallReport(stat, crit, reps, stat < crit)
+
+
+def _ks_statistic(values: np.ndarray, reps: int) -> float:
+    """The two-sample KS statistic of values[:reps] against values[reps:],
+    from one merge of the two sorted samples; values is overwritten. The
+    largest gap of the two empirical CDFs lies at the last point of some
+    value in the merged order, where na points of the first sample and nb of
+    the second lie at or below it, and is |na / reps - nb / reps| where the
+    integer gap |na - nb| is largest: rounding moves each float by far less
+    than 1 / reps. Its bits are those of the floats at every sample point."""
+    values[:reps].sort()
+    values[reps:].sort()
+    gap = np.argsort(values, kind="stable")  # a merge of the two sorted runs
+    first = gap < reps
+    np.multiply(first, 2, out=gap)
+    gap -= 1
+    np.cumsum(gap, out=gap)  # na - nb at each point of the merged order
+    values.sort(kind="stable")
+    # the last point of each value: the top one's gap, 0, is the initial value
+    end, gap = np.not_equal(values[1:], values[:-1]), gap[:-1]
+    top = max(gap.max(where=end, initial=0), -gap.min(where=end, initial=0))
+    at = np.flatnonzero(end & ((gap == top) | (gap == -top)))
+    na = (gap[at] + at + 1) // 2
+    return float(np.abs(na / reps - (at + 1 - na) / reps).max())
 
 
 def simulate_designer_dissipation(

@@ -529,6 +529,34 @@ def test_recall_makes_no_difference(uniform, exponential):
         assert report.replications == 40_000
 
 
+def _ks_by_searchsorted(a, b, reps):
+    """The recall check's KS statistic as it was taken before the merge: both
+    empirical CDFs at each side's sample points in turn."""
+    a, b = np.sort(a), np.sort(b)
+    return float(max(np.abs(np.searchsorted(a, x, side="right") / reps
+                            - np.searchsorted(b, x, side="right") / reps).max() for x in (a, b)))
+
+
+@pytest.mark.parametrize("grid", [None, 2, 7, 1000], ids=["no_ties", "grid2", "grid7", "grid1000"])
+def test_recall_ks_statistic_equals_the_searchsorted_one(grid):
+    # seeded samples, the second bent by a power so the largest gap lies
+    # anywhere, on a coarse grid of values (ties within and across the
+    # samples) or not; and equal and disjoint samples, whose gaps are 0 and 1
+    import searchcontest.simulation as sim
+
+    rng = np.random.default_rng(SEED)
+    for reps in (6, 7, 10, 31, 100, 1000, 4097, 65537, 200_000):
+        samples = [(rng.random(reps), rng.random(reps) ** power) for power in (1.0, 1.01, 1.3)]
+        a = rng.random(reps)
+        samples += [(a, a[::-1].copy()), (a, a + 1.0), (a + 1.0, a)]
+        for a, b in samples:
+            if grid:
+                a, b = np.floor(a * grid) / grid, np.floor(b * grid) / grid
+            want = _ks_by_searchsorted(a, b, reps)
+            got = sim._ks_statistic(np.concatenate([a, b]), reps)
+            assert type(got) is float and got.hex() == want.hex(), (reps, grid)
+
+
 def test_recall_check_rejects_unresolvable_threshold(uniform):
     # acceptance 2e-18 rounds the threshold quantile to 1: no draw can stop
     params = ContestParams(n_players=2, cost=1e-18, prize=1.0)
@@ -798,9 +826,9 @@ def test_scans_and_recall_stay_within_the_memory_estimate(uniform, monkeypatch, 
 
 
 # The round-play kernel reads raw Philox words where Generator.random would
-# have drawn doubles, skips a dead stretch of the stream with advance, and in
-# sparse rounds computes the words from their positions. These tests pin the
-# numpy behaviour that makes that byte-safe.
+# have drawn doubles, and in sparse rounds computes the words from their
+# positions. These tests pin the numpy behaviour that makes that byte-safe;
+# advance gives the evaluator's test its reference words far into a stream.
 
 
 def test_numpy_random_reads_one_philox_word_per_double():
@@ -928,7 +956,8 @@ def test_play_rounds_reads_the_full_row_words(monkeypatch, size, plan, recall):
     for cap in caps:
         _assert_plays_equal(size, plan, cap, recall)
     if size == 65536:  # a full chunk thins out past _SPARSE before the cap at q = 0.3 and 0.97,
-        # and with recall the k6 plan's live columns lie about 120 words apart in round 6
+        # and with recall the k6 plan's round 4, whose bound 0.3 meets the running
+        # maximum of 4 draws, leaves about 0.3^4 * 65,536 = 531 columns live
         assert bool(calls) == (plan.size == 1 and 0.0 < plan[0] < 0.999
                                or recall and plan.size == 6)
 
@@ -961,10 +990,10 @@ def test_play_rounds_counter_block_spans_the_k_draw_rounds(monkeypatch, recall):
     assert [_block_rounds(w, 65536) for w in calls] == [[2, 3, 4, 5, 6]]
 
 
-def test_play_rounds_skips_and_reads_across_gaps(monkeypatch):
+def test_play_rounds_reads_dense_rounds_then_computes_sparse_ones(monkeypatch):
     # at q = 0.97 a full chunk thins out over ~380 rounds: the early rounds are
-    # read from the stream, and once the live columns lie more than _SPARSE
-    # words apart the later ones are computed, block after block to the last
+    # read from the stream in whole rows, and once fewer than size / _SPARSE
+    # columns are live the later ones are computed, block after block to the last
     import searchcontest.simulation as sim
 
     calls = _spy_counter_phase(monkeypatch)
@@ -973,25 +1002,31 @@ def test_play_rounds_skips_and_reads_across_gaps(monkeypatch):
     rounds = [r for w in calls for r in _block_rounds(w, size)]
     assert 100 < rounds[0] and rounds == list(range(rounds[0], rounds[-1] + 1))
     assert rounds[-1] >= draws.max()
-    live = np.count_nonzero(draws >= rounds[0])
-    span = np.flatnonzero(draws >= rounds[0])[[0, -1]]
-    assert span[1] - span[0] > sim._SPARSE * live
+    # the columns live at the last read round and at the first computed one
+    read, computed = (np.count_nonzero(draws >= r) for r in (rounds[0] - 1, rounds[0]))
+    assert computed * sim._SPARSE < size <= read * sim._SPARSE
 
 
-@pytest.mark.parametrize("gap", [3, 4, 5, 6, 7, 64])
+@pytest.mark.parametrize("sparse", [3, 4, 5, 6, 7, 64])
 @pytest.mark.parametrize("size", [7, 4097])
-def test_play_rounds_matches_with_small_gaps(monkeypatch, gap, size):
-    # a small _GAP skips nearly every dead stretch before a round's first live
-    # word, from every position mod 4; a small _SPARSE starts the counter phase
-    # at every round and every word position mod 4
+def test_play_rounds_matches_with_small_gaps(monkeypatch, sparse, size):
+    # a _SPARSE sweep: the live columns lie more than `sparse` words apart on
+    # average once words are computed. Leading rounds that accept no draw
+    # move the switch, so across the plans its first computed row starts at
+    # every word position mod 4; at size 7 and _SPARSE 7 or more nothing switches
     import searchcontest.simulation as sim
 
-    monkeypatch.setattr(sim, "_GAP", gap)
-    for sparse in (sim._SPARSE, 1, 2, 3, 5):
-        monkeypatch.setattr(sim, "_SPARSE", sparse)
+    monkeypatch.setattr(sim, "_SPARSE", sparse)
+    calls = _spy_counter_phase(monkeypatch)
+    starts = set()
+    for lead in range(4):
         for q, recall in ((0.3, False), (0.9, True), (0.97, False)):
-            plan = np.array([q])
-            _assert_plays_equal(size, plan, sim._default_cap([plan]), recall)
+            plan = np.array([1.0] * lead + [q] * 400 + [0.0])
+            calls.clear()
+            _assert_plays_equal(size, plan, plan.size, recall)
+            if calls:
+                starts.add((_block_rounds(calls[0], size)[0] - 1) * size % 4)
+    assert starts == ({0, 1, 2, 3} if sparse < size else set())
 
 
 def test_a_round_of_quantile_one_rejects_even_the_top_word():
@@ -999,8 +1034,7 @@ def test_a_round_of_quantile_one_rejects_even_the_top_word():
     # bound of 2^64 clamped to fit a uint64 would accept it
     import searchcontest.simulation as sim
 
-    top = types.SimpleNamespace(random_raw=lambda n: np.full(n, 2**64 - 1, dtype=np.uint64),
-                                advance=lambda d: None)
+    top = types.SimpleNamespace(random_raw=lambda n: np.full(n, 2**64 - 1, dtype=np.uint64))
     final, draws, capped = sim._play_rounds(types.SimpleNamespace(bit_generator=top), 5,
                                             np.array([1.0, 0.0]), 3)
     assert draws.tolist() == [2] * 5 and capped.size == 0
@@ -1008,18 +1042,16 @@ def test_a_round_of_quantile_one_rejects_even_the_top_word():
 
 
 def test_play_rounds_matches_full_rows_at_random(monkeypatch):
-    # seeded random sizes, plans, caps and recall sides, with _SPARSE and the
-    # compaction share at their extremes: 1 computes words from the first
-    # sparse round, 10**9 never; a share of 0 compacts after every round with
-    # a stop, 1 only at the cap or the switch to computed words. seen counts
-    # the cases that reach the cap with stopped columns still listed, switch
-    # right after compacting away the previous round's stops, and play a
-    # k-draw round on a list that still holds the previous round's stops.
+    # seeded random sizes, plans, caps and recall sides, with _SPARSE from 1,
+    # which computes words from the first round with a stop, to 10**9, which
+    # never does. seen counts the cases that reach the cap in the read phase,
+    # reach it inside a computed block, switch at round 2, and play a k-draw
+    # plan to its end in the read phase
     import searchcontest.simulation as sim
 
     calls = _spy_counter_phase(monkeypatch)
     rng = np.random.default_rng(SEED)
-    seen = dict.fromkeys(["cap", "switch", "k_draw"], 0)
+    seen = dict.fromkeys(["read_cap", "block_cap", "round_2", "k_draw"], 0)
     for _ in range(200):
         size = int(math.exp(rng.uniform(0.0, math.log(70_000))))
         if rng.random() < 0.6:
@@ -1030,17 +1062,13 @@ def test_play_rounds_matches_full_rows_at_random(monkeypatch):
         cap = int(rng.integers(1, sim._default_cap([plan]) + 1))
         cap = min(cap, max(1, 3_000_000 // size))  # the full-row reference reads a row a round
         recall = bool(rng.integers(2))
-        sparse = int(rng.choice([1, sim._SPARSE, 10**9]))
-        share = float(rng.choice([0.0, sim._COMPACT_AT, 1.0]))
-        monkeypatch.setattr(sim, "_SPARSE", sparse)
-        monkeypatch.setattr(sim, "_COMPACT_AT", share)
+        monkeypatch.setattr(sim, "_SPARSE", int(rng.choice([1, 2, 5, 32, 10**9])))
         calls.clear()
         _, draws, capped = _assert_plays_equal(size, plan, cap, recall)
-        switch = min(_block_rounds(calls[0], size)) if calls else cap + 1
-        seen["cap"] += bool(capped.size and np.count_nonzero(draws == cap) > capped.size)
-        # at share 1 only the switch compacts the previous round's stops; with
-        # _SPARSE at 10**9 nothing does
-        seen["switch"] += share == 1.0 and bool(calls) and bool((draws == switch - 1).any())
-        seen["k_draw"] += (share == 1.0 and sparse == 10**9 and plan.size > 1
-                           and bool((draws == 1).any() and (draws > 1).any()))
+        if capped.size:
+            seen["block_cap" if calls else "read_cap"] += 1
+            # a computed block's last round is the cap: its rounds cover it
+            assert not calls or _block_rounds(calls[-1], size)[-1] == cap
+        seen["round_2"] += bool(calls) and _block_rounds(calls[0], size)[0] == 2
+        seen["k_draw"] += plan.size > 1 and cap == plan.size and not calls and bool(draws.max() > 1)
     assert min(seen.values()) >= 3, seen
