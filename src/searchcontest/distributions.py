@@ -2,9 +2,20 @@
 
 Every solver in the package works in quantile space u = F(x); distributions
 enter only at the boundary of an operation (mapping quantiles back to values,
-evaluating densities and hazards along a quantile path). All callables are
-vectorized over numpy arrays and scalars. Objects are immutable and safe to
-share across threads.
+evaluating densities and hazards along a quantile path). Objects are
+immutable and safe to share across threads.
+
+Each family is one set of four functions of a Python float, on `math` (a
+quantile grid's on `_numerics.interp`, np.interp's operations in its order).
+Each is total: every float gives a float, with no exception and no warning.
+Off the support a density, hazard or CDF reads 0.0 (the CDF 1.0 above it), a
+quantile or product past the float range reads inf, and a read with no value
+reads NaN (a NaN input, most quantiles past u = 1). Parameters that leave no
+float read on the support are refused when the distribution is made.
+
+Array policy: the public callables map an array elementwise through the float
+function and return an array of its shape; any other non-float argument (an
+int, a np.float64, a 0-d array) is read as one float and gives a float.
 """
 from __future__ import annotations
 
@@ -19,38 +30,19 @@ from ._numerics import interp
 from .errors import InvalidParameterError, require_positive
 
 
-def _vectorized(fn: Callable[[np.ndarray], np.ndarray],
-                scalar: Callable[[float], float] | None = None) -> Callable:
-    """Wrap an array function so scalars come back as Python floats.
+def _elementwise(read: Callable[[float], float]) -> Callable:
+    """read on a float, and on each entry of anything else as a float: a
+    scalar or 0-d array gives a float, an array an array of its shape."""
 
-    A float is read by scalar, when the family gives one, and otherwise goes
-    through fn as a np.float64 scalar: every ufunc on a 0-d array already
-    returns such a scalar, so the bits and warnings are those of the 0-d array
-    call, without building the array (adaptive quadrature makes one call per
-    node). scalar must do fn's operations in fn's order on Python floats, so
-    that a finite result has fn's bits; where it raises an ArithmeticError
-    (0.0 ** -0.5) or returns anything but a finite float (a complex from a
-    negative base, inf, NaN) the float goes through fn instead, which gives
-    numpy's result and its RuntimeWarning. A float read by scalar does not
-    consult np.seterr."""
-
-    def wrapped(x):
-        if isinstance(x, float):
-            if scalar is not None:
-                try:
-                    y = scalar(float(x))
-                except ArithmeticError:
-                    y = None
-                if type(y) is float and math.isfinite(y):
-                    return y
-            return float(fn(np.float64(x)))
+    def call(x):
+        if type(x) is float:
+            return read(x)
         arr = np.asarray(x, dtype=float)
-        out = fn(arr)
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
+        if arr.ndim == 0:
+            return read(float(arr))
+        return np.array([read(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
 
-    return wrapped
+    return call
 
 
 @dataclass(frozen=True)
@@ -65,8 +57,6 @@ class Distribution:
     density: Callable
     quantile: Callable
     hazard: Callable
-    # (quantile, density) of one Python float, for families with float reads
-    float_reads: tuple[Callable, Callable] | None = None
 
     def threshold(self, accept: float) -> float:
         """The value a draw reaches with probability accept, quantile(1 - accept).
@@ -76,7 +66,7 @@ class Distribution:
         if q == 1.0:
             raise InvalidParameterError(
                 f"acceptance probability {accept:.3g} is below float resolution")
-        return float(self.quantile(q))
+        return self.quantile(q)
 
     def spec(self) -> dict:
         """JSON-serializable description that distribution_from_spec rebuilds;
@@ -89,75 +79,93 @@ class Distribution:
 
 def _distribution(name: str, params: Sequence[float], lower: float, upper: float,
                   cdf: Callable, density: Callable, quantile: Callable,
-                  hazard: Callable, scalar_density: Callable | None = None,
-                  scalar_quantile: Callable | None = None) -> Distribution:
-    """Build a Distribution from four functions of a float array; a density or
-    quantile may come with a function of one float beside it (_vectorized)."""
-    reads = (scalar_quantile, scalar_density) if scalar_quantile and scalar_density else None
+                  hazard: Callable) -> Distribution:
+    """Build a Distribution from four functions of one float (_elementwise)."""
     return Distribution(name, tuple(map(float, params)), float(lower), float(upper),
-                        _vectorized(cdf), _vectorized(density, scalar_density),
-                        _vectorized(quantile, scalar_quantile), _vectorized(hazard), reads)
+                        _elementwise(cdf), _elementwise(density),
+                        _elementwise(quantile), _elementwise(hazard))
 
 
 def make_uniform(lo: float, hi: float) -> Distribution:
     if not (lo < hi and math.isfinite(hi - lo)):
         raise InvalidParameterError(f"uniform needs finite lo < hi, got [{lo}, {hi}]")
     width = hi - lo
+    inv_width = 1.0 / width
+
+    def cdf(x):
+        return min(max((x - lo) / width, 0.0), 1.0)  # NaN stays NaN
+
+    def density(x):
+        return inv_width if lo <= x <= hi else 0.0
+
+    def quantile(u):
+        return lo + u * width
 
     def hazard(x):
-        with np.errstate(divide="ignore"):
-            return np.where((x >= lo) & (x < hi), 1.0 / (hi - x), 0.0)
+        return 1.0 / (hi - x) if lo <= x < hi else 0.0
 
-    return _distribution(
-        "uniform", (lo, hi), lo, hi,
-        cdf=lambda x: np.clip((x - lo) / width, 0.0, 1.0),
-        density=lambda x: np.where((x >= lo) & (x <= hi), 1.0 / width, 0.0),
-        quantile=lambda u: lo + u * width,
-        hazard=hazard,
-    )
+    return _distribution("uniform", (lo, hi), lo, hi, cdf, density, quantile, hazard)
 
 
 def make_exponential(rate: float) -> Distribution:
     require_positive("exponential rate", rate)
-    return _distribution(
-        "exponential", (rate,), 0.0, math.inf,
-        cdf=lambda x: np.where(x > 0, -np.expm1(-rate * np.maximum(x, 0.0)), 0.0),
-        density=lambda x: np.where(x >= 0, rate * np.exp(-rate * np.maximum(x, 0.0)), 0.0),
-        quantile=lambda u: -np.log1p(-u) / rate,
-        hazard=lambda x: np.where(x >= 0, rate, 0.0),
-    )
+
+    def cdf(x):
+        return -math.expm1(-rate * x) if x > 0.0 else 0.0
+
+    def density(x):
+        return rate * math.exp(-rate * x) if x >= 0.0 else 0.0
+
+    def quantile(u):
+        if u >= 1.0:  # log1p raises at -1 and past it
+            return math.inf if u == 1.0 else math.nan
+        return -math.log1p(-u) / rate
+
+    def hazard(x):
+        return rate if x >= 0.0 else 0.0
+
+    return _distribution("exponential", (rate,), 0.0, math.inf, cdf, density, quantile, hazard)
 
 
 def make_pareto(shape: float, scale: float) -> Distribution:
     require_positive("pareto shape", shape)
     require_positive("pareto scale", scale)
     try:
-        scale_pow = scale**shape  # the density's factor, once; a float power raises on overflow
-        float(scale_pow)  # an int power of an int is exact, and may not fit a float
+        scale_pow = float(scale) ** float(shape)  # the density's factor, once
     except OverflowError:
+        scale_pow = math.inf
+    if not 0.0 < scale_pow < math.inf:  # the density would read inf, NaN or 0.0 on all its support
         raise InvalidParameterError(
-            f"pareto scale**shape overflows a float: scale {scale}, shape {shape}") from None
+            f"pareto scale**shape leaves the float range: scale {scale}, shape {shape}")
+    shape, scale = float(shape), float(scale)
+    tail_pow, density_pow = -1.0 / shape, -shape - 1.0
 
-    # The float reads are the array expressions on Python floats, whose ** is
-    # libm's pow, as numpy's scalar ** is. The quantile's expression serves both.
+    def cdf(x):
+        return 1.0 - (scale / x) ** shape if x > scale else 0.0
+
+    def density(x):
+        if not x >= scale:
+            return 0.0
+        try:
+            return shape * scale_pow * x**density_pow
+        except OverflowError:  # C's pow gives inf, and so does the product
+            return math.inf
+
     def quantile(u):
-        return scale * (1.0 - u) ** (-1.0 / shape)
+        # Python's ** raises where C's pow gives inf (at u = 1 and on overflow),
+        # and gives a complex where it gives NaN (past u = 1, a power that is
+        # not an integer); an odd integer power keeps the sign of 1 - u
+        t = 1.0 - u
+        try:
+            y = t**tail_pow
+        except ArithmeticError:
+            y = math.copysign(math.inf, t) if tail_pow % 2.0 == 1.0 else math.inf
+        return scale * y if type(y) is float else math.nan
 
-    def scalar_density(x):
-        # both branches are computed, as np.where does, so that an overflow in
-        # the unused one still goes to numpy for its warning
-        f = shape * scale_pow * max(x, scale) ** (-shape - 1.0)
-        return f if x >= scale else 0.0
+    def hazard(x):
+        return shape / x if x >= scale else 0.0
 
-    return _distribution(
-        "pareto", (shape, scale), scale, math.inf,
-        cdf=lambda x: np.where(x > scale, 1.0 - (scale / np.maximum(x, scale)) ** shape, 0.0),
-        density=lambda x: np.where(
-            x >= scale, shape * scale_pow * np.maximum(x, scale) ** (-shape - 1.0), 0.0),
-        quantile=quantile,
-        hazard=lambda x: np.where(x >= scale, shape / np.maximum(x, scale), 0.0),
-        scalar_density=scalar_density, scalar_quantile=quantile,
-    )
+    return _distribution("pareto", (shape, scale), scale, math.inf, cdf, density, quantile, hazard)
 
 
 def from_quantile_grid(grid: Sequence[Sequence[float]]) -> Distribution:
@@ -169,38 +177,38 @@ def from_quantile_grid(grid: Sequence[Sequence[float]]) -> Distribution:
         raise InvalidParameterError(
             f"quantile grid needs [u, x] number pairs, got {grid!r}"
         ) from None
-    us = np.array([p[0] for p in pts])
-    xs = np.array([p[1] for p in pts])
+    us, xs = [p[0] for p in pts], [p[1] for p in pts]
     if len(pts) < 2 or us[0] != 0.0 or us[-1] != 1.0:
         raise InvalidParameterError("quantile grid must span u=0..1 with >= 2 points")
+    steps = list(zip(us, us[1:], xs, xs[1:]))
     # written so that NaN fails: NaN compares false
-    if not (np.all(np.diff(us) > 0) and np.all(np.diff(xs) > 0) and np.isfinite(xs).all()):
+    if not (all(u0 < u1 and x0 < x1 for u0, u1, x0, x1 in steps) and all(map(math.isfinite, xs))):
         raise InvalidParameterError("quantile grid must be finite, strictly increasing in u and x")
-
-    slopes = np.diff(us) / np.diff(xs)  # du/dx per segment
-    u_list, x_list, slope_list = us.tolist(), xs.tolist(), slopes.tolist()
+    slopes = [(u1 - u0) / (x1 - x0) for u0, u1, x0, x1 in steps]  # du/dx per segment
+    # the CDF and density read du/dx, the quantile dx/du: each must be a float
+    if not all(math.isfinite(s) and math.isfinite((x1 - x0) / (u1 - u0))
+               for s, (u0, u1, x0, x1) in zip(slopes, steps)):
+        raise InvalidParameterError("quantile grid slopes overflow a float: du/dx and dx/du "
+                                    "must be finite on each segment")
 
     def cdf(x):
-        return np.interp(x, xs, us)
+        return interp(x, xs, us)
 
     def density(x):
-        idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(slopes) - 1)
-        return np.where((x >= xs[0]) & (x <= xs[-1]), slopes[idx], 0.0)
-
-    def scalar_density(x):
-        if not x_list[0] <= x <= x_list[-1]:  # NaN included
+        if not xs[0] <= x <= xs[-1]:  # NaN included
             return 0.0
-        return slope_list[min(bisect.bisect_right(x_list, x) - 1, len(slope_list) - 1)]
+        return slopes[min(bisect.bisect_right(xs, x) - 1, len(slopes) - 1)]
+
+    def quantile(u):
+        return interp(u, us, xs)
 
     def hazard(x):
         tail = 1.0 - cdf(x)
-        return np.where(tail > 0, density(x) / np.where(tail > 0, tail, 1.0), 0.0)
+        return density(x) / tail if tail > 0.0 else 0.0
 
     return _distribution(
         "custom", [v for p in pts for v in p], xs[0], xs[-1],  # spec() reads the params
-        cdf=cdf, density=density, quantile=lambda u: np.interp(u, us, xs), hazard=hazard,
-        scalar_density=scalar_density, scalar_quantile=lambda u: interp(u, u_list, x_list),
-    )
+        cdf, density, quantile, hazard)
 
 
 _FAMILIES = {

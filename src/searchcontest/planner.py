@@ -83,41 +83,14 @@ def _quad(fn, lo: float, hi: float) -> float:
 
 
 def _inverse_density(v: float, d: Distribution) -> float:
-    """1/f(quantile(v)), hard zero once v is inside float resolution of 1.
+    """1/f(quantile(v)), hard zero once v is inside float resolution of 1 and
+    where the density is no positive float (past a quantile that overflows).
 
     Quantile-space integrands lose the tail when q + u*(1-q) rounds to 1.
     For a Pareto shape near 1 and 1 - q below about 1e-7 the cut tail holds
     mass of order one; solve_planner's closed-form check refuses such roots."""
-    if v >= 1.0:
-        return 0.0
-    x = float(d.quantile(v))
-    if not math.isfinite(x):
-        return 0.0
-    f = float(d.density(x))
-    if not math.isfinite(f) or f <= 0.0:
-        return 0.0
-    return 1.0 / f
-
-
-def _integrand_read(d: Distribution):
-    """v -> _inverse_density(v, d), with the same bits from the family's float reads
-    where it has them; for v >= 1, and where they raise an ArithmeticError or give
-    no finite positive float, _inverse_density's read, numpy's warning included."""
-    if d.float_reads is None:
-        return lambda v: _inverse_density(v, d)
-    quantile, density = d.float_reads
-
-    def read(v: float) -> float:
-        if v < 1.0:
-            try:
-                y = 1.0 / density(quantile(v))
-            except ArithmeticError:  # 0.0 ** -x, a zero density
-                y = 0.0
-            if type(y) is float and 0.0 < y < math.inf:
-                return y
-        return _inverse_density(v, d)
-
-    return read
+    f = d.density(d.quantile(v)) if v < 1.0 else 0.0
+    return 1.0 / f if 0.0 < f < math.inf else 0.0
 
 
 def _check_args(n_players: int, cost: float) -> None:
@@ -133,14 +106,13 @@ def _check_tail(d: Distribution) -> None:
         )
 
 
-def _expected_max(q: float, n_players: int, d: Distribution, read=None) -> float:
+def _expected_max(q: float, n_players: int, d: Distribution) -> float:
     """E[max of n values drawn above quantile q], written against the quantile
-    function so unbounded supports need no truncation; read: _integrand_read(d)."""
-    b = float(d.quantile(q))
-    read, t = read or _integrand_read(d), 1.0 - q
+    function so unbounded supports need no truncation."""
+    b, t = d.quantile(q), 1.0 - q
 
     def integrand(u: float) -> float:
-        return (1.0 - u**n_players) * t * read(q + u * t)
+        return (1.0 - u**n_players) * t * _inverse_density(q + u * t, d)
 
     val = _quad(integrand, 0.0, 1.0)
     if not math.isfinite(val):
@@ -153,19 +125,19 @@ def planner_welfare(threshold: float, n_players: int, cost: float, d: Distributi
     n_players stop at threshold."""
     _check_args(n_players, cost)
     _check_tail(d)
-    q = float(d.cdf(threshold))
+    q = d.cdf(threshold)
     if q >= 1.0 - 1e-12:
         raise InvalidParameterError("threshold leaves no acceptance mass")
     return _expected_max(q, n_players, d) - n_players * cost / (1.0 - q)
 
 
-def _foc_residual(q: float, n_players: int, cost: float, d: Distribution, read=None) -> float:
+def _foc_residual(q: float, n_players: int, cost: float, d: Distribution) -> float:
     """Zero at interior welfare optima: marginal value of raising the threshold
     minus marginal sampling cost, scaled by (1-q)^2 to stay bounded."""
-    read, p, t = read or _integrand_read(d), n_players - 1, 1.0 - q
+    p, t = n_players - 1, 1.0 - q
 
     def integrand(u: float) -> float:
-        return u**p * (1.0 - u) * read(q + u * t)
+        return u**p * (1.0 - u) * _inverse_density(q + u * t, d)
 
     return t**2 * _quad(integrand, 0.0, 1.0) - cost
 
@@ -223,12 +195,11 @@ def solve_planner(n_players: int, cost: float, d: Distribution) -> PlannerSoluti
             {"top_quantile": float(qs[-1]), "top_residual": top})
     vals = np.array([_closed_residual(q, n, cost, d) for q in qs[:-1].tolist()] + [top])
     # brentq has evaluated the root it returns: its residual is not integrated again
-    read = _integrand_read(d)
-    foc = lru_cache(maxsize=None)(lambda q: _foc_residual(q, n, cost, d, read))
+    foc = lru_cache(maxsize=None)(lambda q: _foc_residual(q, n, cost, d))
     roots = [0.0] + _grid_roots(foc, qs, vals, 1e-13)  # 0: the corner
     best_q, best_w = None, -math.inf
     for q in roots:
-        w = _expected_max(q, n, d, read) - n * cost / (1.0 - q)
+        w = _expected_max(q, n, d) - n * cost / (1.0 - q)
         if w > best_w:
             best_q, best_w = q, w
     interior = best_q > 0.0
@@ -239,7 +210,7 @@ def solve_planner(n_players: int, cost: float, d: Distribution) -> PlannerSoluti
             "integrand lost the tail past float resolution",
             {"root_quantile": best_q, "closed_residual": closed, "foc_residual": foc(best_q)})
     return PlannerSolution(
-        threshold=float(d.quantile(best_q)),
+        threshold=d.quantile(best_q),
         welfare=best_w,
         efficient_prize=n * cost / (1.0 - best_q),
         acceptance_prob=1.0 - best_q,
@@ -289,8 +260,8 @@ def efficient_prize_integral(sol: PlannerSolution, n_players: int, d: Distributi
         v = q + u * (1.0 - q)
         if v >= 1.0:
             return 0.0
-        x = float(d.quantile(v))
-        h = float(d.hazard(x)) if math.isfinite(x) else math.inf
+        x = d.quantile(v)
+        h = d.hazard(x) if math.isfinite(x) else math.inf
         if not math.isfinite(h) or h <= 0.0:
             return 0.0
         return n * u ** (n - 1) / h
@@ -309,16 +280,13 @@ def hazard_order_check(
     lo = max(first.support_lower, second.support_lower)
     his = []
     for d in (first, second):
-        his.append(d.support_upper if math.isfinite(d.support_upper) else float(d.quantile(0.995)))
+        his.append(d.support_upper if math.isfinite(d.support_upper) else d.quantile(0.995))
     hi = min(his)
     if hi <= lo:
         raise InvalidParameterError("supports do not overlap")
-    xs = np.linspace(lo, hi, _HAZARD_GRID, endpoint=False)
-    h1 = np.asarray(first.hazard(xs), dtype=float)
-    h2 = np.asarray(second.hazard(xs), dtype=float)
-    bad = np.nonzero(h1 < h2 - 1e-12)[0]
-    dominance = bad.size == 0
-    first_violation = None if dominance else float(xs[bad[0]])
+    xs = np.linspace(lo, hi, _HAZARD_GRID, endpoint=False).tolist()
+    first_violation = next((x for x in xs if first.hazard(x) < second.hazard(x) - 1e-12), None)
+    dominance = first_violation is None
     w1 = solve_planner(n_players, cost, first).efficient_prize
     w2 = solve_planner(n_players, cost, second).efficient_prize
     consistent = (w1 <= w2 + 1e-9 * max(1.0, abs(w2))) if dominance else None
