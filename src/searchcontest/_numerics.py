@@ -1,5 +1,6 @@
-"""Pure-Python ports of the four scipy routines the solvers call, and of
-numpy's `interp` for one float.
+"""Pure-Python ports of the four scipy routines the solvers call, of numpy's
+`interp` for one float and `linspace` as a list, and the one array policy of
+the float reads.
 
 Each port returns scipy's (or numpy's) bits: the same floating-point
 operations in the same order, on Python floats, which are IEEE doubles with no
@@ -18,6 +19,10 @@ library as scipy's compiled code does.
 - `xlogy`: scipy's `xlogy` over an integer array and a float.
 - `interp`: `np.interp` at one float, for the k-draw CDF's node lists and a
   quantile grid's float reads.
+- `linspace`: `np.linspace(...).tolist()` by numpy's own formula, for the
+  two-draw and planner grids.
+- `elementwise`: how a float read takes anything that is not a float. The
+  distributions' reads and the k-draw CDF and its inverse go through it.
 
 Python raises where C divides by zero (in brentq's step, once a product of
 tiny values underflows) or a power overflows; each such spot takes the branch
@@ -500,3 +505,34 @@ def interp(x: float, xp: list[float], fp: list[float]) -> float:
     if j == len(xp) - 1 or xp[j] == x:
         return fp[j]
     return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
+
+
+def linspace(start: float, stop: float, num: int, endpoint: bool = True) -> list[float]:
+    """np.linspace(start, stop, num, endpoint).tolist() for num >= 2, by its
+    formula: i * step + start with step = (stop - start) / div, or
+    i / div * (stop - start) + start where step underflows to 0, and the last
+    point set to stop when it is included."""
+    div = num - 1 if endpoint else num
+    delta = stop - start
+    step = delta / div
+    xs = [i * step + start if step != 0.0 else i / div * delta + start for i in range(num)]
+    if endpoint:
+        xs[-1] = stop
+    return xs
+
+
+def elementwise(read):
+    """read, a function of one float, as a callable that takes anything: a
+    float gives read's float, and anything else is read as floats, a scalar or
+    a 0-d array giving a float and an array an array of its shape, entry by
+    entry."""
+
+    def call(x):
+        if type(x) is float:
+            return read(x)
+        arr = np.asarray(x, dtype=float)
+        if arr.ndim == 0:
+            return read(float(arr))
+        return np.array([read(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
+
+    return call

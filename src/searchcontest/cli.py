@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Equilibria, optima and simulations of search contests.")
     parser.add_argument("--version", action="version", version=f"searchcontest {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    seed = ("--seed", int, _default_seed())
+    seed = ("--seed", int, None, "default: SEARCHCONTEST_SEED, else 12345")
     output = [("--output", None, None)]
     io = _DIST_FLAGS + output
     sim = _DIST_FLAGS + [("--reps", int, 200_000), seed, ("--threads", int, 1)] + output
@@ -441,17 +441,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=1)
-def _parser(seed: int) -> argparse.ArgumentParser:
-    """build_parser's parser, built once a process (it makes about 600
-    add_argument calls) and again when the default seed changes: seed, read
-    from SEARCHCONTEST_SEED on each call of main, is the key, and
-    build_parser reads the same."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once a process: it makes about 600
+    add_argument calls and reads no environment."""
     return build_parser()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser(_default_seed()).parse_args(argv)
+    args = _parser().parse_args(argv)
+    if getattr(args, "seed", 0) is None:  # a command that takes --seed, without it
+        args.seed = _default_seed()  # read on each call
     try:
         for flag in ("output", "out"):
             if getattr(args, flag, None):

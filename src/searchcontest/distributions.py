@@ -24,25 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
-from ._numerics import interp
+from ._numerics import elementwise, interp
 from .errors import InvalidParameterError, require_positive
-
-
-def _elementwise(read: Callable[[float], float]) -> Callable:
-    """read on a float, and on each entry of anything else as a float: a
-    scalar or 0-d array gives a float, an array an array of its shape."""
-
-    def call(x):
-        if type(x) is float:
-            return read(x)
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0:
-            return read(float(arr))
-        return np.array([read(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
-
-    return call
 
 
 @dataclass(frozen=True)
@@ -80,10 +63,10 @@ class Distribution:
 def _distribution(name: str, params: Sequence[float], lower: float, upper: float,
                   cdf: Callable, density: Callable, quantile: Callable,
                   hazard: Callable) -> Distribution:
-    """Build a Distribution from four functions of one float (_elementwise)."""
+    """Build a Distribution from four functions of one float (elementwise)."""
     return Distribution(name, tuple(map(float, params)), float(lower), float(upper),
-                        _elementwise(cdf), _elementwise(density),
-                        _elementwise(quantile), _elementwise(hazard))
+                        elementwise(cdf), elementwise(density),
+                        elementwise(quantile), elementwise(hazard))
 
 
 def make_uniform(lo: float, hi: float) -> Distribution:
@@ -148,8 +131,8 @@ def make_pareto(shape: float, scale: float) -> Distribution:
             return 0.0
         try:
             return shape * scale_pow * x**density_pow
-        except OverflowError:  # C's pow gives inf, and so does the product
-            return math.inf
+        except OverflowError:  # x < 1 here, so (scale / x)**shape >= scale_pow > 0: a float or inf
+            return shape / x * (scale / x) ** shape
 
     def quantile(u):
         # Python's ** raises where C's pow gives inf (at u = 1 and on overflow),

@@ -180,7 +180,7 @@ def _asym_low_profit(s_l: float, s_h: float, n: int, c: float, w: float) -> floa
     probability s_l against a high player accepting with s_h:
     -c + w s_h sum_i Binom(i; n-2, s_h/s_l) / (i+2)."""
     i, pmf = _binom_pmf(n - 2, s_h, s_l)
-    return -c + w * s_h * float(pmf @ (1.0 / (i + 2)))
+    return -c + w * s_h * float(np.multiply(pmf, 1.0 / (i + 2)).sum())
 
 
 def _asym_high_indiff(s_l: float, s_h: float, n: int, c: float, w: float) -> float:
@@ -188,7 +188,7 @@ def _asym_high_indiff(s_l: float, s_h: float, n: int, c: float, w: float) -> flo
     w beta^(n-1) s_h + c - w s_h sum_i Binom(i; n-1, s_h/s_l) / (i+1)."""
     i, pmf = _binom_pmf(n - 1, s_h, s_l)
     beta = (s_l - s_h) / s_l
-    return w * beta ** (n - 1) * s_h + c - w * s_h * float(pmf @ (1.0 / (i + 1)))
+    return w * beta ** (n - 1) * s_h + c - w * s_h * float(np.multiply(pmf, 1.0 / (i + 1)).sum())
 
 
 def _brentq(f, lo: float, hi: float, xtol: float, args: tuple = ()) -> float:
@@ -211,16 +211,9 @@ def _brentq(f, lo: float, hi: float, xtol: float, args: tuple = ()) -> float:
     return root
 
 
-def _opposite(a, b):
-    """Nonzero with opposite signs, elementwise; a product can overflow or underflow to 0."""
-    return ((a < 0.0) & (b > 0.0)) | ((a > 0.0) & (b < 0.0))
-
-
-def _grid_roots(f, xs: np.ndarray, fs: np.ndarray, xtol: float) -> list:
-    """The roots of f that the grid xs, with fs = f(xs), brackets, ascending: every
-    point where fs is exactly 0, and a _brentq polish of every sign change."""
-    return [float(xs[i]) if fs[i] == 0.0 else float(_brentq(f, xs[i], xs[i + 1], xtol))
-            for i in np.flatnonzero((fs == 0.0) | np.append(_opposite(fs[:-1], fs[1:]), False))]
+def _opposite(a: float, b: float) -> bool:
+    """Nonzero with opposite signs; a product can overflow or underflow to 0."""
+    return (a < 0.0 < b) or (a > 0.0 > b)
 
 
 def solve_asymmetric(params: ContestParams, d: Distribution) -> AsymmetricEquilibrium:

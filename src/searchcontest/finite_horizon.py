@@ -9,6 +9,12 @@ where the raw indifference residuals fall below float64 cancellation noise;
 the Newton fallback therefore solves an algebraically equivalent system in
 which the cost term cancels exactly (adjacent-round ratio equations), keeping
 every equation O(1)-scaled.
+
+The module runs on Python floats alone. Newton's linear step is Gaussian
+elimination with partial pivoting (_solve), not LAPACK: OpenBLAS picks its
+kernels by CPU, so a LAPACK step gave roots and residuals whose last bits
+depend on the host. A float passed to OpponentFinalCdf or its inverse gives a
+float; anything else is read elementwise (_numerics.elementwise).
 """
 from __future__ import annotations
 
@@ -19,9 +25,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
-from ._numerics import interp
+from ._numerics import elementwise, interp, linspace
 from .equilibrium import _brentq, _sum_left
 from .errors import (InvalidParameterError, NumericFailureError, _as_tuple, require_count,
                      require_positive)
@@ -31,7 +35,7 @@ _BR_MAX_ITER = 10_000
 _DAMPING = 0.5
 _TOP = 1.0 - 1e-12  # a best-response quantile's upper clamp
 _LOG_MAX = math.log(sys.float_info.max)  # largest exponent math.exp can return
-_TWO_DRAW_GRID = np.linspace(1e-9, 1.0 - 1e-9, 4001)  # an array: 4,001 floats take more memory
+_TWO_DRAW_GRID = tuple(linspace(1e-9, 1.0 - 1e-9, 4001))
 # a solve can hold eleven start lists of k - 1 quantiles at once, 8 bytes a
 # reference: k - 1 <= 2**20 keeps them within 88 MiB
 _MAX_ROUNDS = 2**20
@@ -71,8 +75,10 @@ class OpponentFinalCdf:
 
     h is piecewise linear, convex, nondecreasing, h(0)=0 and h(1)=1, so
     integrals of h^p have exact per-segment closed forms. The class checks its
-    quantiles and then holds the solver's own node lists (_cdf_nodes): a float
-    is read through interp, and an array of h(u) goes through np.interp.
+    quantiles and then holds the solver's own node lists (_cdf_nodes). h and
+    its inverse take a float and give a float; anything else is read
+    elementwise (_numerics.elementwise): a scalar or 0-d array gives a float,
+    an array an array of its shape.
     """
 
     def __init__(self, round_quantiles: Sequence[float]):
@@ -86,22 +92,16 @@ class OpponentFinalCdf:
         if not ok:
             raise InvalidParameterError(f"round quantiles must lie in [0, 1): {round_quantiles!r}")
         self.round_quantiles = a
-        self._xs, self._ys = _cdf_nodes(a)
+        xs, ys = self._xs, self._ys = _cdf_nodes(a)
+        self._h = elementwise(lambda u: interp(u, xs, ys))
+        self._h_inverse = elementwise(lambda y: _inverse(y, xs, ys))
 
     def __call__(self, u):
-        if type(u) is float:
-            return interp(u, self._xs, self._ys)
-        return np.interp(u, self._xs, self._ys)
+        return self._h(u)
 
     def inverse(self, y):
-        """The quantile u with h(u) = y, clamped to [0, 1] (_inverse). A float
-        gives a float; anything else is read as a float64 array, element by
-        element, and gives an array of its shape, or a np.float64 if 0-d."""
-        if type(y) is float:
-            return _inverse(y, self._xs, self._ys)
-        y = np.asarray(y, dtype=float)
-        us = [_inverse(v, self._xs, self._ys) for v in y.ravel().tolist()]
-        return np.array(us).reshape(y.shape)[()]
+        """The quantile u with h(u) = y, clamped to [0, 1] (_inverse)."""
+        return self._h_inverse(y)
 
     def integral_power(
         self, p: float, lo: float = 0.0, hi: float = 1.0, ref: float = 1.0
@@ -228,19 +228,19 @@ def solve_two_draw(n_players: int, cost_ratio: float) -> FiniteHorizonEquilibriu
     params = FiniteHorizonParams(n_players, cost_ratio, 2)
     n, r = params.n_players, params.cost_ratio
     g, lo, hi = _TWO_DRAW_GRID, 0, len(_TWO_DRAW_GRID) - 1
-    f_lo, f_hi = (_two_draw_residual(float(g[i]), n, r) for i in (lo, hi))
+    f_lo, f_hi = (_two_draw_residual(g[i], n, r) for i in (lo, hi))
     if f_lo > 0.0 >= f_hi:  # a sign change: keep the residual > 0 at lo and <= 0 at hi
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            f_mid = _two_draw_residual(float(g[mid]), n, r)
+            f_mid = _two_draw_residual(g[mid], n, r)
             if f_mid > 0.0:
                 lo = mid
             else:
                 hi, f_hi = mid, f_mid
-        roots = [float(g[hi]) if f_hi == 0.0
+        roots = [g[hi] if f_hi == 0.0
                  else _brentq(_two_draw_residual, g[lo], g[hi], 1e-15, (n, r))]
     else:  # a root at the first grid point, or none on the grid
-        roots = [float(g[lo])] if f_lo == 0.0 else []
+        roots = [g[lo]] if f_lo == 0.0 else []
     checks = [_two_draw_stable(a, n, r) for a in roots]  # (stable, factor)
     diagnostics = {"roots": roots, "stability_factors": [f for _, f in checks]}
     frontier = _frontier(n, r, 2, diagnostics)
@@ -381,13 +381,40 @@ def _sup_norm(f: list[float]) -> float:
     return next((d for d in ds if d != d), max(ds))
 
 
+def _solve(a, b: list[float]) -> list[float] | None:
+    """x with a x = b for the rows a, by Gaussian elimination with partial
+    pivoting on floats (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, Algorithm 9.1): the pivot is the first largest
+    |entry| of its column, and None is returned on an exactly zero pivot,
+    where LAPACK's getrf reports a singular matrix."""
+    m = len(b)
+    rows = [[*row, v] for row, v in zip(a, b)]  # augmented, copied
+    for j in range(m):
+        p = max(range(j, m), key=lambda i: abs(rows[i][j]))
+        if rows[p][j] == 0.0:
+            return None
+        rows[j], rows[p] = rows[p], rows[j]
+        pivot = rows[j]
+        for row in rows[j + 1:]:
+            f = row[j] / pivot[j]
+            for c in range(j + 1, m + 1):
+                row[c] -= f * pivot[c]
+    x = [0.0] * m
+    for i in range(m - 1, -1, -1):  # back substitution
+        s = rows[i][m]
+        for c in range(i + 1, m):
+            s -= rows[i][c] * x[c]
+        x[i] = s / rows[i][i]
+    return x
+
+
 def _newton_polish(
     a0: Sequence[float], n: int, r: float
 ) -> tuple[list[float] | None, int, float]:
     """Damped Newton with backtracking on the scaled system, on floats:
     (solution, iterations, sup norm), or (None, iterations, sup norm) where
     it stops above 1e-9. The Jacobian is by central differences, column by
-    column; the step is np.linalg.solve's, the one array call."""
+    column; the step is _solve's, and a singular Jacobian ends the search."""
     a = _clip(map(float, a0))
     f = _scaled_residuals(a, n, r)
     norm = _sup_norm(f)
@@ -404,9 +431,8 @@ def _newton_polish(
             # a residual saturated at the float edge gives an infinite column
             cols.append([(x - y) / (ap[i] - am[i]) for x, y in
                          zip(_scaled_residuals(ap, n, r), _scaled_residuals(am, n, r))])
-        try:
-            step = np.linalg.solve(np.array(cols).T, [-v for v in f]).tolist()
-        except np.linalg.LinAlgError:
+        step = _solve(zip(*cols), [-v for v in f])
+        if step is None:
             return None, it, norm
         improved = False
         for halving in range(40):
@@ -444,9 +470,10 @@ def solve_k_draw(
     n, r, k = params.n_players, params.cost_ratio, params.n_draws
     if init is not None:
         try:
-            raw, init = init, np.asarray(init, dtype=float)
-            ok = (init.shape == (k - 1,) and bool(np.all((init >= 0) & (init < 1)))
-                  and all(map(math.isfinite, raw)))  # refuses a string, as ContestParams does
+            items = tuple(init)  # read once: an iterator is spent after one pass
+            init = [float(v) for v in items]
+            ok = (len(init) == k - 1 and all(0.0 <= v < 1.0 for v in init)
+                  and all(map(math.isfinite, items)))  # refuses a string, as ContestParams does
         except (TypeError, ValueError):
             ok = False
         if not ok:
@@ -459,7 +486,7 @@ def solve_k_draw(
     two = solve_two_draw(n, r) if k == 2 else None
     if k == 2 and not two.exists:
         return two
-    starts = [] if init is None else [_clip(init.tolist())]
+    starts = [] if init is None else [_clip(init)]
 
     def plan(two):  # for k>=3 the two-draw solve runs once the starts from init are spent
         yield from ((_run_best_response, "best_response", a0) for a0 in starts)

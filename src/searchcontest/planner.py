@@ -13,11 +13,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from ._numerics import lgam, qagse
+from ._numerics import lgam, linspace, qagse
 from .distributions import Distribution
-from .equilibrium import solve_symmetric, ContestParams, _grid_roots, _sum_left
+from .equilibrium import solve_symmetric, ContestParams, _brentq, _opposite, _sum_left
 from .errors import (DivergentObjectiveError, InvalidParameterError, NumericFailureError,
                      require_count, require_positive)
 
@@ -91,6 +89,14 @@ def _inverse_density(v: float, d: Distribution) -> float:
     mass of order one; solve_planner's closed-form check refuses such roots."""
     f = d.density(d.quantile(v)) if v < 1.0 else 0.0
     return 1.0 / f if 0.0 < f < math.inf else 0.0
+
+
+def _grid_roots(f, xs: list[float], fs: list[float], xtol: float) -> list[float]:
+    """The roots of f that the grid xs, with fs = f(xs), brackets, ascending: every
+    point where fs is exactly 0, and a _brentq polish of every sign change."""
+    return [xs[i] if fs[i] == 0.0 else _brentq(f, xs[i], xs[i + 1], xtol)
+            for i in range(len(xs))
+            if fs[i] == 0.0 or i + 1 < len(xs) and _opposite(fs[i], fs[i + 1])]
 
 
 def _check_args(n_players: int, cost: float) -> None:
@@ -186,14 +192,14 @@ def solve_planner(n_players: int, cost: float, d: Distribution) -> PlannerSoluti
     n = n_players
     if math.isinf(n * cost):  # every candidate's welfare would be -inf
         raise InvalidParameterError(f"{n} players at cost {cost:g} a draw overflow a float")
-    qs = np.linspace(0.0, 1.0 - 1e-9, _GRID)
-    top = _closed_residual(float(qs[-1]), n, cost, d)  # first: a refusal needs no other point
+    qs = linspace(0.0, 1.0 - 1e-9, _GRID)
+    top = _closed_residual(qs[-1], n, cost, d)  # first: a refusal needs no other point
     if top > 0.0:  # heavy tails: the q = 0 corner would win by default
         raise NumericFailureError(
             "welfare still rises at the top of the quantile grid: the optimal "
             "threshold lies past float resolution",
-            {"top_quantile": float(qs[-1]), "top_residual": top})
-    vals = np.array([_closed_residual(q, n, cost, d) for q in qs[:-1].tolist()] + [top])
+            {"top_quantile": qs[-1], "top_residual": top})
+    vals = [_closed_residual(q, n, cost, d) for q in qs[:-1]] + [top]
     # brentq has evaluated the root it returns: its residual is not integrated again
     foc = lru_cache(maxsize=None)(lambda q: _foc_residual(q, n, cost, d))
     roots = [0.0] + _grid_roots(foc, qs, vals, 1e-13)  # 0: the corner
@@ -284,7 +290,7 @@ def hazard_order_check(
     hi = min(his)
     if hi <= lo:
         raise InvalidParameterError("supports do not overlap")
-    xs = np.linspace(lo, hi, _HAZARD_GRID, endpoint=False).tolist()
+    xs = linspace(lo, hi, _HAZARD_GRID, endpoint=False)
     first_violation = next((x for x in xs if first.hazard(x) < second.hazard(x) - 1e-12), None)
     dominance = first_violation is None
     w1 = solve_planner(n_players, cost, first).efficient_prize

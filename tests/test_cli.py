@@ -550,8 +550,9 @@ def test_env_seed_default(capsys, monkeypatch):
 
 
 def test_main_builds_its_parser_once_per_default_seed(capsys, monkeypatch):
-    # the parser is built once a process, but SEARCHCONTEST_SEED is read on
-    # every call: a changed default seed builds a parser with it
+    # the parser is built once a process, whatever the default seed:
+    # SEARCHCONTEST_SEED is read on every call of main, and a changed one
+    # reaches the manifest without a new parser
     import searchcontest.cli as cli
 
     built = []
@@ -566,14 +567,18 @@ def test_main_builds_its_parser_once_per_default_seed(capsys, monkeypatch):
         assert code == 0
         seeds.append(_payload(out)["manifest"]["seed"])
     assert seeds == [777, 777, 778]
-    assert len(built) == 2
+    assert len(built) == 1
+    # a --seed given wins over the environment
+    code, out, _ = _run(capsys, argv + ["--seed", "5"])
+    assert code == 0 and _payload(out)["manifest"]["seed"] == 5
+    assert len(built) == 1
 
 
 def test_env_seed_garbage_falls_back(capsys, monkeypatch):
     monkeypatch.setenv("SEARCHCONTEST_SEED", "not-a-number")
-    parser = build_parser()
-    args = parser.parse_args(["verify", "recall"])
-    assert args.seed == 12345
+    code, out, _ = _run(capsys, ["verify", "designer_foc"])
+    assert code == 0
+    assert _payload(out)["manifest"]["seed"] == 12345
 
 
 _SPECS = {

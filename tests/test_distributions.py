@@ -91,6 +91,15 @@ def test_pareto_refuses_a_scale_power_past_the_float_range(shape, scale):
         make_pareto(shape, scale)
 
 
+def test_pareto_density_where_its_power_overflows():
+    # x**(-shape - 1) overflows a float at x = 1e-150, but the density there is
+    # shape / x * (scale / x)**shape = 2e150; past the float range it reads inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert make_pareto(2.0, 1e-150).density(1e-150) == 2e150
+        assert make_pareto(1.0, 1e-309).density(1e-309) == math.inf
+
+
 @given(st.floats(0.0, 1.0))
 def test_quantile_cdf_roundtrip_uniform(u):
     d = make_uniform(-1.0, 3.0)
@@ -382,6 +391,7 @@ _MADE = st.one_of(
 @example((make_pareto, 0.01, 1.0), [], [1.0 - 2.0**-53])  # the quantile's power overflows
 @example((make_pareto, 1.0, 1e300), [], [1.0 - 1e-15])  # the quantile's product overflows
 @example((make_pareto, 2.0, 1e-150), [1e-150], [])  # the density's power overflows
+@example((make_pareto, 1.0, 1e-309), [1e-309], [])  # and the density itself
 def test_distribution_reads_are_total(made, xs, us):
     # for any parameters a constructor accepts and any float, each read
     # returns a float, raises nothing and warns nothing; the points include

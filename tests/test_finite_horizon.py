@@ -228,19 +228,23 @@ def test_final_cdf_scalar_path_bitwise_equal_to_np_interp():
             got = h.inverse(y)
             assert type(got) is float and got.hex() == want.hex(), (a, y, got, want)
             wants.append(want)
-        # h(u) arrays go through np.interp; inverse arrays through the float
-        # path, element by element, in the input's shape: a numpy scalar or a
-        # 0-d array gives a np.float64
+        # one array policy for h and its inverse (_numerics.elementwise): an
+        # array is read through the float path, element by element, in its
+        # shape, and keeps np.interp's bits; a numpy scalar or a 0-d array
+        # gives a float
         us = np.array(_probe_points(h._xs, rng))
-        assert np.array_equal(h(us), np.interp(us, xs, ys), equal_nan=True)
-        assert np.array_equal(h.inverse(np.array(ps)), wants, equal_nan=True)
-        got = h.inverse(np.array(ps[:8]).reshape(2, 4))
-        assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (2, 4)
-        assert [u.hex() for u in got.ravel().tolist()] == [u.hex() for u in wants[:8]]
-        for y, want in zip(ps[:3], wants):
-            for arg in (np.float64(y), np.array(y)):
-                got = h.inverse(arg)
-                assert type(got) is np.float64 and float(got).hex() == want.hex(), (a, y)
+        for got, want in ((h(us), np.interp(us, xs, ys)), (h.inverse(np.array(ps)), wants)):
+            assert type(got) is np.ndarray and got.dtype == np.float64
+            assert [v.hex() for v in got.tolist()] == [float(v).hex() for v in want], a
+        for read, points, want in ((h, us[:8], np.interp(us[:8], xs, ys)),
+                                   (h.inverse, ps[:8], wants[:8])):
+            got = read(np.array(points).reshape(2, 4))
+            assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (2, 4)
+            assert [v.hex() for v in got.ravel().tolist()] == [float(v).hex() for v in want]
+            for x, w in zip(points[:3], want):
+                for arg in (np.float64(x), np.array(x)):
+                    got = read(arg)
+                    assert type(got) is float and got.hex() == float(w).hex(), (a, x)
     assert steep > 0
 
 
@@ -672,7 +676,7 @@ def test_k_draw_box_outcomes_digest():
         failures += "error" in outcome
         digest.update(to_json(outcome).encode())
     assert failures == 12
-    assert digest.hexdigest() == "7d8df96d469a0822650bbb962ca813f01d8d163fee6e0dd4649240d98f75d884"
+    assert digest.hexdigest() == "22f17022119d87501e0109d679993c95ebe9fd805ee6e2de57ddf9fbdd55c71f"
 
 
 # ------------------------------------------------- best-response replay
@@ -1071,7 +1075,7 @@ def test_profile_outcomes_and_attempts_digest(monkeypatch):
                 profile = {"error": str(exc)}
             digest.update(to_json({"k": k, "r": r, "cells": cells, "profile": profile}).encode())
             cells.clear()
-    assert digest.hexdigest() == "b8cc6712e54db1b8247f12e633584dabdd83df9e5633b6b7371da93406c45002"
+    assert digest.hexdigest() == "b32bcf0f8b6a12b44dbdcc61967cc2df5fada104d85868e9417e4b4803ca8767"
 
 
 # ------------------------------------------------------- Newton on floats
@@ -1137,7 +1141,7 @@ def _parent_scaled_residuals(a: np.ndarray, n: int, r: float) -> np.ndarray:
 def _parent_newton_polish(
     a0: np.ndarray, n: int, r: float
 ) -> tuple[np.ndarray | None, int, float]:
-    """Damped Newton with backtracking on the scaled system."""
+    """Damped Newton with backtracking on the scaled system; its step is _solve's."""
     a = np.clip(a0, 1e-9, 1.0 - 1e-9)
     f = _scaled_residuals(a, n, r)
     norm = float(np.max(np.abs(f)))
@@ -1156,10 +1160,10 @@ def _parent_newton_polish(
                 jac[:, i] = (_scaled_residuals(ap, n, r) - _scaled_residuals(am, n, r)) / (
                     ap[i] - am[i]
                 )
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
+        step = _solve(jac.tolist(), (-f).tolist())
+        if step is None:
             return None, it, norm
+        step = np.array(step)
         improved = False
         for halving in range(40):
             cand = np.clip(a + step * 0.5**halving, 1e-9, 1.0 - 1e-9)
@@ -1177,10 +1181,12 @@ def _parent_newton_polish(
 
 
 def _parent_newton(**names):
-    """The Newton stage before it moved onto floats, word for word: the three
-    functions above run in a copy of finite_horizon's namespace in which they
-    call each other, with names (a synthetic _scaled_residuals, say) replaced."""
-    ns = dict(vars(fh), **names)
+    """The Newton stage before it moved onto floats, word for word but for its
+    step, which was np.linalg.solve's and is now _solve's on both stages: the
+    three functions above run in a copy of finite_horizon's namespace, numpy
+    added, in which they call each other, with names (a synthetic
+    _scaled_residuals, say) replaced."""
+    ns = dict(vars(fh), np=np, **names)
     for f in (_parent_segment_integrals, _parent_scaled_residuals, _parent_newton_polish):
         name = f.__name__[len("_parent"):]
         if name not in names:
@@ -1330,7 +1336,7 @@ def _nan_step(a, n, r):
 
 # synthetic scaled systems, (system, start), each run through both stages
 _SYNTHETIC_SYSTEMS = {
-    # no column moves: np.linalg.solve raises LinAlgError
+    # no column moves: _solve meets a zero pivot and returns None
     "singular": (lambda a, n, r: [0.5] * len(a), [0.3, 0.6]),
     "nan_step": (_nan_step, [0.3, 0.4]),
     # a NaN after a finite component: the norm is NaN, not the finite one
@@ -1358,3 +1364,119 @@ def test_newton_equals_parent_on_synthetic_systems(monkeypatch, name):
     monkeypatch.setattr(fh, "_scaled_residuals", system)
     assert (_polish_bits(fh._newton_polish, a0, 3, 0.0)
             == _polish_bits(parent["_newton_polish"], a0, 3, 0.0))
+
+
+# ------------------------------------------------- the elimination step
+
+# the largest normwise relative residual |b - A x| / (|A| |x| + |b|), in the
+# infinity norm, that _solve may leave on the seeded systems: 8 * n * eps at
+# n = 8 unknowns, far above the few eps that partial pivoting gives there
+_SOLVE_RESIDUAL_BOUND = 64 * 2.0**-52
+
+
+def _seeded_systems(seed, cases):
+    """(A, b) with 1 to 8 unknowns: normal entries, with rows scaled by up to
+    1e6 either way in a third of them, so that the pivot order matters."""
+    rng = np.random.default_rng(seed)
+    for case in range(cases):
+        m = case % 8 + 1
+        a = rng.normal(size=(m, m))
+        if case % 3 == 0:
+            a *= 10.0 ** rng.integers(-6, 7, size=(m, 1))
+        yield a.tolist(), rng.normal(size=m).tolist()
+
+
+def _relative_residual(a, x, b):
+    r = max(abs(math.fsum([*(-u * v for u, v in zip(row, x)), bi])) for row, bi in zip(a, b))
+    norm_a = max(math.fsum(map(abs, row)) for row in a)
+    return r / (norm_a * max(map(abs, x)) + max(map(abs, b)))
+
+
+def test_solve_matches_lapack_within_a_residual_bound():
+    worst = 0.0
+    for a, b in _seeded_systems(37, 800):
+        x = fh._solve(a, b)
+        want = np.linalg.solve(a, b).tolist()
+        mine, lapack = _relative_residual(a, x, b), _relative_residual(a, want, b)
+        assert mine <= _SOLVE_RESIDUAL_BOUND and lapack <= _SOLVE_RESIDUAL_BOUND, (a, b)
+        # and the solutions agree to the condition number times the bound
+        gap = max(abs(u - v) for u, v in zip(x, want)) / max(map(abs, want))
+        assert gap <= np.linalg.cond(a, np.inf) * _SOLVE_RESIDUAL_BOUND, (a, b)
+        worst = max(worst, mine)
+    print(f"largest relative residual {worst / 2.0**-52:.2f} eps")
+
+
+def _singular_systems(seed, cases):
+    """(kind, A, b): a seeded normal A, and the same A made exactly singular
+    in float: a zero column or a zero row, which stays zero in any
+    elimination, or a row that repeats another times a power of 2."""
+    rng = np.random.default_rng(seed)
+    for case in range(cases):
+        m = case % 6 + 1
+        a = rng.normal(size=(m, m))
+        b = rng.normal(size=m).tolist()
+        yield "regular", a.tolist(), b
+        i, j = (int(v) for v in rng.integers(m, size=2))
+        for kind in ("column", "row", "repeat"):
+            s = a.copy()
+            if kind == "column":
+                s[:, j] = 0.0
+            elif kind == "row":
+                s[i] = 0.0
+            elif m > 1:
+                s[i] = s[(i + 1 + j % (m - 1)) % m] * 2.0 ** int(rng.integers(-3, 4))
+            else:
+                continue
+            yield kind, s.tolist(), b
+
+
+def test_solve_is_none_exactly_where_lapack_is_singular():
+    # a zero column or row is singular to any elimination, and there _solve
+    # returns None exactly where LAPACK reports a zero pivot. A repeated row
+    # is exactly singular too, and _solve, which divides by the pivot, always
+    # meets its zero pivot; getrf multiplies by the pivot's rounded
+    # reciprocal, so a multiplier can miss 2**k by an ulp and its pivot be a
+    # rounding residual instead
+    counts = {}
+    for kind, a, b in _singular_systems(38, 300):
+        try:
+            np.linalg.solve(a, b)
+            lapack = False
+        except np.linalg.LinAlgError:
+            lapack = True
+        none = fh._solve(a, b) is None
+        assert none == (kind != "regular"), (kind, a, b)
+        if kind != "repeat":
+            assert none == lapack, (kind, a, b)
+        counts[kind, lapack] = counts.get((kind, lapack), 0) + 1
+    assert {kind for kind, _ in counts} == {"regular", "column", "row", "repeat"}
+    print(sorted(counts.items()))
+
+
+def test_solve_keeps_its_arguments_and_carries_nan():
+    a, b = [[2.0, 1.0], [4.0, 3.0]], [1.0, 2.0]
+    assert fh._solve(a, b) == [0.5, 0.0]
+    assert a == [[2.0, 1.0], [4.0, 3.0]] and b == [1.0, 2.0]
+    # an infinite Jacobian row makes the step NaN, where Newton stops
+    assert all(math.isnan(v) for v in fh._solve([[math.inf, math.inf], [1.0, 1.0]], [1.0, 0.0]))
+
+
+def test_k_draw_solves_without_lapack(monkeypatch, capsys, tmp_path):
+    # no k-draw solve reaches np.linalg: with np.linalg.solve raising, the
+    # golden finite_k2 and finite_k3 tables keep their bytes and explore's
+    # k-draw cells their outcomes
+    cells = [FiniteHorizonParams(n, r, k) for k, n, r in EXPLORE_KDRAW_CELLS]
+    want = [to_json(_kdraw_outcome(lambda: solve_k_draw(p))) for p in cells]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve was called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+    for kind in ("finite_k2", "finite_k3"):
+        assert main(["table", kind, "--out", str(tmp_path / f"{kind}.csv")]) == 0
+        for name in (f"{kind}.csv", f"{kind}.csv.diagnostics.json"):
+            assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+    got = [to_json(_kdraw_outcome(lambda: solve_k_draw(p))) for p in cells]
+    assert got == want
+    assert sum('"exists": true' in g for g in got) == len(cells) - 1  # the overflow cell fails

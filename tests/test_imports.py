@@ -5,6 +5,7 @@ The package runs on numpy alone; scipy is the tests' oracle. The test modules
 import scipy themselves, so every check here runs in its own
 `sys.executable` subprocess.
 """
+import ast
 import dataclasses
 import json
 import os
@@ -124,6 +125,26 @@ def test_exported_records_have_their_own_docstrings():
     bare = [cls.__name__ for cls in records
             if not cls.__doc__ or cls.__doc__.startswith(cls.__name__ + "(")]
     assert bare == []
+
+
+def test_solvers_make_no_blas_call():
+    # the k-draw, planner and distribution modules import no numpy, and no
+    # module holds a matrix product or an np.linalg call: OpenBLAS picks its
+    # kernels by CPU, so their bits would depend on the host
+    calls = []
+    for path in sorted((SRC / "searchcontest").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and path.stem in (
+                    "finite_horizon", "planner", "distributions"):
+                names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+                names += [alias.name for alias in node.names]
+                calls += [(path.stem, name) for name in names if name.split(".")[0] == "numpy"]
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                calls.append((path.stem, "@"))
+            elif isinstance(node, ast.Attribute) and node.attr in ("linalg", "dot", "matmul"):
+                calls.append((path.stem, node.attr))
+    assert calls == []
 
 
 # each frozen argv in a process of its own, from a fresh import of the package;

@@ -506,7 +506,7 @@ def test_scalar_integrand_read_equals_inverse_density(name):
     (make_pareto(2.0, 1.0), -1.0),  # below the support: a zero density
     (make_pareto(0.01, 1.0), 1.0 - 2.0**-53),  # the quantile's power overflows
     (make_pareto(1.0, 1e300), 1.0 - 1e-15),  # the quantile's product overflows
-    (make_pareto(2.0, 1e-150), 0.5),  # the density's power overflows
+    (make_pareto(1.0, 1e-309), 0.0),  # the density passes the float range
     (make_exponential(1e-310), 0.5),  # the quantile's divide overflows
     (make_uniform(0.0, 1.0), 1.0),  # the top of a bounded support
 ], ids=["one", "past-one", "negative", "quantile-power", "quantile-product", "density-power",
