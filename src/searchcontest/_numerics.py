@@ -1,4 +1,4 @@
-"""Pure-Python ports of the four scipy routines the solvers call, of numpy's
+"""Pure-Python ports of scipy's brentq, qagse and gammaln, of numpy's
 `interp` for one float and `linspace` as a list, and the one array policy of
 the float reads.
 
@@ -15,12 +15,13 @@ library as scipy's compiled code does.
   1-based, as in the Fortran, so each index reads as it does there; slot 0 is
   unused.
 - `lgam`: cephes `lgam` (S. L. Moshier, *Methods and Programs for
-  Mathematical Functions*, 1989), which scipy's `gammaln` is.
-- `xlogy`: scipy's `xlogy` over an integer array and a float.
+  Mathematical Functions*, 1989), which scipy's `gammaln` is. No solver calls
+  it since the asymmetric sums became closed forms; the tests' oracle of the
+  former log-space sums does.
 - `interp`: `np.interp` at one float, for the k-draw CDF's node lists and a
   quantile grid's float reads.
 - `linspace`: `np.linspace(...).tolist()` by numpy's own formula, for the
-  two-draw and planner grids.
+  two-draw and planner grids and the CLI's best-response candidates.
 - `elementwise`: how a float read takes anything that is not a float. The
   distributions' reads and the k-draw CDF and its inverse go through it.
 
@@ -480,17 +481,6 @@ def lgam(x: float) -> float:
     return q + _polevl(p, _LGAM_A[1:], _LGAM_A[0]) / x
 
 
-def xlogy(k: np.ndarray, p: float) -> np.ndarray:
-    """k log p for each entry of the integer array k, and 0 where k is 0 and p is
-    not NaN: scipy's `xlogy`. The log is `math.log`'s, one C-library call, where
-    `np.log` would give other bits; the products are numpy's, which are exact
-    IEEE products."""
-    log_p = math.log(p) if p > 0.0 else -math.inf if p == 0.0 else math.nan
-    if math.isnan(p):
-        return k * log_p
-    return np.multiply(k, log_p, out=np.zeros(k.shape), where=k != 0)
-
-
 def interp(x: float, xp: list[float], fp: list[float]) -> float:
     """float(np.interp(x, xp, fp)) for one float, by np.interp's operations in
     its order: the segment starts at the last node at or below x, and a node
@@ -508,12 +498,15 @@ def interp(x: float, xp: list[float], fp: list[float]) -> float:
 
 
 def linspace(start: float, stop: float, num: int, endpoint: bool = True) -> list[float]:
-    """np.linspace(start, stop, num, endpoint).tolist() for num >= 2, by its
-    formula: i * step + start with step = (stop - start) / div, or
-    i / div * (stop - start) + start where step underflows to 0, and the last
-    point set to stop when it is included."""
+    """np.linspace(start, stop, num, endpoint).tolist() by its formula: i *
+    step + start with step = (stop - start) / div, or i / div * (stop - start)
+    + start where step underflows to 0, and the last point set to stop when
+    it is included. With no step (one point and its end, or none) it is
+    0 * (stop - start) + start, as numpy's is."""
     div = num - 1 if endpoint else num
     delta = stop - start
+    if div <= 0:
+        return [0.0 * delta + start] * num
     step = delta / div
     xs = [i * step + start if step != 0.0 else i / div * delta + start for i in range(num)]
     if endpoint:

@@ -21,9 +21,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from . import __version__
+from ._numerics import linspace
 from .distributions import Distribution, distribution_from_spec
 from .equilibrium import (
     ContestParams,
@@ -319,7 +318,7 @@ def _cmd_verify_best_response(args) -> int:
     d = _parse_dist(args)
     params = _contest(args)
     require_int("grid", args.grid, 1)
-    qs = np.linspace(0.02, 0.98, args.grid)
+    qs = linspace(0.02, 0.98, args.grid)
     candidates = [InfiniteThresholdStrategy(float(d.quantile(q))) for q in qs]
     if args.profile == "asymmetric":
         eq = solve_asymmetric(params, d)

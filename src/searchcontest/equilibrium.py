@@ -4,16 +4,21 @@ Players draw i.i.d. values from a distribution at a per-draw cost and the
 highest accepted value wins the prize. Stationary strategies are acceptance
 thresholds; in quantile space every solver below is distribution-free, so all
 arithmetic happens on u = F(x) and values appear only through quantile().
+
+The asymmetric equilibrium's two conditions are binomial means, E[1/(X+1)]
+and E[1/(X+2)], which have closed forms (Chao & Strawderman, JASA 1972), and
+their difference depends only on the ratio of the two acceptance
+probabilities: one root search on Python floats solves it at any N, with no
+table and no numpy.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import add
 
-import numpy as np
-
-from ._numerics import brentq, lgam, xlogy
+from ._numerics import brentq
 from .distributions import Distribution
 from .errors import (
     InvalidParameterError,
@@ -154,41 +159,34 @@ def solve_multiprize(
     )
 
 
-# most players solve_asymmetric takes: its binomial sums of n - 1 and n - 2 terms
-# build n-entry tables, whose lists and arrays peak at about 72 MB for 2**20
-_ASYM_MAX_PLAYERS = 2**20
+def _mean_inv1(m: int, delta: float) -> float:
+    """E[1/(X+1)] for X ~ Binom(m, delta), in closed form (Chao & Strawderman,
+    1972): (1 - beta^(m+1)) / ((m+1) delta) with beta = 1 - delta, the
+    numerator -expm1((m+1) log1p(-delta))."""
+    k = float(m + 1)
+    return -math.expm1(k * math.log1p(-delta)) / (k * delta)
 
 
-@lru_cache(maxsize=8)
-def _log_binom_coefficients(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """i = 0..m and log C(m, i), from cephes' lgam (math.lgamma's bits differ)."""
-    log_fact = np.array([lgam(k + 1) for k in range(m + 1)])
-    return np.arange(m + 1), lgam(m + 1) - log_fact - log_fact[::-1]
+def _mean_inv2(m: int, delta: float) -> float:
+    """E[1/(X+2)] for X ~ Binom(m, delta), in closed form: ((m+2) delta -
+    (1 - beta^(m+2))) / ((m+1)(m+2) delta^2), divided in two steps so that no
+    product of counts overflows. The numerator cancels as (m+2) delta falls;
+    the solver reads it at (m+2) delta >= 1, where x / (x - (1 - e^-x)) is at
+    most e, so under 2 bits are lost."""
+    k = float(m + 2)
+    x = k * delta
+    return (x + math.expm1(k * math.log1p(-delta))) / x / ((k - 1.0) * delta)
 
 
-def _binom_pmf(m: int, s_h: float, s_l: float) -> tuple[np.ndarray, np.ndarray]:
-    """i and Binom(i; m, delta) with delta = s_h/s_l, summed in log space so
-    no power of a tail underflows on its own; beta = 1 - delta is formed from
-    the tails, not by subtraction from 1."""
-    i, log_comb = _log_binom_coefficients(m)
-    log_pmf = log_comb + xlogy(i, s_h / s_l) + xlogy(m - i, (s_l - s_h) / s_l)
-    return i, np.exp(log_pmf)
-
-
-def _asym_low_profit(s_l: float, s_h: float, n: int, c: float, w: float) -> float:
-    """Zero-profit residual of a low-threshold player with acceptance
-    probability s_l against a high player accepting with s_h:
-    -c + w s_h sum_i Binom(i; n-2, s_h/s_l) / (i+2)."""
-    i, pmf = _binom_pmf(n - 2, s_h, s_l)
-    return -c + w * s_h * float(np.multiply(pmf, 1.0 / (i + 2)).sum())
-
-
-def _asym_high_indiff(s_l: float, s_h: float, n: int, c: float, w: float) -> float:
-    """High player indifferent between stopping at the threshold and continuing:
-    w beta^(n-1) s_h + c - w s_h sum_i Binom(i; n-1, s_h/s_l) / (i+1)."""
-    i, pmf = _binom_pmf(n - 1, s_h, s_l)
-    beta = (s_l - s_h) / s_l
-    return w * beta ** (n - 1) * s_h + c - w * s_h * float(np.multiply(pmf, 1.0 / (i + 1)).sum())
+def _asym_gap(x: float, n: int) -> float:
+    """The high player's indifference less the low players' zero profit, both
+    per w s_h, at delta = x/n, the chance that a low player's accepted draw
+    beats the high threshold: E[1/(X+1)] - beta^(n-1) - E[1/(Y+2)] with X ~
+    Binom(n-1, delta) and Y ~ Binom(n-2, delta). It depends on delta alone;
+    its zeros are the asymmetric equilibrium and the symmetric delta = 1."""
+    delta = x / n
+    stay = math.exp((n - 1) * math.log1p(-delta))  # beta^(n-1)
+    return _mean_inv1(n - 1, delta) - stay - _mean_inv2(n - 2, delta)
 
 
 def _brentq(f, lo: float, hi: float, xtol: float, args: tuple = ()) -> float:
@@ -220,66 +218,44 @@ def solve_asymmetric(params: ContestParams, d: Distribution) -> AsymmetricEquili
     """Two-threshold equilibrium: N-1 players share a low threshold and earn
     nothing; one player uses a higher threshold and keeps positive rents.
 
-    Solved by nested root finding on acceptance probabilities (one minus the
-    quantile, so tiny ones keep their digits): the inner bracket pins the low
-    players' acceptance from the zero-profit condition for each candidate high
-    acceptance, the outer bracket closes the high player's indifference.
-    Exists only for N >= 3.
+    In acceptance probabilities (one minus the quantile, so tiny ones keep
+    their digits), s_l for the low players and s_h for the high one, the low
+    players' zero profit is c = w s_h E[1/(Y+2)] and the high player's
+    indifference c = w s_h (E[1/(X+1)] - beta^(N-1)), with X ~ Binom(N-1,
+    delta), Y ~ Binom(N-2, delta), delta = s_h/s_l and beta = 1 - delta. Their
+    difference, _asym_gap, is a function of delta alone, and on every N >= 3
+    it is negative at delta = 1/N and positive at 2.5/N; its root between
+    (near 1.8/N at large N) gives s_h = c / (w E[1/(Y+2)]) and s_l = s_h /
+    delta. Exists only for N >= 3, and only where s_l <= 1.
     """
     n, c, w = params.n_players, params.cost, params.prize
     if n == 2:
         raise NoAsymmetricEquilibriumError(
             "two-player contests admit only the symmetric equilibrium"
         )
-    if n > _ASYM_MAX_PLAYERS:  # before any table is built
-        raise InvalidParameterError(
-            f"asymmetric equilibria are solved for at most {_ASYM_MAX_PLAYERS} players, got {n}")
     if not params.viable:
         raise NotViableError(f"total per-round cost {n * c} exceeds prize {w}")
+    d.threshold(n * c / w)  # refuses an acceptance below float resolution, before any search
 
-    accept = n * c / w
-    d.threshold(accept)  # refuses an acceptance below float resolution, before any search
-
-    def low_tail(s_h: float) -> float | None:
-        # zero-profit residual increases in s_l; need a sign change on [s_h, 1]
-        if (_asym_low_profit(s_h, s_h, n, c, w) >= 0
-                or _asym_low_profit(1.0, s_h, n, c, w) <= 0):
-            return None
-        return _brentq(_asym_low_profit, s_h, 1.0, args=(s_h, n, c, w), xtol=1e-12 * accept)
-
-    def outer(s_h: float) -> float | None:
-        s_l = low_tail(s_h)
-        return None if s_l is None else _asym_high_indiff(s_l, s_h, n, c, w)
-
-    # low players accepting every draw break even at s_min; the asymmetric
-    # root lies strictly between s_min and the trivial symmetric zero s_h =
-    # accept, and scales with accept, so scan that range geometrically
-    if _asym_low_profit(1.0, accept, n, c, w) <= 0:
-        raise NumericFailureError("no asymmetric bracket found: low players cannot break even",
-                                  diagnostics={"n_players": n, "acceptance": accept})
-    s_min = _brentq(lambda t: _asym_low_profit(1.0, t, n, c, w), 0.0, accept,
-                    xtol=1e-12 * accept)
-    tails = np.geomspace(accept, s_min, 259)[1:-1]
-    bracket, prev = None, (None, None)
-    for s_h in tails:
-        v = outer(s_h)
-        if v is not None and prev[1] is not None and _opposite(v, prev[1]):
-            bracket = (s_h, prev[0])
-            break
-        prev = (s_h, v)
-    if bracket is None:
-        raise NumericFailureError(
-            "no asymmetric bracket found",
-            diagnostics={"n_players": n, "acceptance": accept, "s_min": s_min},
-        )
-
-    s_h = _brentq(outer, *bracket, xtol=1e-11 * accept)
-    s_l = low_tail(s_h)
-    if s_l is None:
-        raise NumericFailureError("inner bracket vanished at the outer root")
-    v_high = w * ((s_l - s_h) / s_l) ** (n - 1)
+    x = _brentq(_asym_gap, 1.0, 2.5, xtol=1e-16, args=(n,))
+    # brentq stops within 4 eps x of the root: of the floats there, take the
+    # one where the gap is least, so that delta has the sums' last bit
+    near = [x]
+    for end in (-math.inf, math.inf):
+        y = x
+        for _ in range(8):
+            y = math.nextafter(y, end)
+            near.append(y)
+    x = min(near, key=lambda y: abs(_asym_gap(y, n)))
+    delta = x / n
+    s_h = c / w / _mean_inv2(n - 2, delta)
+    s_l = s_h / delta
+    if s_l > 1.0:
+        raise NoAsymmetricEquilibriumError(
+            f"low players accepting every draw cannot break even: they would need "
+            f"acceptance probability {s_l:.6g}")
     return AsymmetricEquilibrium(
         low_threshold=d.threshold(s_l),
         high_threshold=d.threshold(s_h),
-        high_player_value=float(v_high),
+        high_player_value=w * math.exp((n - 1) * math.log1p(-delta)),
     )

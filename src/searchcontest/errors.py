@@ -22,7 +22,8 @@ class NoSearchIncentiveError(SearchContestError):
 
 
 class NoAsymmetricEquilibriumError(SearchContestError):
-    """Requested an asymmetric equilibrium where none exists (two players)."""
+    """Requested an asymmetric equilibrium where none exists: two players, or
+    low players who cannot break even accepting every draw."""
 
 
 class DivergentObjectiveError(SearchContestError):

@@ -525,29 +525,25 @@ def simulate_contest(
     )
 
 
-def _inverse_play(v: np.ndarray, plan: np.ndarray,
-                  log0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Accepted quantile and draw count from pre-drawn uniforms, for
-    deviation_scan, whose candidates share one block v: common random numbers.
+def _inverse_play(v: np.ndarray, plan: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Accepted quantile, and a k-draw plan's draw count, from pre-drawn
+    uniforms, for deviation_scan, whose candidates share one block v: common
+    random numbers.
 
-    An infinite plan uses two uniforms per replication: one through the
-    geometric draw-count inverse CDF, one for the accepted value above the
-    threshold. A uniform is at most 1 - 2^-53, so a draw count is at most
-    ceil(36.74 / -log q) <= ceil(40 / (1 - q)), the cap of round-by-round
-    play: no cap can bind. A k-draw plan reads the uniforms as the draws
-    themselves, and its last round accepts any. The draw counts are float64,
-    and they are made only when log0, np.log1p(-v[:, 0]), is given: an
-    opponent's are never read, and None stands in for them.
+    An infinite plan uses two uniforms per replication: the second for the
+    accepted value above the threshold, the first for the draw count through
+    the geometric inverse CDF, which deviation_scan computes in place (None
+    stands in for it here). A uniform is at most 1 - 2^-53, so a draw count is
+    at most ceil(36.74 / -log q) <= ceil(40 / (1 - q)), the cap of
+    round-by-round play: no cap can bind. A k-draw plan reads the uniforms as
+    the draws themselves, and its last round accepts any; its draw counts are
+    float64.
     """
-    size = v.shape[0]
     if plan.size == 1:
         q = plan[0]
-        if q <= 0.0:
-            return v[:, 1].copy(), None if log0 is None else np.ones(size)
-        draws = None if log0 is None else np.maximum(1.0, np.ceil(log0 / math.log(q)))
-        return q + v[:, 1] * (1.0 - q), draws
+        return (v[:, 1] if q <= 0.0 else q + v[:, 1] * (1.0 - q)), None
     first = (v[:, : plan.size] >= plan).argmax(axis=1)
-    return v[np.arange(size), first], None if log0 is None else first + 1.0
+    return v[np.arange(v.shape[0]), first], first + 1.0
 
 
 def deviation_scan(
@@ -591,14 +587,33 @@ def deviation_scan(
                 out[:] = _inverse_play(rng.random((out.size, cols)), plan)[0]
         opp_best = opp_final.max(axis=0)
         v_self = _stream(config.seed, _TAG_SELF, player_index, c).random((size, v_cols))
-        log0 = np.log1p(-v_self[:, 0])  # every infinite candidate's, once a chunk
-        sums, base = np.empty((2, len(self_plans))), 0.0  # column 0: the profile strategy's
+        # every infinite candidate's two uniforms, once a chunk, the second made contiguous
+        log0, u1 = np.log1p(-v_self[:, 0]), np.ascontiguousarray(v_self[:, 1])
+        # column 0 of sums and row 0 of gains: the profile strategy's
+        sums, gains, f = np.empty((2, len(self_plans))), np.empty((2, size)), np.empty(size)
+        hit, square = np.empty(size, dtype=bool), np.empty(size)
         for i, plan in enumerate(self_plans):
-            f, dr = _inverse_play(v_self, plan, log0)
-            # the prize to a value at or above every opponent's, less the profile strategy's payoff
-            gain = (f >= opp_best) - cost * dr - base
-            sums[:, i] = gain.sum(), (gain**2).sum()
-            base = base if i else gain
+            # the prize to a value at or above every opponent's, less the draws'
+            # cost and the profile strategy's payoff; an infinite plan's value and
+            # draw count are made on the chunk's buffers, with the operations of
+            # q + u (1 - q) and max(1, ceil(log(1 - u0) / log q)) in that order
+            gain = gains[min(i, 1)]
+            if plan.size > 1:
+                value, draws = _inverse_play(v_self, plan)
+                np.multiply(cost, draws, out=gain)
+            elif plan[0] <= 0.0:
+                value = u1
+                gain.fill(cost)
+            else:
+                q = plan[0]
+                value = np.add(q, np.multiply(u1, 1.0 - q, out=f), out=f)
+                np.divide(log0, math.log(q), out=gain)
+                np.maximum(1.0, np.ceil(gain, out=gain), out=gain)
+                np.multiply(cost, gain, out=gain)
+            np.subtract(np.greater_equal(value, opp_best, out=hit), gain, out=gain)
+            if i:
+                np.subtract(gain, gains[0], out=gain)
+            sums[:, i] = gain.sum(), np.square(gain, out=square).sum()
         return (sums,)
 
     reps = config.replications

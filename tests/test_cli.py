@@ -722,9 +722,12 @@ def _one_error_line(err: str) -> str:
     "solve asymmetric --n 3 --cost 1e-320",
     "verify best_response --profile asymmetric --n 3 --cost 1e-300 --dist uniform:-1e9,1e9"
     " --grid 1 --reps 2",
+    pytest.param(f"solve asymmetric --n {10**300} --cost 1e-301", id="asymmetric-n-301-digits"),
 ])
 def test_asymmetric_below_float_resolution_exits_one(capsys, argv):
-    # refused before any root search, which used to escape as a traceback
+    # refused before any root search, which used to escape as a traceback; at
+    # N = 10^300 the acceptance N c / W is 0.1, but the high player's, about
+    # 3.35 c / W, is below resolution, and is refused once the search finds it
     code, out, err = _run_strict(capsys, argv.split())
     assert (code, out) == (1, "")
     assert "below float resolution" in _one_error_line(err)
@@ -786,20 +789,21 @@ def test_planner_count_past_the_int_product_exits_without_traceback(capsys, tmp_
 @pytest.mark.parametrize("argv, message", [
     ("solve finite --n 3 --k 100000000000000000000 --cost-ratio 0.05",
      "n_draws must be at most 1048577"),
-    (f"solve asymmetric --n {_301_DIGITS} --cost 1e-301",
-     "at most 1048576 players"),
-    ("solve asymmetric --n 1048577 --cost 1e-7", "at most 1048576 players"),
-], ids=["finite-k-21-digits", "asymmetric-n-301-digits", "asymmetric-n-past-budget"])
-def test_count_past_a_memory_bound_exits_one(capsys, monkeypatch, argv, message):
-    # k - 1 start lists, or N-entry binomial tables, would be built: refused first.
-    # lgam, which builds the tables, fails the test if it is reached
-    def no_tables(x):
-        raise AssertionError("a binomial table was started")
-
-    monkeypatch.setattr("searchcontest.equilibrium.lgam", no_tables)
+], ids=["finite-k-21-digits"])
+def test_count_past_a_memory_bound_exits_one(capsys, argv, message):
+    # k - 1 start lists would be built: refused first
     code, out, err = _run_strict(capsys, argv.split())
     assert (code, out) == (1, "")
     assert message in _one_error_line(err)
+
+
+def test_asymmetric_players_past_two_to_the_twenty_exit_zero(capsys):
+    # the closed-form sums build no table, so no bound on N remains
+    code, out, err = _run_strict(capsys, "solve asymmetric --n 1048577 --cost 1e-7".split())
+    assert (code, err) == (0, "")
+    result = _payload(out)["result"]
+    assert result["low_threshold"] < result["high_threshold"] < 1.0
+    assert result["high_player_value"] == pytest.approx(0.16641290, abs=1e-8)
 
 
 def test_symmetric_acceptance_underflow_exits_one(capsys):

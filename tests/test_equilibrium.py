@@ -1,11 +1,17 @@
 """Infinite-horizon equilibria: symmetric, multi-prize, asymmetric."""
 import math
+import random
 import warnings
+from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.special import xlogy
 
 from searchcontest import (
     ContestParams,
@@ -23,7 +29,8 @@ from searchcontest import (
     solve_multiprize,
     solve_symmetric,
 )
-from searchcontest.equilibrium import _brentq
+from searchcontest._numerics import lgam
+from searchcontest.equilibrium import _brentq, _mean_inv1, _mean_inv2
 
 # two-player-types equilibrium quantiles, solved independently to high
 # precision from the zero-profit and indifference conditions
@@ -201,40 +208,140 @@ def test_asymmetric_four_players(uniform):
     assert eq.high_player_value == pytest.approx(v, abs=1e-8)
 
 
-def test_asymmetric_players_past_the_table_budget_refused_first(monkeypatch, uniform):
-    # N-entry binomial tables from lgam: refused before the first lgam call
-    class TableStarted(Exception):
-        pass
-
-    def no_tables(x):
-        raise TableStarted
-
-    monkeypatch.setattr("searchcontest._numerics.lgam", no_tables)
-    monkeypatch.setattr("searchcontest.equilibrium.lgam", no_tables)
-    for n, c in ((2**20 + 1, 1e-7), (10**300, 1e-301)):
-        with pytest.raises(InvalidParameterError, match="at most 1048576 players"):
-            solve_asymmetric(ContestParams(n, c, 1.0), uniform)
-    with pytest.raises(TableStarted):  # the budget admits 2**20 players
-        solve_asymmetric(ContestParams(2**20, 1e-7, 1.0), uniform)
-
-
-@pytest.mark.parametrize("n,c", [(3, 0.1), (3, 0.05), (4, 0.05), (5, 0.03)])
-def test_asymmetric_solves_equilibrium_conditions(uniform, n, c):
-    eq = solve_asymmetric(ContestParams(n, c, 1.0), uniform)
+def _assert_solves_conditions(eq, n: int, c: float, value_rel: float) -> None:
     l, h = eq.low_threshold, eq.high_threshold
     assert 0.0 < l < h < 1.0
     assert abs(_low_zero_profit(l, h, n, c, 1.0)) < 1e-9
     assert abs(_high_indifference(l, h, n, c, 1.0)) < 1e-9
     v_h = ((h - l) / (1.0 - l)) ** (n - 1)
-    assert eq.high_player_value == pytest.approx(v_h, rel=1e-9)
+    assert eq.high_player_value == pytest.approx(v_h, rel=value_rel)
     # the high player is strictly pickier than the whole symmetric field
     q_sym = 1.0 - n * c
     assert h > q_sym > 0.0
 
 
+@pytest.mark.parametrize("n,c", [(3, 0.1), (3, 0.05), (4, 0.05), (5, 0.03)])
+def test_asymmetric_solves_equilibrium_conditions(uniform, n, c):
+    eq = solve_asymmetric(ContestParams(n, c, 1.0), uniform)
+    _assert_solves_conditions(eq, n, c, 1e-9)
+
+
+@pytest.mark.parametrize("n,c", [(2**21, 1e-7), (10**9, 1e-10), (10**300, 1e-301)],
+                         ids=["2**21", "10**9", "10**300"])
+def test_asymmetric_large_counts_solve_or_refuse(uniform, n, c):
+    # no table bounds N: a cell past 2**20 either solves the equilibrium
+    # conditions or is refused, with no float warning on the way. The thresholds
+    # are floats near 1, which carry the high player's acceptance only to about
+    # 2^-53 / (1 - h) relative, so the value read back from them holds to
+    # 3 (N - 1) 2^-53 / (h - l) on top of the 1e-9 asked at small N
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            eq = solve_asymmetric(ContestParams(n, c, 1.0), uniform)
+        except InvalidParameterError as ex:
+            assert n == 10**300 and "below float resolution" in str(ex)
+            return
+    assert n < 10**300
+    resolution = 3.0 * (n - 1) * 2.0**-53 / (eq.high_threshold - eq.low_threshold)
+    _assert_solves_conditions(eq, n, c, 1e-9 + resolution)
+    # an oracle that needs no threshold: as N grows with delta = x/N, the two
+    # conditions' difference tends to (1 - e^-x)/x - e^-x - (x - 1 + e^-x)/x^2,
+    # and the value to e^-x at its root, with a gap of about 1.1/N
+    x = brentq(lambda x: (-math.expm1(-x) / x - math.exp(-x)
+                          - (x - 1.0 + math.exp(-x)) / x**2), 1.0, 2.5, xtol=1e-15)
+    assert eq.high_player_value == pytest.approx(math.exp(-x), rel=2.0 / n)
+
+
+def _exact_mean(m: int, delta: float, j: int) -> Fraction:
+    """E[1/(X+j)], X ~ Binom(m, delta), exactly for the float delta = p/q: one
+    integer sum over the common denominator lcm(j..m+j) q^m."""
+    p, q = delta.as_integer_ratio()
+    lcm = math.lcm(*range(j, m + j + 1))
+    return Fraction(sum(math.comb(m, i) * p**i * (q - p) ** (m - i) * (lcm // (i + j))
+                        for i in range(m + 1)), lcm * q**m)
+
+
+def test_binomial_means_equal_exact_sums():
+    # delta is log-uniform on [1e-12, 0.99] for E[1/(X+1)], and for E[1/(X+2)]
+    # on the range the solver reads, (m + 2) delta >= 1, where its closed form's
+    # numerator cancels least; a third of the draws fall near (m + 2) delta = 1
+    rng = random.Random(20261022)
+    eps, cells = 2.0**-52, [(m, 0.5) for m in (1, 2, 63, 64)]
+    for _ in range(700):
+        m = rng.randint(1, 64)
+        delta = math.exp(rng.uniform(math.log(1e-12), math.log(0.99)))
+        if rng.random() < 1 / 3:
+            delta = rng.uniform(0.5, 2.0) / (m + 2)
+        cells.append((m, delta))
+    for m, delta in cells:
+        for j, mean in ((1, _mean_inv1), (2, _mean_inv2)):
+            if j == 1 or (m + 2) * delta >= 1.0:
+                want = _exact_mean(m, delta, j)
+                assert abs(Fraction(mean(m, delta)) - want) <= 4 * eps * want, (j, m, delta)
+
+
+# The former solver's sums in log space, word for word, as the oracle at large m.
+# scipy's xlogy has the bits of the port they called
+@lru_cache(maxsize=8)
+def _log_binom_coefficients(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """i = 0..m and log C(m, i), from cephes' lgam (math.lgamma's bits differ)."""
+    log_fact = np.array([lgam(k + 1) for k in range(m + 1)])
+    return np.arange(m + 1), lgam(m + 1) - log_fact - log_fact[::-1]
+
+
+def _binom_pmf(m: int, s_h: float, s_l: float) -> tuple[np.ndarray, np.ndarray]:
+    """i and Binom(i; m, delta) with delta = s_h/s_l, summed in log space so
+    no power of a tail underflows on its own; beta = 1 - delta is formed from
+    the tails, not by subtraction from 1."""
+    i, log_comb = _log_binom_coefficients(m)
+    log_pmf = log_comb + xlogy(i, s_h / s_l) + xlogy(m - i, (s_l - s_h) / s_l)
+    return i, np.exp(log_pmf)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 64, 65, 1000, 2**16 + 1, 2**20])
+def test_binomial_means_equal_the_log_space_sums(m):
+    # within the log-space sums' own error, about 1e-8 relative at the largest m,
+    # with s_l = 1 so that both read the same delta, log-uniform from 1/(m + 2)
+    rng = random.Random(m)
+    for _ in range(12):
+        delta = math.exp(rng.uniform(-math.log(m + 2), math.log(0.99)))
+        i, pmf = _binom_pmf(m, delta, 1.0)
+        for j, mean in ((1, _mean_inv1), (2, _mean_inv2)):
+            want = float(np.multiply(pmf, 1.0 / (i + j)).sum())
+            assert mean(m, delta) == pytest.approx(want, rel=1e-8, abs=0.0), (j, delta)
+
+
+# solve_asymmetric's bits: closed forms and one root search on Python floats
+# through libm, with no numpy loop, so they hold at every numpy SIMD level and
+# BLAS kernel
+_ASYM_HEX = {
+    (3, 0.1): ("0x1.49f49f49f49f4p-1", "0x1.7777777777778p-1", "0x1.0000000000000p-4"),
+    (4, 0.05): ("0x1.75ea6177f1b80p-1", "0x1.b5c6b4d39a45dp-1", "0x1.9528b8b48fb93p-4"),
+    (30, 0.01): ("0x1.d792761926290p-2", "0x1.ef14111261c74p-1", "0x1.476c0eb1a45dfp-3"),
+    (200, 0.001): ("0x1.41bcae7b6742ap-1", "0x1.fe49a9fd2aef5p-1", "0x1.52e03bfc493f4p-3"),
+    (2**20, 1e-7): ("0x1.9bae3f40fde79p-1", "0x1.fffff4c1956d1p-1", "0x1.54d049c42489dp-3"),
+}
+
+
+@pytest.mark.parametrize("n,c", list(_ASYM_HEX), ids=["3-0.1", "4-0.05", "30-0.01",
+                                                     "200-0.001", "2**20-1e-7"])
+def test_asymmetric_frozen_hex(uniform, n, c):
+    # (low threshold, high threshold, high player's value)
+    eq = solve_asymmetric(ContestParams(n, c, 1.0), uniform)
+    got = (eq.low_threshold.hex(), eq.high_threshold.hex(), eq.high_player_value.hex())
+    assert got == _ASYM_HEX[n, c]
+
+
 def test_asymmetric_two_players_impossible(uniform):
     with pytest.raises(NoAsymmetricEquilibriumError):
         solve_asymmetric(ContestParams(2, 0.1, 1.0), uniform)
+
+
+@pytest.mark.parametrize("n", [3, 30, 10**9])
+def test_asymmetric_low_players_who_cannot_break_even_refused(uniform, n):
+    # at N c / W = 0.9 the low players' zero profit needs an acceptance above 1
+    with pytest.raises(NoAsymmetricEquilibriumError, match="cannot break even"):
+        solve_asymmetric(ContestParams(n, 0.9 / n, 1.0), uniform)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -128,15 +128,15 @@ def test_exported_records_have_their_own_docstrings():
 
 
 def test_solvers_make_no_blas_call():
-    # the k-draw, planner and distribution modules import no numpy, and no
-    # module holds a matrix product or an np.linalg call: OpenBLAS picks its
-    # kernels by CPU, so their bits would depend on the host
+    # the k-draw, planner, distribution and equilibrium modules and the CLI
+    # import no numpy, and no module holds a matrix product or an np.linalg
+    # call: OpenBLAS picks its kernels by CPU, so their bits would depend on the host
     calls = []
     for path in sorted((SRC / "searchcontest").glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)) and path.stem in (
-                    "finite_horizon", "planner", "distributions"):
+                    "finite_horizon", "planner", "distributions", "equilibrium", "cli"):
                 names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
                 names += [alias.name for alias in node.names]
                 calls += [(path.stem, name) for name in names if name.split(".")[0] == "numpy"]

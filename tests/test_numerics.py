@@ -1,4 +1,4 @@
-"""The ports of scipy's brentq, QUADPACK qagse, gammaln and xlogy return
+"""The ports of scipy's brentq, QUADPACK qagse and gammaln return
 scipy's bits: root, value and error estimates by float hex, and every count
 and flag. The designer integral, run by qagse from its kink, returns the bits
 of scipy's break-point route (dqagpe) over [0, 1]. scipy is the oracle here;
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import _quadpack
 from scipy.optimize import brentq as scipy_brentq
-from scipy.special import gammaln, xlogy as scipy_xlogy
+from scipy.special import gammaln
 
 from searchcontest import (
     ContestParams,
@@ -245,7 +245,7 @@ def test_quad_reversed_and_shifted_bounds_equal_scipy():
         assert _port_quad(f, a, b, 1e-10, 1e-10, 50) == _scipy_quad(f, a, b, 1e-10, 1e-10, 50)
 
 
-# ------------------------------------------------------------ lgam and xlogy
+# ------------------------------------------------------------ lgam
 
 
 def test_lgam_equals_gammaln():
@@ -261,16 +261,16 @@ def test_lgam_equals_gammaln():
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_xlogy_equals_scipy():
-    # np.log differs from the C library's log on about 1 float in 400 here, so
-    # a few thousand random p tell the two apart
-    rng = np.random.default_rng(5)
-    ps = [0.0, -0.0, 1.0, 0.5, -0.5, math.nan, math.inf, 5e-324, 1e-300, 1.0 - 2.0**-53]
-    ps += [float(p) for p in rng.random(5000)]
-    for m in (0, 1, 7, 60):
-        k = np.arange(m + 1)
-        for p in ps:
-            for kk in (k, m - k):
-                want = scipy_xlogy(kk, p)
-                got = _numerics.xlogy(kk, p)
-                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (m, p)
+# ------------------------------------------------------------ linspace
+
+
+@pytest.mark.parametrize("endpoint", [True, False])
+def test_linspace_equals_numpy(endpoint):
+    # by hex, at the CLI's best-response grid (0.02 to 0.98, --grid from 1), a
+    # span whose step underflows to 0, and no points at all
+    spans = [(0.02, 0.98), (1e-9, 1.0 - 1e-9), (-3.5, 7.25), (0.0, 5e-324), (1.0, -1.0)]
+    for start, stop in spans:
+        for num in (0, 1, 2, 3, 25, 257):
+            want = [x.hex() for x in np.linspace(start, stop, num, endpoint=endpoint).tolist()]
+            got = [x.hex() for x in _numerics.linspace(start, stop, num, endpoint)]
+            assert got == want, (start, stop, num)
